@@ -12,9 +12,9 @@ from .clustering import (Clustering, GroupResolution, dump_clustering, kmeans,
                          squared_distance, sse)
 from .metrics import (MetricsReport, avg_cost, avg_delay, avg_hops, build_report,
                       delivery_ratio, parse_per_message_csv, per_message_csv,
-                      resource_used, summary_header, summary_row, write_report)
-from .routing import (Buffer, ForwardDecision, Message, classify_message,
-                      epidemic_decide, interest_cluster_transfer)
+                      resource_used, summary_header, summary_row)
+from .routing import (Buffer, ForwardDecision, Message, epidemic_decide,
+                      interest_cluster_transfer)
 from .sim_engine import (DeliveryRecord, EventCounts, RouterConfig, Scenario,
                          ScheduleConfig, SimResult, build_schedule, run)
 from .trace_model import (ContactEvent, ContactTrace, InterestProfile,
@@ -31,11 +31,11 @@ __all__ = [
     "Message", "MetricsReport", "RouterConfig", "Scenario", "ScenarioReport",
     "ScheduleConfig", "SimResult", "SyntheticParams", "avg_cost", "avg_delay",
     "avg_hops", "build_report", "build_schedule", "build_trace",
-    "classify_message", "delivery_ratio", "dump_clustering", "epidemic_decide",
+    "delivery_ratio", "dump_clustering", "epidemic_decide",
     "generate_synthetic_trace", "interest_cluster_transfer", "kmeans",
     "parse_contact_trace", "parse_interest_profiles", "parse_per_message_csv",
     "per_message_csv", "points_of", "resolve_group_exact", "resolve_group_kmeans",
     "resource_used", "run", "serialize_contact_trace", "serialize_profiles",
     "squared_distance", "sse", "summary_header", "summary_row",
-    "validate_scenario", "write_report",
+    "validate_scenario",
 ]

@@ -10,7 +10,8 @@ point and lays the results out as:
       summary.csv            one row per run
       runs/n<cat>_s<seed>/   per_message.csv, clustering.txt (k-means mode)
 
-Exit status: 0 all runs fine, 1 any run failed, 2 config error.
+Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
+file that cannot be read or parsed.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .clustering import dump_clustering
 from .metrics import build_report, per_message_csv, summary_header, summary_row
-from .sim_engine import RouterConfig, Scenario, ScheduleConfig, run
-from .trace_model import (InterestProfile, SyntheticParams, generate_synthetic_trace,
+from .sim_engine import (GROUP_MODES, ROUTER_KINDS, RouterConfig, Scenario,
+                         ScheduleConfig, run)
+from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
+                          SyntheticParams, TraceError, generate_synthetic_trace,
                           parse_contact_trace, parse_interest_profiles,
                           serialize_contact_trace, serialize_profiles,
                           validate_scenario)
@@ -54,38 +58,30 @@ class ConflictingSources(ConfigError):
         super().__init__("config sets both a trace file and synthetic parameters")
 
 
-_TOP_KEYS = {
-    "trace", "trace_format", "profiles", "out", "router", "mode", "strict",
-    "threshold", "k_clusters", "buffer_capacity", "ttl",
-    "max_transfers_per_contact", "message_count", "message_interval",
-    "track_final", "categories", "seeds", "synthetic",
-}
-_SYNTH_KEYS = {
-    "node_count", "duration", "contact_rate", "interest_prob",
-    "mean_contact_duration", "shared_interest_bias",
-}
-
-
 @dataclass
 class RunConfig:
+    """The config file's schema: each field is one JSON key, with its type
+    and its default. Router and schedule defaults come from the engine's
+    own config classes."""
+
     categories: list[int]
     seeds: list[int] = field(default_factory=lambda: [0])
     trace: str | None = None
     trace_format: str = "tabular"
     profiles: str | None = None
     out: str | None = None
-    router: str = "cluster"
-    mode: str = "exact"
-    strict: bool = False
-    threshold: float = 0.5
-    k_clusters: int | None = None
-    buffer_capacity: int | None = 50
-    ttl: float | None = None
-    max_transfers_per_contact: int | None = None
+    router: str = RouterConfig.kind
+    mode: str = RouterConfig.mode
+    strict: bool = RouterConfig.strict
+    threshold: float = RouterConfig.threshold
+    k_clusters: int | None = RouterConfig.k_clusters
+    buffer_capacity: int | None = RouterConfig.buffer_capacity
+    ttl: float | None = RouterConfig.ttl
+    max_transfers_per_contact: int | None = RouterConfig.max_transfers_per_contact
     message_count: int = 20
-    message_interval: float | None = None
-    track_final: bool = False
-    synthetic: dict | None = None
+    message_interval: float | None = ScheduleConfig.interval
+    track_final: bool = ScheduleConfig.track_final
+    synthetic: dict | None = None   # SyntheticParams keys, except n_categories
 
     def router_config(self) -> RouterConfig:
         return RouterConfig(
@@ -103,37 +99,56 @@ class RunConfig:
     def effective(self) -> dict:
         """Everything needed to reproduce the sweep (the output directory
         is not part of the results, so it is not echoed)."""
-        return {
-            "trace": self.trace,
-            "trace_format": self.trace_format,
-            "profiles": self.profiles,
-            "router": self.router,
-            "mode": self.mode,
-            "strict": self.strict,
-            "threshold": self.threshold,
-            "k_clusters": self.k_clusters,
-            "buffer_capacity": self.buffer_capacity,
-            "ttl": self.ttl,
-            "max_transfers_per_contact": self.max_transfers_per_contact,
-            "message_count": self.message_count,
-            "message_interval": self.message_interval,
-            "track_final": self.track_final,
-            "categories": list(self.categories),
-            "seeds": list(self.seeds),
-            "synthetic": dict(self.synthetic) if self.synthetic is not None else None,
-        }
+        echo = asdict(self)
+        del echo["out"]
+        return echo
 
 
-def _require(condition: bool, error: ConfigError):
-    if not condition:
-        raise error
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_list(value, name: str) -> list[int]:
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-        raise ConfigError(f"{name} must be a non-empty list of integers")
-    return list(value)
+# declared field type -> (accepts a JSON value, what the error asks for)
+_TYPE_RULES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    list[int]: (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
+                "a non-empty list of integers"),
+}
+
+
+def _check_value(name: str, hint, value):
+    """`value` of config key `name` if it has the declared type `hint`;
+    ints are accepted for floats and stored as floats."""
+    optional = type(None) in get_args(hint)
+    if value is None and optional:
+        return None
+    base = get_args(hint)[0] if optional else hint
+    accepts, expected = _TYPE_RULES[base]
+    if not accepts(value):
+        raise ConfigError(f"{name} must be {expected}{' or null' if optional else ''}, "
+                          f"got {value!r}")
+    return float(value) if base is float else value
+
+
+def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> dict:
+    """The keys of `data` checked against the fields of dataclass `cls`:
+    unknown keys, missing required keys and wrong types are config errors."""
+    hints = get_type_hints(cls)
+    declared = [f for f in fields(cls) if f.name not in skip]
+    names = {f.name for f in declared}
+    for key in data:
+        if key not in names:
+            raise UnknownKey(prefix + key)
+    for f in declared:
+        if (f.name not in data and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise MissingRequired(prefix + f.name)
+    return {key: _check_value(prefix + key, hints[key], value)
+            for key, value in data.items()}
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
@@ -147,62 +162,31 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
 
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise UnknownKey(key)
-    synthetic = data.get("synthetic")
-    if synthetic is not None:
-        if not isinstance(synthetic, dict):
-            raise ConfigError("synthetic must be an object")
-        for key in synthetic:
-            if key not in _SYNTH_KEYS:
-                raise UnknownKey(f"synthetic.{key}")
-        for key in ("node_count", "duration", "contact_rate", "interest_prob"):
-            if key not in synthetic:
-                raise MissingRequired(f"synthetic.{key}")
-
     overrides = overrides or {}
     if overrides.get("seed") is not None:
         data["seeds"] = [overrides["seed"]]
-    if overrides.get("categories") is not None:
-        data["categories"] = overrides["categories"]
-    for key in ("router", "mode", "strict", "out"):
+    for key in ("categories", "router", "mode", "strict", "out"):
         if overrides.get(key) is not None:
             data[key] = overrides[key]
 
-    _require("categories" in data, MissingRequired("categories"))
-    config = RunConfig(
-        categories=_int_list(data["categories"], "categories"),
-        seeds=_int_list(data.get("seeds", [0]), "seeds"),
-        trace=data.get("trace"),
-        trace_format=data.get("trace_format", "tabular"),
-        profiles=data.get("profiles"),
-        out=data.get("out"),
-        router=data.get("router", "cluster"),
-        mode=data.get("mode", "exact"),
-        strict=bool(data.get("strict", False)),
-        threshold=float(data.get("threshold", 0.5)),
-        k_clusters=data.get("k_clusters"),
-        buffer_capacity=data.get("buffer_capacity", 50),
-        ttl=data.get("ttl"),
-        max_transfers_per_contact=data.get("max_transfers_per_contact"),
-        message_count=int(data.get("message_count", 20)),
-        message_interval=data.get("message_interval"),
-        track_final=bool(data.get("track_final", False)),
-        synthetic=synthetic,
-    )
+    config = RunConfig(**_checked_keys(RunConfig, data))
+    if config.synthetic is not None:
+        config.synthetic = _checked_keys(SyntheticParams, config.synthetic,
+                                         prefix="synthetic.", skip=("n_categories",))
     if any(c < 1 for c in config.categories):
         raise ConfigError("categories must be >= 1")
     if config.trace is not None and config.synthetic is not None:
         raise ConflictingSources()
     if config.trace is None and config.synthetic is None:
         raise MissingRequired("trace or synthetic")
-    if config.router not in ("cluster", "epidemic"):
-        raise ConfigError(f"unknown router: {config.router!r}")
-    if config.mode not in ("exact", "kmeans"):
-        raise ConfigError(f"unknown mode: {config.mode!r}")
-    if config.trace_format not in ("tabular", "one_events"):
+    if config.trace_format not in TRACE_FORMATS:
         raise ConfigError(f"unknown trace_format: {config.trace_format!r}")
+    try:
+        config.router_config().validate()
+        if config.synthetic is not None:
+            _synthetic_params(config, min(config.categories)).validate()
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
     return config
 
 
@@ -235,27 +219,25 @@ def adapt_profiles(profiles: list[InterestProfile], n: int) -> list[InterestProf
 
 
 def _load_file_inputs(config: RunConfig):
-    trace_text = Path(config.trace).read_text(encoding="utf-8")
-    trace = parse_contact_trace(trace_text, fmt=config.trace_format)
-    profiles: list[InterestProfile] = []
-    if config.profiles is not None:
-        profile_text = Path(config.profiles).read_text(encoding="utf-8")
-        arity = sniff_profile_arity(profile_text)
-        profiles = parse_interest_profiles(profile_text, arity)
+    """Parse the trace and profile files; a file that cannot be read or
+    parsed is a config error naming it."""
+    path = config.trace
+    try:
+        trace_text = Path(path).read_text(encoding="utf-8")
+        trace = parse_contact_trace(trace_text, fmt=config.trace_format)
+        profiles: list[InterestProfile] = []
+        if config.profiles is not None:
+            path = config.profiles
+            profile_text = Path(path).read_text(encoding="utf-8")
+            arity = sniff_profile_arity(profile_text)
+            profiles = parse_interest_profiles(profile_text, arity)
+    except (OSError, UnicodeDecodeError, TraceError, InvalidParams) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return trace, profiles
 
 
 def _synthetic_params(config: RunConfig, n_categories: int) -> SyntheticParams:
-    s = config.synthetic
-    return SyntheticParams(
-        node_count=s["node_count"],
-        duration=s["duration"],
-        contact_rate=s["contact_rate"],
-        n_categories=n_categories,
-        interest_prob=s["interest_prob"],
-        mean_contact_duration=s.get("mean_contact_duration", 10.0),
-        shared_interest_bias=s.get("shared_interest_bias", 1.0),
-    )
+    return SyntheticParams(n_categories=n_categories, **config.synthetic)
 
 
 def build_scenario(config: RunConfig, n_categories: int, seed: int,
@@ -282,15 +264,15 @@ def run_sweep(config: RunConfig) -> int:
     """Run every (n_categories, seed) pair and write the output tree."""
     if config.out is None:
         raise MissingRequired("out")
+    file_inputs = None
+    if config.synthetic is None:
+        file_inputs = _load_file_inputs(config)
+
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
         json.dumps(config.effective(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
-
-    file_inputs = None
-    if config.synthetic is None:
-        file_inputs = _load_file_inputs(config)
 
     rows = [summary_header()]
     failures = 0
@@ -373,8 +355,8 @@ def _add_common_flags(parser):
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="replace the seed sweep with this single seed")
-    parser.add_argument("--router", choices=["cluster", "epidemic"], default=None)
-    parser.add_argument("--mode", choices=["exact", "kmeans"], default=None)
+    parser.add_argument("--router", choices=ROUTER_KINDS, default=None)
+    parser.add_argument("--mode", choices=GROUP_MODES, default=None)
     parser.add_argument("--strict", action="store_true", default=None,
                         help="close the whole contact on the first non-member peer")
     parser.add_argument("--categories", default=None,

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .sim_engine import DeliveryRecord, SimResult
@@ -40,13 +39,6 @@ class NothingDelivered(ValueError):
 
 class EmptyNetwork(ValueError):
     pass
-
-
-class IoFailure(OSError):
-    def __init__(self, path, cause: OSError):
-        self.path = str(path)
-        self.cause = cause
-        super().__init__(f"cannot write {path}: {cause}")
 
 
 def _delivered(records: Sequence[DeliveryRecord]) -> list[DeliveryRecord]:
@@ -218,14 +210,3 @@ def parse_per_message_csv(text: str) -> list[DeliveryRecord]:
             final_delivered_at=float(final_at) if final_at else None,
         ))
     return records
-
-
-def write_report(report: MetricsReport, records: Sequence[DeliveryRecord],
-                 summary_path, per_message_path) -> None:
-    """Write one-run summary and per-message CSVs."""
-    for path, text in ((summary_path, summary_header() + "\n" + summary_row(report) + "\n"),
-                       (per_message_path, per_message_csv(records))):
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise IoFailure(path, exc) from exc

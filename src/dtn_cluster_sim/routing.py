@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Collection
 
-from .clustering import CategoryOutOfRange
-
 
 class DuplicateMessage(ValueError):
     def __init__(self, message_id: int):
@@ -36,8 +34,8 @@ class ForwardDecision(Enum):
 
 @dataclass(frozen=True)
 class Message:
-    """One unit of dissemination. Copies accumulate their relay path; the
-    id identifies the logical message across all copies."""
+    """One unit of dissemination. Copies count their hops from the source;
+    the id identifies the logical message across all copies."""
 
     id: int
     source: int
@@ -46,16 +44,9 @@ class Message:
     destination_group: frozenset[int]
     final_destination: int | None = None
     hop_count: int = 0
-    path: tuple[int, ...] = ()
     ttl: float | None = None
 
     def __post_init__(self):
-        if not self.path:
-            object.__setattr__(self, "path", (self.source,))
-        if self.path[0] != self.source:
-            raise ValueError("path must start at the source")
-        if self.hop_count != len(self.path) - 1:
-            raise ValueError("hop_count must equal len(path) - 1")
         if self.category < 1:
             raise ValueError("categories are 1-based")
         if (self.final_destination is not None
@@ -63,8 +54,8 @@ class Message:
             raise ValueError("final destination must belong to the group")
 
     def hand_to(self, peer: int) -> "Message":
-        """The copy the peer receives: one more hop, path extended."""
-        return replace(self, hop_count=self.hop_count + 1, path=self.path + (peer,))
+        """The copy the peer receives: one more hop."""
+        return replace(self, hop_count=self.hop_count + 1)
 
     def expired(self, now: float) -> bool:
         return self.ttl is not None and now - self.created_at > self.ttl
@@ -109,9 +100,6 @@ class Buffer:
             evicted.append(victim.message)
         return evicted
 
-    def remove(self, message_id: int) -> None:
-        self._entries.pop(message_id, None)
-
     def purge_expired(self, now: float) -> list[Message]:
         """Drop entries whose message TTL has lapsed."""
         dead = [e.message for e in self._entries.values() if e.message.expired(now)]
@@ -123,16 +111,6 @@ class Buffer:
         """Entries by ascending received_at, ties by message id."""
         return sorted(self._entries.values(),
                       key=lambda e: (e.received_at, e.message.id))
-
-    def messages(self) -> list[Message]:
-        return [e.message for e in self.in_exchange_order()]
-
-
-def classify_message(categories: list[str], k: int) -> str:
-    """Name of the 1-based interest category `k`."""
-    if not 1 <= k <= len(categories):
-        raise CategoryOutOfRange(k, len(categories))
-    return categories[k - 1]
 
 
 def interest_cluster_transfer(group: Collection[int], carrier: int, peer: int,

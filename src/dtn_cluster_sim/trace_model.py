@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
+TRACE_FORMATS = ("tabular", "one_events")
+
 
 class TraceError(ValueError):
     """Base class for trace and profile input problems."""
@@ -308,16 +310,16 @@ def parse_contact_trace(text: str, fmt: str = "tabular") -> ContactTrace:
     `# duration: <s>` and `# nodes: <count>` headers, which may enlarge the
     derived values.
     """
+    if fmt not in TRACE_FORMATS:
+        raise ValueError(f"unknown trace format: {fmt!r}")
     headers, data = _iter_data_lines(text)
     duration, node_count = _parse_headers(headers)
     if fmt == "tabular":
         raw = list(_tabular_events(data))
-    elif fmt == "one_events":
+    else:
         raw, last_time = _one_events(data)
         if duration is None and data:
             duration = last_time
-    else:
-        raise ValueError(f"unknown trace format: {fmt!r}")
     return build_trace(raw, duration=duration, node_count=node_count)
 
 
@@ -441,8 +443,3 @@ def validate_scenario(trace: ContactTrace,
         missing_profile=tuple(sorted(trace_nodes - profile_nodes)),
         unused_profile=tuple(sorted(profile_nodes - trace_nodes)),
     )
-
-
-def profile_map(profiles: Iterable[InterestProfile]) -> dict[int, tuple[int, ...]]:
-    """Interest vectors keyed by node id."""
-    return {p.node: p.interests for p in profiles}

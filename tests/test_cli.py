@@ -229,6 +229,42 @@ class TestMainEntry:
         profile_lines = (tmp_path / "gen" / "profiles.txt").read_text().splitlines()
         assert len(profile_lines) == 8
 
+    @pytest.mark.parametrize("change, named", [
+        ({"strict": "false"}, "strict"),
+        ({"threshold": "abc"}, "threshold"),
+        ({"threshold": 1.5}, "threshold"),
+        ({"buffer_capacity": "5"}, "buffer_capacity"),
+        ({"message_count": "4"}, "message_count"),
+        ({"trace": None, "profiles": None,
+          "synthetic": {"node_count": "8", "duration": 300.0,
+                        "contact_rate": 0.002, "interest_prob": 0.5}},
+         "synthetic.node_count"),
+        ({"trace": None, "profiles": None,
+          "synthetic": {"node_count": 1, "duration": 300.0,
+                        "contact_rate": 0.002, "interest_prob": 0.5}},
+         "node_count"),
+        ({"trace": "no_such_trace.txt"}, "no_such_trace.txt"),
+        ({"profiles": "ragged.txt"}, "ragged.txt"),
+    ])
+    def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
+                                       change, named):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ragged.txt").write_text("0 1 0 1\n1 0 1\n")
+        path = write_config(tmp_path, **change)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_int_floats_echo_as_floats(self, tmp_path):
+        path = write_config(tmp_path, threshold=1, ttl=600)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        echo = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert echo["threshold"] == 1.0 and isinstance(echo["threshold"], float)
+        assert echo["ttl"] == 600.0 and isinstance(echo["ttl"], float)
+
     def test_gen_trace_needs_synthetic(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["gen-trace", "--config", str(path),

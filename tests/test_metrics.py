@@ -1,11 +1,10 @@
 import pytest
 
-from dtn_cluster_sim.metrics import (EmptyNetwork, IoFailure, MetricsReport,
-                                     NoMessages, NothingDelivered, avg_cost,
-                                     avg_delay, avg_hops, build_report,
-                                     delivery_ratio, parse_per_message_csv,
-                                     per_message_csv, resource_used, summary_header,
-                                     summary_row, write_report)
+from dtn_cluster_sim.metrics import (EmptyNetwork, MetricsReport, NoMessages,
+                                     NothingDelivered, avg_cost, avg_delay,
+                                     avg_hops, build_report, delivery_ratio,
+                                     parse_per_message_csv, per_message_csv,
+                                     resource_used, summary_header, summary_row)
 from dtn_cluster_sim.sim_engine import (DeliveryRecord, RouterConfig, Scenario,
                                         ScheduleConfig, run)
 from dtn_cluster_sim.trace_model import InterestProfile, parse_contact_trace
@@ -201,15 +200,13 @@ class TestSerialization:
             "message_id,source,category,created_at,group_size,group_delivered_at,"
             "first_receiver,hops,forwards_total,final_delivered_at"]
 
-    def test_identical_results_identical_files(self, tmp_path):
-        res = tiny_result()
-        report = build_report(res, "r1")
-        write_report(report, res.records, tmp_path / "s1.csv", tmp_path / "m1.csv")
-        write_report(report, res.records, tmp_path / "s2.csv", tmp_path / "m2.csv")
-        assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
-        assert (tmp_path / "m1.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
+    def test_identical_results_identical_files(self):
+        first, second = tiny_result(), tiny_result()
+        assert summary_row(build_report(first, "r1")) == \
+               summary_row(build_report(second, "r1"))
+        assert per_message_csv(first.records) == per_message_csv(second.records)
 
-    def test_empty_run_summary_row(self, tmp_path):
+    def test_empty_run_summary_row(self):
         trace = parse_contact_trace("0 1 1 2\n")
         sc = Scenario(trace=trace,
                       profiles=(InterestProfile(1, (1,)), InterestProfile(2, (0,))),
@@ -218,13 +215,4 @@ class TestSerialization:
         report = build_report(res, "empty")
         row = summary_row(report)
         assert ",0,0,," in row  # created=0, delivered=0, ratio absent
-        write_report(report, res.records, tmp_path / "s.csv", tmp_path / "m.csv")
-        assert len((tmp_path / "m.csv").read_text().splitlines()) == 1
-
-    def test_write_failure_reports_path(self, tmp_path):
-        res = tiny_result()
-        report = build_report(res, "r1")
-        missing = tmp_path / "not" / "there" / "s.csv"
-        with pytest.raises(IoFailure) as err:
-            write_report(report, res.records, missing, tmp_path / "m.csv")
-        assert str(missing) in err.value.path
+        assert len(per_message_csv(res.records).splitlines()) == 1

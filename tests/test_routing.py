@@ -2,31 +2,14 @@ import random
 
 import pytest
 
-from dtn_cluster_sim.clustering import CategoryOutOfRange
 from dtn_cluster_sim.routing import (Buffer, DuplicateMessage, ForwardDecision,
-                                     Message, classify_message, epidemic_decide,
+                                     Message, epidemic_decide,
                                      interest_cluster_transfer)
 
 
 def msg(mid=0, source=1, category=1, created_at=0.0, group=(5, 8), **kw):
     return Message(id=mid, source=source, category=category, created_at=created_at,
                    destination_group=frozenset(group), **kw)
-
-
-class TestClassify:
-    CATEGORIES = ["Content distribution", "Power control", "Service overlays"]
-
-    def test_third_category(self):
-        assert classify_message(self.CATEGORIES, 3) == "Service overlays"
-
-    def test_singleton(self):
-        assert classify_message(["only"], 1) == "only"
-
-    def test_out_of_range(self):
-        with pytest.raises(CategoryOutOfRange):
-            classify_message(self.CATEGORIES, 4)
-        with pytest.raises(CategoryOutOfRange):
-            classify_message(self.CATEGORIES, 0)
 
 
 class TestInterestClusterTransfer:
@@ -80,19 +63,13 @@ class TestEpidemic:
 
 class TestMessage:
     def test_path_defaults_to_source(self):
-        m = msg(source=4)
-        assert m.path == (4,)
-        assert m.hop_count == 0
+        assert msg(source=4).hop_count == 0
 
     def test_hand_to_extends_path(self):
         m = msg(source=4).hand_to(9)
-        assert m.path == (4, 9)
         assert m.hop_count == 1
-
-    def test_path_must_start_at_source(self):
-        with pytest.raises(ValueError):
-            Message(id=0, source=1, category=1, created_at=0.0,
-                    destination_group=frozenset({2}), path=(2, 1), hop_count=1)
+        assert m.hand_to(3).hop_count == 2
+        assert m.source == 4
 
     def test_final_destination_must_be_member(self):
         with pytest.raises(ValueError):
@@ -112,7 +89,7 @@ class TestBuffer:
         b.insert(msg(mid=2), now=8.0)
         evicted = b.insert(msg(mid=3), now=10.0)
         assert [m.id for m in evicted] == [1]
-        assert sorted(m.id for m in b.messages()) == [2, 3]
+        assert 1 not in b and 2 in b and 3 in b
 
     def test_no_eviction_under_capacity(self):
         b = Buffer(capacity=3)

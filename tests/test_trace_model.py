@@ -8,7 +8,7 @@ from dtn_cluster_sim.trace_model import (ContactEvent, DuplicateNode, InvalidPar
                                          SyntheticParams, WrongArity, build_trace,
                                          generate_synthetic_trace,
                                          parse_contact_trace, parse_interest_profiles,
-                                         profile_map, serialize_contact_trace,
+                                         serialize_contact_trace,
                                          serialize_profiles, validate_scenario)
 
 
@@ -157,7 +157,7 @@ class TestRoundTrip:
 class TestParseProfiles:
     def test_basic(self):
         profiles = parse_interest_profiles("7 0 1\n9 1 0\n", 2)
-        assert profile_map(profiles) == {7: (0, 1), 9: (1, 0)}
+        assert profiles == [InterestProfile(7, (0, 1)), InterestProfile(9, (1, 0))]
 
     def test_wrong_arity(self):
         with pytest.raises(WrongArity) as err:
