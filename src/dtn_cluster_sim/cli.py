@@ -7,7 +7,8 @@ point and lays the results out as:
 
     out/
       config.json            effective config echo (reproduces the sweep)
-      summary.csv            one row per run
+      summary.csv            one row per run that succeeded
+      failures.csv           run_id,error per failed run (only if any failed)
       runs/n<cat>_s<seed>/   per_message.csv, clustering.txt (k-means mode)
 
 Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
@@ -17,6 +18,7 @@ file that cannot be read or parsed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -183,6 +185,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown trace_format: {config.trace_format!r}")
     try:
         config.router_config().validate()
+        config.schedule_config().validate()
         if config.synthetic is not None:
             _synthetic_params(config, min(config.categories)).validate()
     except InvalidParams as exc:
@@ -275,7 +278,7 @@ def run_sweep(config: RunConfig) -> int:
         encoding="utf-8")
 
     rows = [summary_header()]
-    failures = 0
+    failures: list[tuple[str, str]] = []
     for cat in sorted(set(config.categories)):
         for seed in sorted(set(config.seeds)):
             run_id = f"n{cat}_s{seed}"
@@ -285,7 +288,7 @@ def run_sweep(config: RunConfig) -> int:
                 report = build_report(result, run_id)
             except Exception as exc:  # surface errors with run coordinates
                 print(f"run {run_id} failed: {exc}", file=sys.stderr)
-                failures += 1
+                failures.append((run_id, str(exc)))
                 continue
             run_dir = out / "runs" / run_id
             run_dir.mkdir(parents=True, exist_ok=True)
@@ -296,6 +299,13 @@ def run_sweep(config: RunConfig) -> int:
                     dump_clustering(result.clustering), encoding="utf-8")
             rows.append(summary_row(report))
     (out / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    failures_path = out / "failures.csv"
+    failures_path.unlink(missing_ok=True)  # left by an earlier sweep into `out`
+    if failures:
+        with open(failures_path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(("run_id", "error"))
+            writer.writerows(failures)
     return 1 if failures else 0
 
 

@@ -4,9 +4,22 @@ The engine consumes one time-ordered stream of contact starts, contact
 ends and message creations. Messages are classified at creation, their
 destination group is resolved once per category, and every contact gives
 both endpoints the chance to hand over buffered messages. Transfers are
-instantaneous; whenever a node gains a message while other contacts are
-open, those contacts are re-exchanged at the same timestamp, so a message
-can cross several hops at one instant.
+instantaneous, so a message can cross several hops at one instant.
+
+After each contact start or message creation the engine sweeps to a
+fixpoint at that instant. It exchanges on the contact that just opened,
+or on the open contacts of the creating node, and then on every open
+contact of a node that gains a message, until no contact can move one.
+A contact whose two ends have gained nothing since its last exchange is
+skipped. Such an exchange would forward nothing: seen sets only grow,
+buffers only lose entries between gains, budgets only fall, and the
+forwarding rules do not depend on the time.
+
+Exchanges run in passes over contacts in ascending (a, b) order. A
+contact above the one that just forwarded is taken later in the same
+pass, one below it in the next pass. That is the order of repeating full
+ascending passes until one moves nothing, so order-sensitive outcomes
+(evictions, budgets, strict closes, hop counts) are those of such passes.
 
 Everything is a pure function of the Scenario (including its seed): two
 runs of the same scenario produce identical results, byte for byte once
@@ -18,6 +31,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
                          resolve_group_kmeans)
@@ -51,6 +65,8 @@ class RouterConfig:
             raise InvalidParams("mode", f"unknown mode {self.mode!r}")
         if not 0.0 < self.threshold <= 1.0:
             raise InvalidParams("threshold", "must lie in (0, 1]")
+        if self.k_clusters is not None and self.k_clusters < 1:
+            raise InvalidParams("k_clusters", "must be positive or None")
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise InvalidParams("buffer_capacity", "must be positive or None")
         if self.ttl is not None and self.ttl <= 0:
@@ -66,6 +82,12 @@ class ScheduleConfig:
     interval: float | None = None
     explicit: tuple[tuple[float, int, int], ...] | None = None
     track_final: bool = False
+
+    def validate(self):
+        if self.count < 0:
+            raise InvalidParams("message_count", "must not be negative")
+        if self.interval is not None and self.interval <= 0:
+            raise InvalidParams("message_interval", "must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -88,6 +110,10 @@ class ScheduledCreation:
 
 @dataclass
 class EventCounts:
+    """Run totals. `expired` counts copies purged by TTL when their buffer
+    was about to be read; a copy that lapses in a buffer that is never
+    read again is not counted."""
+
     contacts_processed: int = 0
     forwards: int = 0
     drops: int = 0
@@ -196,7 +222,7 @@ def _resolve_groups(scenario: Scenario):
         distinct = len(set(points.values()))
         k_requested = rc.k_clusters if rc.k_clusters is not None else n
         # clamp so sparse desk-scale profiles cannot make clustering impossible
-        k_effective = max(1, min(k_requested, distinct))
+        k_effective = min(k_requested, distinct)
         if k_effective != k_requested:
             log.info("k clamped from %d to %d (distinct vectors)", k_requested, k_effective)
         clustering = kmeans(points, k_effective, seed=scenario.seed)
@@ -215,6 +241,7 @@ def run(scenario: Scenario) -> SimResult:
     """Replay the trace and return one DeliveryRecord per created message."""
     rc = scenario.router
     rc.validate()
+    scenario.schedule.validate()
     n = scenario.n_categories
     if n < 1:
         raise InvalidParams("n_categories", "need at least 1 category")
@@ -244,9 +271,13 @@ def run(scenario: Scenario) -> SimResult:
     seen: dict[int, set[int]] = {node: set() for node in universe}
     first_receipts: dict[int, dict[int, float]] = {sc.id: {} for sc in schedule}
     counts = EventCounts()
-    open_pairs: set[tuple[int, int]] = set()
+    incident: dict[int, set[tuple[int, int]]] = {node: set() for node in universe}
     closed_pairs: set[tuple[int, int]] = set()
     budget: dict[tuple[int, int], int] = {}
+    # tick of each node's latest gain and of each open pair's latest exchange
+    tick = 0
+    gained: dict[int, int] = dict.fromkeys(universe, 0)
+    exchanged: dict[tuple[int, int], int] = {}
 
     group_delivered_at: dict[int, float] = {}
     first_receiver: dict[int, int] = {}
@@ -254,7 +285,15 @@ def run(scenario: Scenario) -> SimResult:
     final_delivered_at: dict[int, float] = {}
     forwards_total: dict[int, int] = {sc.id: 0 for sc in schedule}
 
+    def purge(node: int, t: float):
+        if rc.ttl is not None:
+            counts.expired += len(buffers[node].purge_expired(t))
+
     def note_receipt(mid: int, node: int, t: float, hops: int):
+        nonlocal tick
+        tick += 1
+        gained[node] = tick
+        seen[node].add(mid)
         first_receipts[mid][node] = t
         m = messages[mid]
         if node in m.destination_group and mid not in group_delivered_at:
@@ -268,25 +307,24 @@ def run(scenario: Scenario) -> SimResult:
         """Both directions of one contact; returns accepted transfers."""
         pair = (a, b)
         forwards_here = 0
-        for node in pair:
-            counts.expired += len(buffers[node].purge_expired(t))
+        purge(a, t)
+        purge(b, t)
         for carrier, peer in ((a, b), (b, a)):
+            peer_seen = seen[peer]
             for entry in buffers[carrier].in_exchange_order():
                 msg = entry.message
-                if msg.id not in buffers[carrier]:
+                if msg.id in peer_seen:  # the rule's NOOP
                     continue
                 if pair in budget and budget[pair] <= 0:
                     return forwards_here
-                peer_has = msg.id in seen[peer]
                 if rc.kind == "epidemic":
-                    decision = epidemic_decide(carrier, peer, msg, peer_has)
+                    decision = epidemic_decide(carrier, peer, msg, False)
                 else:
                     decision = interest_cluster_transfer(
                         msg.destination_group, carrier, peer, msg,
-                        peer_has, rc.strict)
+                        False, rc.strict)
                 if decision is ForwardDecision.FORWARD:
                     copy = msg.hand_to(peer)
-                    seen[peer].add(msg.id)
                     note_receipt(msg.id, peer, t, copy.hop_count)
                     counts.drops += len(buffers[peer].insert(copy, t))
                     counts.forwards += 1
@@ -300,19 +338,29 @@ def run(scenario: Scenario) -> SimResult:
                     return forwards_here
         return forwards_here
 
-    def usable_pairs() -> list[tuple[int, int]]:
-        return sorted(p for p in open_pairs
-                      if p not in closed_pairs and budget.get(p, 1) > 0)
-
-    def sweep(t: float):
-        """Exchange on every usable open contact until nothing moves, so a
-        freshly received message can relay onward at the same instant."""
-        while True:
-            progressed = 0
-            for a, b in usable_pairs():
-                progressed += exchange(a, b, t)
-            if not progressed:
-                break
+    def sweep(t: float, pairs):
+        """Exchange on `pairs`, and on the open contacts of every node that
+        gains a message meanwhile, until no contact can move one. The skip
+        rule and the pass order are those of the module docstring; a pair
+        pushed twice is skipped the second time by the same rule."""
+        heap = sorted(pairs)
+        while heap:
+            next_pass = set()
+            while heap:
+                pair = heappop(heap)
+                a, b = pair
+                if (pair in closed_pairs or budget.get(pair, 1) <= 0
+                        or exchanged.get(pair, -1) >= max(gained[a], gained[b])):
+                    continue
+                moved = exchange(a, b, t)
+                exchanged[pair] = tick
+                if moved:
+                    for other in incident[a] | incident[b]:
+                        if other > pair:
+                            heappush(heap, other)
+                        elif other < pair:
+                            next_pass.add(other)
+            heap = sorted(next_pass)
 
     events: list[tuple[float, int, tuple[int, ...]]] = []
     for e in scenario.trace.events:
@@ -324,26 +372,26 @@ def run(scenario: Scenario) -> SimResult:
 
     for t, rank, info in events:
         if rank == 0:
-            pair = (info[0], info[1])
-            open_pairs.discard(pair)
-            closed_pairs.discard(pair)
-            budget.pop(pair, None)
+            for node in info:
+                incident[node].discard(info)
+            closed_pairs.discard(info)
+            budget.pop(info, None)
+            exchanged.pop(info, None)
         elif rank == 1:
-            mid = info[0]
-            msg = messages[mid]
-            counts.expired += len(buffers[msg.source].purge_expired(t))
-            seen[msg.source].add(mid)
-            note_receipt(mid, msg.source, t, 0)
+            msg = messages[info[0]]
+            purge(msg.source, t)
+            note_receipt(msg.id, msg.source, t, 0)
             counts.drops += len(buffers[msg.source].insert(msg, t))
-            sweep(t)
+            sweep(t, incident[msg.source])
         else:
-            pair = (info[0], info[1])
-            open_pairs.add(pair)
-            closed_pairs.discard(pair)
+            for node in info:
+                incident[node].add(info)
+            closed_pairs.discard(info)
+            exchanged.pop(info, None)
             if rc.max_transfers_per_contact is not None:
-                budget[pair] = rc.max_transfers_per_contact
+                budget[info] = rc.max_transfers_per_contact
             counts.contacts_processed += 1
-            sweep(t)
+            sweep(t, (info,))
 
     records = []
     for mid in sorted(messages):

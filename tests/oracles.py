@@ -10,9 +10,11 @@ from __future__ import annotations
 from itertools import combinations
 
 
-def earliest_arrival(events, source: int, t0: float) -> dict[int, float]:
+def earliest_arrival(events, source: int, t0: float,
+                     receivers=None) -> dict[int, float]:
     """Earliest time each node can hold a message available at `source`
-    from `t0`, replication allowed on every contact.
+    from `t0`, replication allowed on every contact (or, given
+    `receivers`, only on contacts whose receiving end is in that set).
 
     A contact [s, e) of pair (u, v) relays at max(s, arrival_u) provided
     the holder has the message strictly before e (at e the contact is
@@ -25,6 +27,8 @@ def earliest_arrival(events, source: int, t0: float) -> dict[int, float]:
         for ev in events:
             for u, v in ((ev.a, ev.b), (ev.b, ev.a)):
                 if u not in arrival or arrival[u] >= ev.t_end:
+                    continue
+                if receivers is not None and v not in receivers:
                     continue
                 t = max(ev.t_start, arrival[u])
                 if t < arrival.get(v, float("inf")):

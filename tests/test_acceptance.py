@@ -168,6 +168,20 @@ def test_criterion_5_cluster_subset_of_epidemic():
           "receipts; epidemic delivery dominates")
 
 
+def test_cluster_first_receipts_match_restricted_oracle():
+    # non-strict cluster routing with unlimited buffers is earliest arrival
+    # over only the contacts whose receiving end is in the destination group
+    for i in range(100):
+        sc = oracle_scenario(i, "cluster")
+        res = run(sc)
+        for rec in res.records:
+            group = {p.node for p in sc.profiles if p.interests[rec.category - 1]}
+            want = earliest_arrival(sc.trace.events, rec.source, rec.created_at,
+                                    receivers=group)
+            assert res.first_receipts[rec.message_id] == want, \
+                f"scenario {i} message {rec.message_id} diverges from oracle"
+
+
 TREND_FRACTIONS = (0.10, 0.25, 0.50, 0.80)
 TREND_SEEDS = (1, 2, 3, 4, 5)
 

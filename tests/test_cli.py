@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from dtn_cluster_sim.cli import (ConflictingSources, ConfigError, MissingRequired,
                                  RunConfig, UnknownKey, adapt_profiles, main,
                                  parse_config, run_sweep, sniff_profile_arity)
+from dtn_cluster_sim.metrics import summary_header
 from dtn_cluster_sim.trace_model import InterestProfile, parse_contact_trace
 
 
@@ -186,6 +188,21 @@ class TestRunSweep:
         config = parse_config(path, {"out": str(tmp_path / "out")})
         assert run_sweep(config) == 1
         assert "failed" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert (out / "summary.csv").read_text().splitlines() == [summary_header()]
+        with open(out / "failures.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["run_id", "error"]
+        assert [r[0] for r in rows[1:]] == ["n2_s1", "n2_s2", "n3_s1", "n3_s2"]
+        assert all("interval schedule ends at 5000.0" in r[1] for r in rows[1:])
+
+    def test_no_failures_file_without_failures(self, tmp_path):
+        stale = tmp_path / "out" / "failures.csv"
+        stale.parent.mkdir()
+        stale.write_text("run_id,error\nn2_s1,from an earlier sweep\n")
+        config = parse_config(synthetic_config(tmp_path), {"out": str(tmp_path / "out")})
+        assert run_sweep(config) == 0
+        assert not stale.exists()
 
     def test_missing_out(self, tmp_path):
         config = parse_config(write_config(tmp_path))
@@ -245,6 +262,9 @@ class TestMainEntry:
          "node_count"),
         ({"trace": "no_such_trace.txt"}, "no_such_trace.txt"),
         ({"profiles": "ragged.txt"}, "ragged.txt"),
+        ({"mode": "kmeans", "k_clusters": 0}, "k_clusters"),
+        ({"message_count": -3}, "message_count"),
+        ({"message_interval": -50.0}, "message_interval"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):

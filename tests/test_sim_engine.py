@@ -1,3 +1,5 @@
+import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -7,6 +9,7 @@ from dtn_cluster_sim.metrics import per_message_csv
 from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig,
                                         build_schedule, run)
 from dtn_cluster_sim.trace_model import (InterestProfile, InvalidParams,
+                                         SyntheticParams, generate_synthetic_trace,
                                          parse_contact_trace)
 
 from oracles import earliest_arrival
@@ -151,6 +154,19 @@ class TestRelayAndSeenSet:
                       router=RouterConfig(kind="epidemic", buffer_capacity=None))
         res = run(sc)
         assert res.first_receipts[0] == {1: 5.0, 2: 5.0, 3: 5.0}
+
+    def test_same_instant_backward_relay(self):
+        # contact (1, 2) sorts before (2, 3), so the pass that carries the
+        # message from 3 to 2 has already visited (1, 2): only a second pass
+        # at the same instant takes it on to node 1
+        sc = scenario("0 10 1 2\n0 10 2 3\n", {1: (1,), 2: (0,), 3: (0,)}, 1,
+                      ScheduleConfig(explicit=((5.0, 3, 1),)),
+                      router=RouterConfig(kind="epidemic", buffer_capacity=None))
+        res = run(sc)
+        assert res.first_receipts[0] == {1: 5.0, 2: 5.0, 3: 5.0}
+        rec = res.records[0]
+        assert (rec.first_receiver, rec.group_delivered_at, rec.hops_at_delivery) == \
+            (1, 5.0, 2)
 
     def test_group_member_keeps_relaying_within_group(self):
         # source -> member -> member chain; non-members never carry
@@ -323,3 +339,45 @@ class TestKmeansMode:
         rec = run(sc).records[0]
         assert rec.final_destination in (2, 3)
         assert rec.final_delivered_at == 2.0
+
+
+def matrix_scenario(i: int) -> Scenario:
+    """Scenario i of the golden matrix: the settings cycle with different
+    periods, so the 72 scenarios mix every router, group mode, strictness,
+    budget, TTL and buffer size with the others."""
+    rng = random.Random(i)
+    kind = ("cluster", "epidemic")[i % 2]
+    router = RouterConfig(
+        kind=kind,
+        mode=("exact", "kmeans")[i // 2 % 2],
+        strict=kind == "cluster" and i // 4 % 2 == 1,
+        buffer_capacity=(1, 2, 5, 50, None)[i % 5],
+        max_transfers_per_contact=(None, 1, 2, 5)[i // 3 % 4],
+        ttl=(None, 30.0, 120.0)[i // 7 % 3],
+    )
+    n = rng.randint(1, 4)
+    nodes = rng.randint(6, 20)
+    params = SyntheticParams(node_count=nodes, duration=400.0,
+                             contact_rate=150.0 / (nodes * (nodes - 1) / 2 * 400.0),
+                             n_categories=n, interest_prob=0.4,
+                             mean_contact_duration=rng.choice((5.0, 40.0)))
+    trace, profiles = generate_synthetic_trace(params, i)
+    return Scenario(trace=trace, profiles=tuple(profiles), n_categories=n,
+                    router=router, schedule=ScheduleConfig(count=rng.randint(5, 25)),
+                    seed=i)
+
+
+# sha256 of the golden matrix's outcomes; any change in exchange order,
+# eviction, budgets, strict closes or hop counts moves it
+GOLDEN_MATRIX_SHA256 = "a6676613fb2473698206fb473effeb01e92230ce8dd011e250965466578a11ab"
+
+
+def test_golden_matrix_unchanged():
+    digest = hashlib.sha256()
+    for i in range(72):
+        res = run(matrix_scenario(i))
+        receipts = {mid: sorted(r.items()) for mid, r in res.first_receipts.items()}
+        c = res.counts
+        digest.update(repr((res.records, sorted(receipts.items()),
+                            c.forwards, c.drops, c.closes)).encode())
+    assert digest.hexdigest() == GOLDEN_MATRIX_SHA256
