@@ -11,8 +11,8 @@ from .clustering import (Clustering, GroupResolution, dump_clustering, kmeans,
                          points_of, resolve_group_exact, resolve_group_kmeans,
                          squared_distance, sse)
 from .metrics import (MetricsReport, avg_cost, avg_delay, avg_hops, build_report,
-                      delivery_ratio, parse_per_message_csv, per_message_csv,
-                      resource_used, summary_header, summary_row)
+                      delivery_ratio, per_message_csv, resource_used,
+                      summary_header, summary_row)
 from .routing import (Buffer, ForwardDecision, Message, epidemic_decide,
                       interest_cluster_transfer)
 from .sim_engine import (DeliveryRecord, EventCounts, RouterConfig, Scenario,
@@ -33,8 +33,8 @@ __all__ = [
     "avg_hops", "build_report", "build_schedule", "build_trace",
     "delivery_ratio", "dump_clustering", "epidemic_decide",
     "generate_synthetic_trace", "interest_cluster_transfer", "kmeans",
-    "parse_contact_trace", "parse_interest_profiles", "parse_per_message_csv",
-    "per_message_csv", "points_of", "resolve_group_exact", "resolve_group_kmeans",
+    "parse_contact_trace", "parse_interest_profiles", "per_message_csv",
+    "points_of", "resolve_group_exact", "resolve_group_kmeans",
     "resource_used", "run", "serialize_contact_trace", "serialize_profiles",
     "squared_distance", "sse", "summary_header", "summary_row",
     "validate_scenario",

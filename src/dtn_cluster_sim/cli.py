@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import logging
+import shutil
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -273,6 +274,8 @@ def run_sweep(config: RunConfig) -> int:
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
+    if (out / "runs").exists():  # left by an earlier sweep into `out`
+        shutil.rmtree(out / "runs")
     (out / "config.json").write_text(
         json.dumps(config.effective(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")

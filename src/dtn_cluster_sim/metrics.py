@@ -14,10 +14,8 @@ Conventions, chosen so rows are auditable and byte-stable:
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .sim_engine import DeliveryRecord, SimResult
 
@@ -99,7 +97,6 @@ class MetricsReport:
     avg_hops: float | None
     avg_cost: float | None
     resource_used: float
-    group_size_per_category: Mapping[int, int]
 
 
 def build_report(result: SimResult, run_id: str) -> MetricsReport:
@@ -125,8 +122,6 @@ def build_report(result: SimResult, run_id: str) -> MetricsReport:
         avg_hops=avg_hops(records) if delivered else None,
         avg_cost=avg_cost(records) if delivered else None,
         resource_used=resource_used(union, result.all_nodes),
-        group_size_per_category={cat: len(m)
-                                 for cat, m in sorted(result.groups_by_category.items())},
     )
 
 
@@ -183,30 +178,3 @@ def per_message_csv(records: Sequence[DeliveryRecord]) -> str:
             _time(r.final_delivered_at),
         ]))
     return "\n".join(lines) + "\n"
-
-
-def parse_per_message_csv(text: str) -> list[DeliveryRecord]:
-    """Inverse of per_message_csv (final_destination is not serialized and
-    comes back as None)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if ",".join(header) != PER_MESSAGE_COLUMNS:
-        raise ValueError("unexpected per-message CSV header")
-    records = []
-    for row in reader:
-        (mid, source, category, created_at, group_size, delivered_at,
-         first_receiver, hops, forwards, final_at) = row
-        records.append(DeliveryRecord(
-            message_id=int(mid),
-            source=int(source),
-            category=int(category),
-            created_at=float(created_at),
-            group_size=int(group_size),
-            group_delivered_at=float(delivered_at) if delivered_at else None,
-            first_receiver=int(first_receiver) if first_receiver else None,
-            hops_at_delivery=int(hops) if hops else None,
-            forwards_total=int(forwards),
-            final_destination=None,
-            final_delivered_at=float(final_at) if final_at else None,
-        ))
-    return records

@@ -1,12 +1,17 @@
 """Message model, per-node buffers and forwarding rules.
 
-Forwarding is decided per (carrier, peer, message) triple:
+A forwarding rule sees one message and the peer it might go to, and
+answers FORWARD, SKIP or CLOSE_CONNECTION:
 
   * the interest-cluster rule hands a message only to members of its
     destination group — in strict mode a non-member peer tears the whole
     contact down instead of just skipping the message;
-  * the epidemic rule floods to every peer that lacks the message and is
-    the verification upper bound for everything else.
+  * the epidemic rule floods to every peer and is the verification upper
+    bound for everything else.
+
+The rules never see a peer that already holds or held the message:
+duplicate suppression is the engine's, which offers a message only to
+peers absent from its receipt log.
 
 Buffers hold a bounded number of messages and evict the longest-stored
 entry first (drop-oldest).
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Collection
 
 
 class DuplicateMessage(ValueError):
@@ -29,7 +33,6 @@ class ForwardDecision(Enum):
     FORWARD = "forward"
     SKIP = "skip"
     CLOSE_CONNECTION = "close_connection"
-    NOOP = "noop"
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class Message:
     destination_group: frozenset[int]
     final_destination: int | None = None
     hop_count: int = 0
-    ttl: float | None = None
 
     def __post_init__(self):
         if self.category < 1:
@@ -53,12 +55,9 @@ class Message:
                 and self.final_destination not in self.destination_group):
             raise ValueError("final destination must belong to the group")
 
-    def hand_to(self, peer: int) -> "Message":
-        """The copy the peer receives: one more hop."""
+    def hand_to(self) -> "Message":
+        """The copy a peer receives: one more hop."""
         return replace(self, hop_count=self.hop_count + 1)
-
-    def expired(self, now: float) -> bool:
-        return self.ttl is not None and now - self.created_at > self.ttl
 
 
 @dataclass
@@ -100,9 +99,11 @@ class Buffer:
             evicted.append(victim.message)
         return evicted
 
-    def purge_expired(self, now: float) -> list[Message]:
-        """Drop entries whose message TTL has lapsed."""
-        dead = [e.message for e in self._entries.values() if e.message.expired(now)]
+    def purge_expired(self, now: float, ttl: float) -> list[Message]:
+        """Drop entries whose message was created more than `ttl` before
+        `now`."""
+        dead = [e.message for e in self._entries.values()
+                if now - e.message.created_at > ttl]
         for message in dead:
             del self._entries[message.id]
         return dead
@@ -113,28 +114,23 @@ class Buffer:
                       key=lambda e: (e.received_at, e.message.id))
 
 
-def interest_cluster_transfer(group: Collection[int], carrier: int, peer: int,
-                              message: Message, peer_has_message: bool,
+def interest_cluster_transfer(message: Message, peer: int,
                               strict: bool = False) -> ForwardDecision:
     """Forwarding rule for group-directed dissemination.
 
     The carrier hands the message to the peer only if the peer belongs to
-    the destination group. A non-member peer is skipped, or — in strict
-    mode — causes the connection to be closed for the rest of the contact,
-    keeping the message with the carrier.
+    the message's destination group. A non-member peer is skipped, or — in
+    strict mode — causes the connection to be closed for the rest of the
+    contact, keeping the message with the carrier.
     """
-    if peer_has_message:
-        return ForwardDecision.NOOP
-    if peer in group:
+    if peer in message.destination_group:
         return ForwardDecision.FORWARD
     if strict:
         return ForwardDecision.CLOSE_CONNECTION
     return ForwardDecision.SKIP
 
 
-def epidemic_decide(carrier: int, peer: int, message: Message,
-                    peer_has_message: bool) -> ForwardDecision:
-    """Flooding baseline: forward to any peer that does not hold the message."""
-    if peer_has_message or peer == message.source:
-        return ForwardDecision.NOOP
+def epidemic_decide(message: Message, peer: int) -> ForwardDecision:
+    """Flooding baseline: forward to every peer offered. The engine offers
+    a message only to peers that never held it, so never to its source."""
     return ForwardDecision.FORWARD

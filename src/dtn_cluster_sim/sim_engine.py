@@ -11,9 +11,16 @@ fixpoint at that instant. It exchanges on the contact that just opened,
 or on the open contacts of the creating node, and then on every open
 contact of a node that gains a message, until no contact can move one.
 A contact whose two ends have gained nothing since its last exchange is
-skipped. Such an exchange would forward nothing: seen sets only grow,
-buffers only lose entries between gains, budgets only fall, and the
-forwarding rules do not depend on the time.
+skipped. Such an exchange would forward nothing: the receipt log only
+grows, buffers only lose entries between gains, budgets only fall, and
+the forwarding rules do not depend on the time.
+
+The receipt log (`SimResult.first_receipts`) is the one record of who
+got which message and when. A message is offered only to peers absent
+from it, so no node receives a message twice. A record's forward count
+and final-destination receipt are read off the log at the end; only
+the first group receipt is noted as it happens, with the hop count of
+the copy that made it.
 
 Exchanges run in passes over contacts in ascending (a, b) order. A
 contact above the one that just forwarded is taken later in the same
@@ -265,43 +272,32 @@ def run(scenario: Scenario) -> SimResult:
             final = rng_final.choice(sorted(group))
         messages[sc.id] = Message(id=sc.id, source=sc.source, category=sc.category,
                                   created_at=sc.time, destination_group=group,
-                                  final_destination=final, ttl=rc.ttl)
+                                  final_destination=final)
 
     buffers = {node: Buffer(rc.buffer_capacity) for node in universe}
-    seen: dict[int, set[int]] = {node: set() for node in universe}
     first_receipts: dict[int, dict[int, float]] = {sc.id: {} for sc in schedule}
+    # (first receiver, time, hops) of each message's first group receipt
+    delivered: dict[int, tuple[int, float, int]] = {}
     counts = EventCounts()
     incident: dict[int, set[tuple[int, int]]] = {node: set() for node in universe}
-    closed_pairs: set[tuple[int, int]] = set()
+    # transfers left on an open contact; 0 once spent or closed in strict mode
     budget: dict[tuple[int, int], int] = {}
     # tick of each node's latest gain and of each open pair's latest exchange
     tick = 0
     gained: dict[int, int] = dict.fromkeys(universe, 0)
     exchanged: dict[tuple[int, int], int] = {}
 
-    group_delivered_at: dict[int, float] = {}
-    first_receiver: dict[int, int] = {}
-    hops_at_delivery: dict[int, int] = {}
-    final_delivered_at: dict[int, float] = {}
-    forwards_total: dict[int, int] = {sc.id: 0 for sc in schedule}
-
     def purge(node: int, t: float):
         if rc.ttl is not None:
-            counts.expired += len(buffers[node].purge_expired(t))
+            counts.expired += len(buffers[node].purge_expired(t, rc.ttl))
 
-    def note_receipt(mid: int, node: int, t: float, hops: int):
+    def note_receipt(msg: Message, node: int, t: float):
         nonlocal tick
         tick += 1
         gained[node] = tick
-        seen[node].add(mid)
-        first_receipts[mid][node] = t
-        m = messages[mid]
-        if node in m.destination_group and mid not in group_delivered_at:
-            group_delivered_at[mid] = t
-            first_receiver[mid] = node
-            hops_at_delivery[mid] = hops
-        if m.final_destination == node and mid not in final_delivered_at:
-            final_delivered_at[mid] = t
+        first_receipts[msg.id][node] = t
+        if node in msg.destination_group and msg.id not in delivered:
+            delivered[msg.id] = (node, t, msg.hop_count)
 
     def exchange(a: int, b: int, t: float) -> int:
         """Both directions of one contact; returns accepted transfers."""
@@ -310,30 +306,26 @@ def run(scenario: Scenario) -> SimResult:
         purge(a, t)
         purge(b, t)
         for carrier, peer in ((a, b), (b, a)):
-            peer_seen = seen[peer]
             for entry in buffers[carrier].in_exchange_order():
                 msg = entry.message
-                if msg.id in peer_seen:  # the rule's NOOP
+                if peer in first_receipts[msg.id]:
                     continue
-                if pair in budget and budget[pair] <= 0:
+                if budget.get(pair, 1) <= 0:
                     return forwards_here
                 if rc.kind == "epidemic":
-                    decision = epidemic_decide(carrier, peer, msg, False)
+                    decision = epidemic_decide(msg, peer)
                 else:
-                    decision = interest_cluster_transfer(
-                        msg.destination_group, carrier, peer, msg,
-                        False, rc.strict)
+                    decision = interest_cluster_transfer(msg, peer, rc.strict)
                 if decision is ForwardDecision.FORWARD:
-                    copy = msg.hand_to(peer)
-                    note_receipt(msg.id, peer, t, copy.hop_count)
+                    copy = msg.hand_to()
+                    note_receipt(copy, peer, t)
                     counts.drops += len(buffers[peer].insert(copy, t))
                     counts.forwards += 1
-                    forwards_total[msg.id] += 1
                     forwards_here += 1
                     if pair in budget:
                         budget[pair] -= 1
                 elif decision is ForwardDecision.CLOSE_CONNECTION:
-                    closed_pairs.add(pair)
+                    budget[pair] = 0
                     counts.closes += 1
                     return forwards_here
         return forwards_here
@@ -349,7 +341,7 @@ def run(scenario: Scenario) -> SimResult:
             while heap:
                 pair = heappop(heap)
                 a, b = pair
-                if (pair in closed_pairs or budget.get(pair, 1) <= 0
+                if (budget.get(pair, 1) <= 0
                         or exchanged.get(pair, -1) >= max(gained[a], gained[b])):
                     continue
                 moved = exchange(a, b, t)
@@ -374,20 +366,17 @@ def run(scenario: Scenario) -> SimResult:
         if rank == 0:
             for node in info:
                 incident[node].discard(info)
-            closed_pairs.discard(info)
             budget.pop(info, None)
             exchanged.pop(info, None)
         elif rank == 1:
             msg = messages[info[0]]
             purge(msg.source, t)
-            note_receipt(msg.id, msg.source, t, 0)
+            note_receipt(msg, msg.source, t)
             counts.drops += len(buffers[msg.source].insert(msg, t))
             sweep(t, incident[msg.source])
         else:
             for node in info:
                 incident[node].add(info)
-            closed_pairs.discard(info)
-            exchanged.pop(info, None)
             if rc.max_transfers_per_contact is not None:
                 budget[info] = rc.max_transfers_per_contact
             counts.contacts_processed += 1
@@ -396,18 +385,20 @@ def run(scenario: Scenario) -> SimResult:
     records = []
     for mid in sorted(messages):
         m = messages[mid]
+        receipts = first_receipts[mid]
+        receiver, delivered_at, hops = delivered.get(mid, (None, None, None))
         records.append(DeliveryRecord(
             message_id=mid,
             source=m.source,
             category=m.category,
             created_at=m.created_at,
             group_size=len(m.destination_group),
-            group_delivered_at=group_delivered_at.get(mid),
-            first_receiver=first_receiver.get(mid),
-            hops_at_delivery=hops_at_delivery.get(mid),
-            forwards_total=forwards_total[mid],
+            group_delivered_at=delivered_at,
+            first_receiver=receiver,
+            hops_at_delivery=hops,
+            forwards_total=len(receipts) - 1,
             final_destination=m.final_destination,
-            final_delivered_at=final_delivered_at.get(mid),
+            final_delivered_at=receipts.get(m.final_destination),
         ))
 
     return SimResult(

@@ -7,6 +7,7 @@ randomized family reproducible.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from scipy.stats import spearmanr
@@ -182,6 +183,30 @@ def test_cluster_first_receipts_match_restricted_oracle():
                 f"scenario {i} message {rec.message_id} diverges from oracle"
 
 
+def test_epidemic_records_match_oracle():
+    # the record fields read off the receipt log, against oracle arrivals
+    final_deliveries = 0
+    for i in range(100):
+        sc = oracle_scenario(i, "epidemic")
+        sc = replace(sc, schedule=replace(sc.schedule, track_final=True))
+        res = run(sc)
+        for rec in res.records:
+            want = earliest_arrival(sc.trace.events, rec.source, rec.created_at)
+            group = {p.node for p in sc.profiles if p.interests[rec.category - 1]}
+            group_times = [t for node, t in want.items() if node in group]
+            where = f"scenario {i} message {rec.message_id}"
+            assert rec.group_delivered_at == min(group_times, default=None), where
+            if rec.group_delivered_at is not None:
+                assert rec.first_receiver in group, where
+                assert want[rec.first_receiver] == rec.group_delivered_at, where
+                assert (rec.hops_at_delivery == 0) == (rec.first_receiver == rec.source), \
+                    where
+            assert rec.forwards_total == len(want) - 1, where
+            assert rec.final_delivered_at == want.get(rec.final_destination), where
+            final_deliveries += rec.final_delivered_at is not None
+    assert final_deliveries > 0
+
+
 TREND_FRACTIONS = (0.10, 0.25, 0.50, 0.80)
 TREND_SEEDS = (1, 2, 3, 4, 5)
 
@@ -245,8 +270,9 @@ def test_criterion_7_drop_oldest_scripted():
     #  t=1,2   node 1 creates m0, m1            buffer(1) = [m0@1, m1@2]
     #  t=3     contact 1-2: m0, m1 forwarded    buffer(2) = [m0@3, m1@3]
     #  t=10    node 1 creates m2, evicting m0   buffer(1) = [m1@2, m2@10]
-    #  t=11    contact 1-2: m1 noop, m2 forwarded; node 2 over capacity
-    #          evicts its oldest entry (m0@3, id tie-break below m1@3)
+    #  t=11    contact 1-2: m1 already at node 2, m2 forwarded; node 2
+    #          over capacity evicts its oldest entry (m0@3, id tie-break
+    #          below m1@3)
     #  t=13    contact 2-3: m1 then m2 forwarded to node 3
     trace = parse_contact_trace("3 4 1 2\n11 12 1 2\n13 14 2 3\n")
     profiles = (InterestProfile(1, (0,)), InterestProfile(2, (1,)),

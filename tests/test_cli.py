@@ -204,6 +204,17 @@ class TestRunSweep:
         assert run_sweep(config) == 0
         assert not stale.exists()
 
+    def test_rerun_replaces_runs_of_earlier_sweep(self, tmp_path):
+        out = tmp_path / "out"
+        first = write_config(tmp_path, categories=[2, 3], mode="kmeans")
+        assert run_sweep(parse_config(first, {"out": str(out)})) == 0
+        assert (out / "runs" / "n3_s1" / "clustering.txt").exists()
+        second = write_config(tmp_path, name="second.json", categories=[2])
+        assert run_sweep(parse_config(second, {"out": str(out)})) == 0
+        files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                       if p.is_file())
+        assert files == ["config.json", "runs/n2_s1/per_message.csv", "summary.csv"]
+
     def test_missing_out(self, tmp_path):
         config = parse_config(write_config(tmp_path))
         with pytest.raises(MissingRequired):

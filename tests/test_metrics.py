@@ -1,9 +1,12 @@
+import csv
+import io
+
 import pytest
 
-from dtn_cluster_sim.metrics import (EmptyNetwork, MetricsReport, NoMessages,
-                                     NothingDelivered, avg_cost, avg_delay,
-                                     avg_hops, build_report, delivery_ratio,
-                                     parse_per_message_csv, per_message_csv,
+from dtn_cluster_sim.metrics import (PER_MESSAGE_COLUMNS, EmptyNetwork,
+                                     MetricsReport, NoMessages, NothingDelivered,
+                                     avg_cost, avg_delay, avg_hops, build_report,
+                                     delivery_ratio, per_message_csv,
                                      resource_used, summary_header, summary_row)
 from dtn_cluster_sim.sim_engine import (DeliveryRecord, RouterConfig, Scenario,
                                         ScheduleConfig, run)
@@ -109,7 +112,6 @@ class TestBuildReport:
         assert report.created == 2
         assert report.delivered == 2
         assert report.delivery_ratio == 1.0
-        assert report.group_size_per_category == {1: 2, 2: 2}
         # groups are {2,3} and {1,3}: union 3 nodes of 3
         assert report.resource_used == 1.0
 
@@ -155,6 +157,16 @@ class TestEpidemicCostDominance:
                     avg_cost(results["cluster"].records)
 
 
+def parse_rows(text):
+    reader = csv.DictReader(io.StringIO(text))
+    assert ",".join(reader.fieldnames) == PER_MESSAGE_COLUMNS
+    return list(reader)
+
+
+def optional(kind, field):
+    return kind(field) if field else None
+
+
 class TestSerialization:
     def test_summary_row_fixed_decimals(self):
         report = build_report(tiny_result(), "r1")
@@ -167,33 +179,32 @@ class TestSerialization:
                                strict=False, n_categories=1, k_clusters=None,
                                seed=0, created=1, delivered=0, delivery_ratio=0.0,
                                avg_delay=None, avg_hops=None, avg_cost=None,
-                               resource_used=0.0, group_size_per_category={1: 0})
+                               resource_used=0.0)
         row = summary_row(report)
         assert ",,,," in row  # k_clusters then the three absent averages
 
     def test_per_message_round_trip_exact(self):
         res = tiny_result(track_final=True)
-        text = per_message_csv(res.records)
-        parsed = parse_per_message_csv(text)
+        parsed = parse_rows(per_message_csv(res.records))
         assert len(parsed) == len(res.records)
         for got, want in zip(parsed, res.records):
-            assert got.message_id == want.message_id
-            assert got.source == want.source
-            assert got.category == want.category
-            assert got.created_at == want.created_at
-            assert got.group_size == want.group_size
-            assert got.group_delivered_at == want.group_delivered_at
-            assert got.first_receiver == want.first_receiver
-            assert got.hops_at_delivery == want.hops_at_delivery
-            assert got.forwards_total == want.forwards_total
-            assert got.final_delivered_at == want.final_delivered_at
+            assert int(got["message_id"]) == want.message_id
+            assert int(got["source"]) == want.source
+            assert int(got["category"]) == want.category
+            assert float(got["created_at"]) == want.created_at
+            assert int(got["group_size"]) == want.group_size
+            assert optional(float, got["group_delivered_at"]) == want.group_delivered_at
+            assert optional(int, got["first_receiver"]) == want.first_receiver
+            assert optional(int, got["hops"]) == want.hops_at_delivery
+            assert int(got["forwards_total"]) == want.forwards_total
+            assert optional(float, got["final_delivered_at"]) == want.final_delivered_at
 
     def test_round_trip_full_precision_times(self):
         rec = record(created=0.1 + 0.2, delivered=123.456789012345, hops=3,
                      receiver=9, forwards=2)
-        parsed = parse_per_message_csv(per_message_csv([rec]))[0]
-        assert parsed.created_at == rec.created_at
-        assert parsed.group_delivered_at == rec.group_delivered_at
+        parsed = parse_rows(per_message_csv([rec]))[0]
+        assert float(parsed["created_at"]) == rec.created_at
+        assert float(parsed["group_delivered_at"]) == rec.group_delivered_at
 
     def test_empty_records_header_only(self):
         assert per_message_csv([]).splitlines() == [

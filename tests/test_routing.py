@@ -14,24 +14,16 @@ def msg(mid=0, source=1, category=1, created_at=0.0, group=(5, 8), **kw):
 
 class TestInterestClusterTransfer:
     def test_member_without_copy_gets_message(self):
-        d = interest_cluster_transfer({5, 8}, carrier=1, peer=8, message=msg(),
-                                      peer_has_message=False)
+        d = interest_cluster_transfer(msg(group=(5, 8)), peer=8)
         assert d is ForwardDecision.FORWARD
 
     def test_non_member_strict_closes_connection(self):
-        d = interest_cluster_transfer({5, 8}, carrier=1, peer=3, message=msg(),
-                                      peer_has_message=False, strict=True)
+        d = interest_cluster_transfer(msg(group=(5, 8)), peer=3, strict=True)
         assert d is ForwardDecision.CLOSE_CONNECTION
 
     def test_non_member_default_skips(self):
-        d = interest_cluster_transfer({5, 8}, carrier=1, peer=3, message=msg(),
-                                      peer_has_message=False)
+        d = interest_cluster_transfer(msg(group=(5, 8)), peer=3)
         assert d is ForwardDecision.SKIP
-
-    def test_duplicate_suppression(self):
-        d = interest_cluster_transfer({5, 8}, carrier=1, peer=8, message=msg(),
-                                      peer_has_message=True)
-        assert d is ForwardDecision.NOOP
 
     def test_forward_only_toward_members(self):
         rng = random.Random(0)
@@ -39,26 +31,15 @@ class TestInterestClusterTransfer:
             group = {rng.randrange(10) for _ in range(rng.randrange(5))}
             peer = rng.randrange(10)
             strict = rng.random() < 0.5
-            has = rng.random() < 0.3
-            d = interest_cluster_transfer(group, 99, peer, msg(group=group or {99}),
-                                          peer_has_message=has, strict=strict)
-            if d is ForwardDecision.FORWARD:
-                assert peer in group
-                assert not has
+            d = interest_cluster_transfer(msg(group=group), peer, strict=strict)
+            assert (d is ForwardDecision.FORWARD) == (peer in group)
             if d is ForwardDecision.CLOSE_CONNECTION:
                 assert strict
 
 
 class TestEpidemic:
     def test_forward_when_peer_lacks(self):
-        assert epidemic_decide(1, 2, msg(), False) is ForwardDecision.FORWARD
-
-    def test_noop_when_peer_has(self):
-        assert epidemic_decide(1, 2, msg(), True) is ForwardDecision.NOOP
-
-    def test_source_always_has_its_message(self):
-        m = msg(source=7)
-        assert epidemic_decide(1, 7, m, False) is ForwardDecision.NOOP
+        assert epidemic_decide(msg(), 2) is ForwardDecision.FORWARD
 
 
 class TestMessage:
@@ -66,9 +47,9 @@ class TestMessage:
         assert msg(source=4).hop_count == 0
 
     def test_hand_to_extends_path(self):
-        m = msg(source=4).hand_to(9)
+        m = msg(source=4).hand_to()
         assert m.hop_count == 1
-        assert m.hand_to(3).hop_count == 2
+        assert m.hand_to().hop_count == 2
         assert m.source == 4
 
     def test_final_destination_must_be_member(self):
@@ -76,10 +57,11 @@ class TestMessage:
             msg(group=(5, 8), final_destination=9)
 
     def test_expiry(self):
-        m = msg(created_at=10.0, ttl=5.0)
-        assert not m.expired(15.0)
-        assert m.expired(15.1)
-        assert not msg(created_at=10.0).expired(1e9)
+        # a copy lives through created_at + ttl and lapses just after it
+        b = Buffer(capacity=None)
+        b.insert(msg(created_at=10.0), now=10.0)
+        assert b.purge_expired(now=15.0, ttl=5.0) == []
+        assert [m.id for m in b.purge_expired(now=15.1, ttl=5.0)] == [0]
 
 
 class TestBuffer:
@@ -132,9 +114,9 @@ class TestBuffer:
 
     def test_purge_expired(self):
         b = Buffer(capacity=None)
-        b.insert(msg(mid=1, created_at=0.0, ttl=10.0), now=0.0)
-        b.insert(msg(mid=2, created_at=0.0), now=0.0)
-        dead = b.purge_expired(now=11.0)
+        b.insert(msg(mid=1, created_at=0.0), now=0.0)
+        b.insert(msg(mid=2, created_at=5.0), now=5.0)
+        dead = b.purge_expired(now=11.0, ttl=10.0)
         assert [m.id for m in dead] == [1]
         assert 2 in b and 1 not in b
 
