@@ -6,18 +6,32 @@ Two ways to answer "which nodes should a message of category k reach":
   * k-means clustering over the binary interest vectors, then the union of
     clusters whose centroid is interested enough in k.
 
-The k-means here is the classic alternating scheme on seeded initial
-points, kept deliberately simple and fully deterministic so runs can be
-replayed bit for bit.
+The k-means here is Lloyd's alternating scheme on seeded initial points,
+kept deliberately simple and fully deterministic so runs can be replayed
+bit for bit. It is written in plain Python, with no runtime dependency.
+
+Tie-break contract: a point goes to the lowest-indexed of its nearest
+centroids, and empty-cluster repair takes the lowest-indexed of the
+farthest points. "Nearest" compares float64 distances whose squared
+terms are summed in numpy's add-reduce order (see `_numpy_order_sum`),
+not left to right, because the binary vectors put many centroids at
+exactly or nearly equal distances: the rounding of each sum decides the
+ties, and with them the assignment, the centroids, `clustering.txt` and
+every group and delivery after it. This order keeps every result equal
+to the earlier numpy implementation, which the tests keep as the
+reference (`tests/oracles.numpy_kmeans`). Centroids are integer column
+sums divided by the member count, exact as in numpy. `sse_history` may
+differ from the reference in its last bits (the screen in `_assign`
+takes most distances from an estimate); no output file holds it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .trace_model import InterestProfile
 
@@ -91,37 +105,101 @@ def sse(points: Mapping[int, Sequence[int]], clustering: Clustering) -> float:
     return total
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-centroid assignment; ties go to the lowest cluster index."""
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    err = float(d2[np.arange(len(X)), assign].sum())
-    return assign, err
+def _numpy_order_sum(terms: list[float]) -> float:
+    """Sum floats in the order of numpy's float64 add-reduce over a
+    contiguous axis: left to right below 8 terms; up to 128 terms, eight
+    strided accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    with the remainder added in order; above that, two halves split at a
+    multiple of 8. Written as explicit folds, since the builtin `sum()` of
+    floats is compensated from Python 3.12 on."""
+    n = len(terms)
+    if n < 8:
+        return reduce(add, terms, 0.0)
+    if n <= 128:
+        cut = n - n % 8
+        r = [reduce(add, terms[j:cut:8]) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, terms[cut:], head)
+    half = n // 2
+    half -= half % 8
+    return _numpy_order_sum(terms[:half]) + _numpy_order_sum(terms[half:])
 
 
-def _means_with_repair(X: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
-                       k: int) -> tuple[np.ndarray, np.ndarray]:
+def _distance(x: Centroid, c: Centroid) -> float:
+    diff = list(map(sub, x, c))
+    return _numpy_order_sum(list(map(mul, diff, diff)))
+
+
+def _assign(rows: list[Centroid], ones: list[list[int]] | None,
+            row_of: list[int], centroids: list[Centroid]) -> tuple[list[int], float]:
+    """Nearest centroid of every point and the summed distance to it.
+
+    Each distinct row is solved once; `row_of` maps points to rows. For
+    binary rows (`ones` lists their set bits) a screen picks the clusters
+    whose distance can be the least. The estimate |c|^2 + sum over set
+    bits of (1 - 2c_i) equals the distance in exact arithmetic. With every
+    component in [0, 1], the rounding of the estimate and of the
+    exact-order sum each stay below 4(n+2)^2 * 2^-53, so a cluster whose
+    estimate lies more than 8(n+2)^2 * 2^-53 above the least cannot be the
+    nearest. The band is twice that; when more than one cluster lies in
+    it, those are compared on exact-order distances. The estimate stands
+    in for the distance of a cluster that is alone in the band.
+    """
+    k = len(centroids)
+    if ones is not None:
+        band = 16 * (len(centroids[0]) + 2) ** 2 * 2.0 ** -53
+        base = [reduce(add, [c * c for c in cent], 0.0) for cent in centroids]
+        steps = [[1.0 - 2.0 * c for c in column] for column in zip(*centroids)]
+    nearest, nearest_d = [], []
+    for r, row in enumerate(rows):
+        candidates = range(k)
+        if ones is not None:
+            est = base
+            for i in ones[r]:
+                est = map(add, est, steps[i])
+            est = list(est)
+            least = min(est)
+            candidates = [j for j, e in enumerate(est) if e <= least + band]
+            if len(candidates) == 1:
+                nearest.append(candidates[0])
+                nearest_d.append(least)
+                continue
+        d = {j: _distance(row, centroids[j]) for j in candidates}
+        best = min(d, key=d.__getitem__)  # the first, so the lowest index
+        nearest.append(best)
+        nearest_d.append(d[best])
+    return ([nearest[r] for r in row_of],
+            _numpy_order_sum([nearest_d[r] for r in row_of]))
+
+
+def _means_with_repair(X: list[Centroid], assign: list[int],
+                       centroids: list[Centroid],
+                       k: int) -> tuple[list[int], list[Centroid]]:
     """Cluster means of the current assignment.
 
     An empty cluster is repaired first by moving into it the point farthest
-    from its current centroid, drawn from clusters that can spare a member.
+    from its current centroid (the lowest-indexed on ties), drawn from
+    clusters that can spare a member.
     """
-    assign = assign.copy()
-    counts = np.bincount(assign, minlength=k)
-    empties = np.flatnonzero(counts == 0)
-    if empties.size:
-        dist_own = ((X - centroids[assign]) ** 2).sum(axis=1)
+    assign = list(assign)
+    counts = [0] * k
+    for j in assign:
+        counts[j] += 1
+    empties = [j for j in range(k) if counts[j] == 0]
+    if empties:
+        dist_own = [_distance(x, centroids[j]) for x, j in zip(X, assign)]
         for j in empties:
-            donors = np.flatnonzero(counts[assign] >= 2)
-            pick = donors[int(np.argmax(dist_own[donors]))]
+            donors = [p for p, own in enumerate(assign) if counts[own] >= 2]
+            pick = max(donors, key=dist_own.__getitem__)
             counts[assign[pick]] -= 1
             assign[pick] = j
             counts[j] += 1
             dist_own[pick] = -1.0  # cannot be picked again
-    sums = np.zeros((k, X.shape[1]))
-    np.add.at(sums, assign, X)
-    counts = np.bincount(assign, minlength=k)
-    return assign, sums / counts[:, None]
+    members: list[list[Centroid]] = [[] for _ in range(k)]
+    for x, j in zip(X, assign):
+        members[j].append(x)
+    return assign, [tuple(reduce(add, column, 0.0) / len(rows) for column in zip(*rows))
+                    for rows in members]
 
 
 def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
@@ -149,40 +227,43 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
         if len(v) != n:
             raise LengthMismatch(n, len(v))
 
-    distinct: list[InterestVector] = []
-    seen: set[InterestVector] = set()
-    for v in vectors:
-        if v not in seen:
-            seen.add(v)
-            distinct.append(v)
+    distinct = list(dict.fromkeys(vectors))
     if k > len(distinct):
         raise TooFewDistinctPoints(k, len(distinct))
 
     rng = random.Random(seed)
     chosen = rng.sample(range(len(distinct)), k)
-    centroids = np.array([distinct[i] for i in chosen], dtype=float)
-    X = np.array(vectors, dtype=float)
+    rows = [tuple(map(float, v)) for v in distinct]
+    position = {v: r for r, v in enumerate(distinct)}
+    row_of = [position[v] for v in vectors]
+    centroids = [rows[i] for i in chosen]
+    X = [rows[r] for r in row_of]
+    ones = None
+    if all(c in (0.0, 1.0) for row in rows for c in row):
+        ones = [[i for i, c in enumerate(row) if c] for row in rows]
 
-    assign, err = _assign(X, centroids)
+    assign, err = _assign(rows, ones, row_of, centroids)
     history = [err]
     iterations = 0
     converged = False
     while not converged and iterations < max_iter:
         iterations += 1
         assign, centroids = _means_with_repair(X, assign, centroids, k)
-        new_assign, err = _assign(X, centroids)
+        new_assign, err = _assign(rows, ones, row_of, centroids)
         history.append(err)
-        converged = bool((new_assign == assign).all())
+        converged = new_assign == assign
         assign = new_assign
     if not converged:
         # keep the returned centroids consistent with the final assignment
         assign, centroids = _means_with_repair(X, assign, centroids, k)
-        history.append(float(((X - centroids[assign]) ** 2).sum()))
+        history.append(_numpy_order_sum([(a - b) * (a - b)
+                                         for x, j in zip(X, assign)
+                                         for a, b in zip(x, centroids[j])]))
 
     return Clustering(
         k=k,
-        centroids=tuple(tuple(float(c) for c in row) for row in centroids),
-        assignment={node: int(c) for node, c in zip(ids, assign)},
+        centroids=tuple(centroids),
+        assignment=dict(zip(ids, assign)),
         iterations_used=iterations,
         sse_history=tuple(history),
         converged=converged,

@@ -13,7 +13,10 @@ contact of a node that gains a message, until no contact can move one.
 A contact whose two ends have gained nothing since its last exchange is
 skipped. Such an exchange would forward nothing: the receipt log only
 grows, buffers only lose entries between gains, budgets only fall, and
-the forwarding rules do not depend on the time.
+the forwarding rules do not depend on the time. A contact whose two
+buffers are empty is skipped too, and is not stamped as exchanged: a
+buffer fills only through a receipt, which is a gain, so the stamp could
+not change a later skip.
 
 The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
@@ -342,7 +345,8 @@ def run(scenario: Scenario) -> SimResult:
                 pair = heappop(heap)
                 a, b = pair
                 if (budget.get(pair, 1) <= 0
-                        or exchanged.get(pair, -1) >= max(gained[a], gained[b])):
+                        or exchanged.get(pair, -1) >= max(gained[a], gained[b])
+                        or not (buffers[a] or buffers[b])):
                     continue
                 moved = exchange(a, b, t)
                 exchanged[pair] = tick

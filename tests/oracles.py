@@ -2,12 +2,19 @@
 
 These deliberately share no code with the library paths they check:
 earliest arrival is a fixpoint relaxation directly over contact
-intervals, and the clustering optimum enumerates every set partition.
+intervals, the clustering optimum enumerates every set partition, and the
+reference k-means is the vectorised numpy implementation the library's
+pure-Python one must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
+
+import numpy as np
+
+from dtn_cluster_sim.clustering import Clustering
 
 
 def earliest_arrival(events, source: int, t0: float,
@@ -76,3 +83,69 @@ def best_partition_sse(vectors: list[tuple], k: int) -> float:
         for blocks in _partitions_into(list(vectors), parts):
             best = min(best, partition_sse(blocks))
     return best
+
+
+def numpy_assign(X, centroids):
+    """Nearest centroid of every row (the first on ties) and the summed
+    distance, on numpy arrays."""
+    X, centroids = np.asarray(X, dtype=float), np.asarray(centroids, dtype=float)
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)
+    return assign, float(d2[np.arange(len(X)), assign].sum())
+
+
+def numpy_means_with_repair(X, assign, centroids, k: int):
+    """Cluster means after the empty-cluster repair, on numpy arrays."""
+    X, centroids = np.asarray(X, dtype=float), np.asarray(centroids, dtype=float)
+    assign = np.array(assign)
+    counts = np.bincount(assign, minlength=k)
+    empties = np.flatnonzero(counts == 0)
+    if empties.size:
+        dist_own = ((X - centroids[assign]) ** 2).sum(axis=1)
+        for j in empties:
+            donors = np.flatnonzero(counts[assign] >= 2)
+            pick = donors[int(np.argmax(dist_own[donors]))]
+            counts[assign[pick]] -= 1
+            assign[pick] = j
+            counts[j] += 1
+            dist_own[pick] = -1.0
+    sums = np.zeros((k, X.shape[1]))
+    np.add.at(sums, assign, X)
+    counts = np.bincount(assign, minlength=k)
+    return assign, sums / counts[:, None]
+
+
+def numpy_kmeans(points, k: int, seed: int, max_iter: int = 100) -> Clustering:
+    """Reference k-means: the same seeded initialisation, empty-cluster
+    repair and stopping rule as `clustering.kmeans`, with distances, argmin
+    and means computed by numpy (valid inputs only)."""
+    ids = sorted(points)
+    vectors = [tuple(points[i]) for i in ids]
+    distinct = list(dict.fromkeys(vectors))
+    chosen = random.Random(seed).sample(range(len(distinct)), k)
+    centroids = np.array([distinct[i] for i in chosen], dtype=float)
+    X = np.array(vectors, dtype=float)
+
+    assign, err = numpy_assign(X, centroids)
+    history = [err]
+    iterations = 0
+    converged = False
+    while not converged and iterations < max_iter:
+        iterations += 1
+        assign, centroids = numpy_means_with_repair(X, assign, centroids, k)
+        new_assign, err = numpy_assign(X, centroids)
+        history.append(err)
+        converged = bool((new_assign == assign).all())
+        assign = new_assign
+    if not converged:
+        assign, centroids = numpy_means_with_repair(X, assign, centroids, k)
+        history.append(float(((X - centroids[assign]) ** 2).sum()))
+
+    return Clustering(
+        k=k,
+        centroids=tuple(tuple(float(c) for c in row) for row in centroids),
+        assignment={node: int(c) for node, c in zip(ids, assign)},
+        iterations_used=iterations,
+        sse_history=tuple(history),
+        converged=converged,
+    )

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dtn_cluster_sim
 from dtn_cluster_sim.cli import (ConflictingSources, ConfigError, MissingRequired,
                                  RunConfig, UnknownKey, adapt_profiles, main,
                                  parse_config, run_sweep, sniff_profile_arity)
@@ -309,3 +313,13 @@ class TestRunConfigHelpers:
         rebuilt = RunConfig(**{**echo, "out": None})
         assert rebuilt.categories == config.categories
         assert rebuilt.synthetic == config.synthetic
+
+
+def test_cli_import_leaves_numpy_out():
+    """The CLI has no runtime dependency: importing it loads no numpy."""
+    src = str(Path(dtn_cluster_sim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, dtn_cluster_sim.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

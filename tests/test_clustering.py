@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dtn_cluster_sim import clustering
 from dtn_cluster_sim.clustering import (CategoryOutOfRange, Clustering, EmptyInput,
                                         LengthMismatch, TooFewDistinctPoints,
                                         UnassignedPoint, dump_clustering, kmeans,
@@ -9,7 +10,8 @@ from dtn_cluster_sim.clustering import (CategoryOutOfRange, Clustering, EmptyInp
                                         resolve_group_kmeans, squared_distance, sse)
 from dtn_cluster_sim.trace_model import InterestProfile
 
-from oracles import best_partition_sse
+from oracles import (best_partition_sse, numpy_assign, numpy_kmeans,
+                     numpy_means_with_repair)
 
 
 def profiles_of(vectors: dict[int, tuple[int, ...]]) -> list[InterestProfile]:
@@ -157,6 +159,94 @@ class TestKmeans:
         points = {i: tuple(rng.randint(0, 1) for _ in range(6)) for i in range(45)}
         c = kmeans(points, 4, seed=3)
         assert sse(points, c) == pytest.approx(c.sse_history[-1], abs=1e-9)
+
+
+def reference_dataset(rng: random.Random):
+    """Binary points with a dimension below 8, from 8 to 128 or above 128
+    (the three branches of numpy's summation order); small and dense (many
+    duplicate rows and exact distance ties); or small integers, which take
+    no screen."""
+    shape = rng.choice(("short", "medium", "long", "dense", "dense", "integer"))
+    if shape in ("dense", "integer"):
+        m, n, p = rng.randint(2, 60), rng.randint(1, 4), 0.5
+    else:
+        low, high = {"short": (1, 7), "medium": (8, 128), "long": (129, 200)}[shape]
+        m, n, p = rng.randint(1, 40), rng.randint(low, high), rng.choice((0.5, 0.1, 0.9))
+
+    def value():
+        return rng.choice((0, 1, 2, 3, 7)) if shape == "integer" else int(rng.random() < p)
+
+    points = {3 * i + 1: tuple(value() for _ in range(n)) for i in range(m)}
+    distinct = len(set(points.values()))
+    k = distinct if rng.random() < 0.3 else rng.randint(1, distinct)
+    return points, k, rng.choice((1, 2, 3, 100))
+
+
+def test_matches_numpy_reference(monkeypatch):
+    """Assignments, centroids, iterations and convergence equal the numpy
+    implementation's exactly; the objective history to 1e-9."""
+    exact_distances = 0
+    distance = clustering._distance
+
+    def spy_distance(x, c):
+        nonlocal exact_distances
+        exact_distances += 1
+        return distance(x, c)
+
+    monkeypatch.setattr(clustering, "_distance", spy_distance)
+    rng = random.Random(2018)
+    for trial in range(300):
+        points, k, max_iter = reference_dataset(rng)
+        got = kmeans(points, k, seed=trial, max_iter=max_iter)
+        want = numpy_kmeans(points, k, seed=trial, max_iter=max_iter)
+        assert got.centroids == want.centroids, trial
+        assert got.assignment == want.assignment, trial
+        assert got.iterations_used == want.iterations_used, trial
+        assert got.converged == want.converged, trial
+        assert got.sse_history == pytest.approx(want.sse_history, rel=0, abs=1e-9)
+    assert exact_distances >= 100  # near ties did reach the exact-order sums
+
+
+def test_assign_breaks_exact_ties_like_numpy():
+    """Centroids that permute one another's components among a point's 0
+    positions and among its 1 positions lie at the same exact distance
+    from it; rounding then orders them, and the screen must defer to the
+    exact-order sums to get numpy's order."""
+    rng = random.Random(1948)
+    for trial in range(300):
+        n, b = rng.choice((3, 5, 9, 12, 40, 150)), rng.randint(2, 40)
+        x = tuple(float(rng.random() < 0.5) for _ in range(n))
+        base = [rng.randint(0, b) / b for _ in range(n)]
+        centroids = []
+        for _ in range(rng.randint(2, 6)):
+            c = list(base)
+            for bit in (0.0, 1.0):
+                where = [i for i in range(n) if x[i] == bit]
+                for i, v in zip(where, rng.sample([c[i] for i in where], len(where))):
+                    c[i] = v
+            centroids.append(tuple(c))
+        rows = [x] + [tuple(float(rng.random() < 0.5) for _ in range(n)) for _ in range(3)]
+        ones = [[i for i, v in enumerate(row) if v] for row in rows]
+        got, _ = clustering._assign(rows, ones, [0, 1, 2, 3], centroids)
+        want, _ = numpy_assign(rows, centroids)
+        assert got == want.tolist(), trial
+
+
+def test_repair_matches_numpy_reference():
+    """Lloyd steps from seeded points almost never empty a cluster, so the
+    repair is compared on assignments that leave clusters empty."""
+    rng = random.Random(1982)
+    for trial in range(200):
+        m, n = rng.randint(2, 30), rng.choice((rng.randint(1, 7), rng.randint(8, 40)))
+        k = rng.randint(2, m)
+        used = rng.sample(range(k), rng.randint(1, k - 1))
+        X = [tuple(float(rng.random() < 0.5) for _ in range(n)) for _ in range(m)]
+        assign = [rng.choice(used) for _ in range(m)]
+        centroids = [tuple(rng.randint(0, 6) / 6 for _ in range(n)) for _ in range(k)]
+        got_assign, got_means = clustering._means_with_repair(X, assign, centroids, k)
+        want_assign, want_means = numpy_means_with_repair(X, assign, centroids, k)
+        assert got_assign == want_assign.tolist(), trial
+        assert got_means == [tuple(row) for row in want_means.tolist()], trial
 
 
 class TestResolveGroupExact:
