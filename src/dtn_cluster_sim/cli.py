@@ -7,7 +7,7 @@ point and lays the results out as:
 
     out/
       config.json            effective config echo (reproduces the sweep)
-      summary.csv            one row per run that succeeded
+      summary.csv            one row per run that succeeded; written last
       failures.csv           run_id,error per failed run (only if any failed)
       runs/n<cat>_s<seed>/   per_message.csv, clustering.txt (k-means mode)
 
@@ -115,7 +115,8 @@ def _is_int(value) -> bool:
 _TYPE_RULES = {
     bool: (lambda v: isinstance(v, bool), "true or false"),
     int: (_is_int, "an integer"),
-    float: (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    float: (lambda v: (_is_int(v) or isinstance(v, float))
+            and abs(v) <= sys.float_info.max, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
     dict: (lambda v: isinstance(v, dict), "an object"),
     list[int]: (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
@@ -274,8 +275,11 @@ def run_sweep(config: RunConfig) -> int:
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    if (out / "runs").exists():  # left by an earlier sweep into `out`
+    # an earlier sweep's files; no summary.csv marks an unfinished sweep
+    if (out / "runs").exists():
         shutil.rmtree(out / "runs")
+    (out / "summary.csv").unlink(missing_ok=True)
+    (out / "failures.csv").unlink(missing_ok=True)
     (out / "config.json").write_text(
         json.dumps(config.effective(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
@@ -301,14 +305,12 @@ def run_sweep(config: RunConfig) -> int:
                 (run_dir / "clustering.txt").write_text(
                     dump_clustering(result.clustering), encoding="utf-8")
             rows.append(summary_row(report))
-    (out / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    failures_path = out / "failures.csv"
-    failures_path.unlink(missing_ok=True)  # left by an earlier sweep into `out`
     if failures:
-        with open(failures_path, "w", encoding="utf-8", newline="") as f:
+        with open(out / "failures.csv", "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(("run_id", "error"))
             writer.writerows(failures)
+    (out / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     return 1 if failures else 0
 
 

@@ -359,9 +359,9 @@ def run(scenario: Scenario) -> SimResult:
             heap = sorted(next_pass)
 
     events: list[tuple[float, int, tuple[int, ...]]] = []
-    for e in scenario.trace.events:
-        events.append((e.t_end, 0, (e.a, e.b)))
-        events.append((e.t_start, 2, (e.a, e.b)))
+    for t_start, t_end, a, b in scenario.trace.events:
+        pair = (a, b)
+        events += ((t_end, 0, pair), (t_start, 2, pair))
     for sc in schedule:
         events.append((sc.time, 1, (sc.id,)))
     events.sort()

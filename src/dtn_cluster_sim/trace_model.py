@@ -7,17 +7,22 @@ node. This module holds the data model, parsers for the two supported
 on-disk formats, a seeded synthetic generator for desk-scale experiments,
 and a scenario consistency check.
 
-Normalization applied by every constructor path:
+Both parsers and `build_trace` (which the generator uses) check each
+contact once, by one rule set, where its line number (or position) is
+known: ids and times non-negative, times finite, two distinct nodes,
+t_start < t_end. They then share one assembly path:
   * contacts are symmetric, endpoints stored with a < b;
   * overlapping or touching intervals of the same pair are merged;
-  * events are sorted by (t_start, t_end, a, b).
+  * events are `ContactEvent` named tuples in their natural order,
+    (t_start, t_end, a, b).
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 TRACE_FORMATS = ("tabular", "one_events")
 
@@ -72,25 +77,15 @@ class InvalidParams(ValueError):
         super().__init__(msg + (f" ({detail})" if detail else ""))
 
 
-@dataclass(frozen=True)
-class ContactEvent:
+class ContactEvent(NamedTuple):
     """One pairwise connectivity interval: nodes a and b can exchange
-    messages at any instant in [t_start, t_end)."""
+    messages at any instant in [t_start, t_end). Tuple order is the
+    canonical event order."""
 
     t_start: float
     t_end: float
     a: int
     b: int
-
-    def __post_init__(self):
-        if self.t_start < 0:
-            raise ValueError(f"negative t_start: {self.t_start}")
-        if self.t_start >= self.t_end:
-            raise ValueError(f"empty interval [{self.t_start}, {self.t_end}]")
-        if self.a == self.b:
-            raise ValueError(f"self-contact at node {self.a}")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("node ids must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -101,11 +96,7 @@ class ContactTrace:
 
     def nodes(self) -> list[int]:
         """Distinct node ids appearing in the events, ascending."""
-        seen = set()
-        for e in self.events:
-            seen.add(e.a)
-            seen.add(e.b)
-        return sorted(seen)
+        return sorted({n for e in self.events for n in (e.a, e.b)})
 
 
 @dataclass(frozen=True)
@@ -146,16 +137,66 @@ class ScenarioReport:
         return out
 
 
-def _merge_pair_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of intervals for one node pair; overlapping or touching runs collapse."""
-    intervals.sort()
-    merged: list[list[float]] = []
-    for start, end in intervals:
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return [(s, e) for s, e in merged]
+_INF = float("inf")
+# `# duration: <s>` / `# nodes = <count>`; any other `#` line is a comment
+_HEADER = re.compile(r"#+\s*(duration|nodes)\s*[:=](.*)")
+
+
+def _check_meeting(line_no: int, t: float, a: int, b: int) -> None:
+    """The rules for nodes a and b meeting at time t: ids and time
+    non-negative, the time finite, the nodes distinct."""
+    if a < 0 or b < 0 or t < 0:
+        raise MalformedLine(line_no, "negative value")
+    if not t < _INF:  # +inf or NaN
+        raise MalformedLine(line_no, "non-finite time")
+    if a == b:
+        raise SelfContact(line_no)
+
+
+def _add_contact(by_pair: dict, line_no: int, t_start: float, t_end: float,
+                 a: int, b: int) -> None:
+    """Check the contact [t_start, t_end) of a and b and file it under its
+    pair (low, high). Every constructor path files its contacts here."""
+    if not (0.0 <= t_start < t_end < _INF and a != b and a >= 0 and b >= 0):
+        _check_meeting(line_no, t_start, a, b)  # names the rule broken
+        if not t_end < _INF:
+            raise MalformedLine(line_no, "non-finite time")
+        raise InvertedInterval(line_no)
+    by_pair.setdefault((a, b) if a < b else (b, a), []).append((t_start, t_end))
+
+
+def _assemble(by_pair: dict[tuple[int, int], list[tuple[float, float]]],
+              duration: float | None, node_count: int | None) -> ContactTrace:
+    """The trace of checked intervals filed by pair, normalized as
+    `build_trace` describes."""
+    events = []
+    for (a, b), intervals in by_pair.items():
+        if len(intervals) > 1:
+            intervals.sort()
+        start, end = intervals[0]
+        for s, e in intervals:
+            if s > end:
+                events.append((start, end, a, b))
+                start, end = s, e
+            elif e > end:
+                end = e
+        events.append((start, end, a, b))
+    events.sort()
+
+    max_end = max((e[1] for e in events), default=0.0)
+    if duration is None:
+        duration = max_end
+    elif duration < max_end:
+        raise InvalidParams("duration", f"{duration} < last contact end {max_end}")
+
+    distinct = len({n for pair in by_pair for n in pair})
+    if node_count is None:
+        node_count = distinct
+    elif node_count < distinct:
+        raise InvalidParams("node_count", f"{node_count} < {distinct} distinct ids")
+
+    return ContactTrace(events=tuple(map(ContactEvent._make, events)),
+                        duration=float(duration), node_count=node_count)
 
 
 def build_trace(raw_events: Iterable[tuple[float, float, int, int]],
@@ -163,64 +204,30 @@ def build_trace(raw_events: Iterable[tuple[float, float, int, int]],
                 node_count: int | None = None) -> ContactTrace:
     """Assemble a normalized ContactTrace from (t_start, t_end, a, b) tuples.
 
-    Pair order is canonicalized to a < b, same-pair intervals are merged,
-    and events are sorted. duration defaults to the latest t_end and
-    node_count to the number of distinct ids; both may only be overridden
-    upward.
+    A tuple breaking the parsers' rules raises their TraceError (a
+    ValueError), numbered by its 1-based position. duration defaults to
+    the latest t_end and node_count to the number of distinct ids; both
+    may only be overridden upward.
     """
     by_pair: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for t_start, t_end, a, b in raw_events:
-        lo, hi = (a, b) if a < b else (b, a)
-        by_pair.setdefault((lo, hi), []).append((t_start, t_end))
-
-    events = []
-    for (a, b), intervals in by_pair.items():
-        for start, end in _merge_pair_intervals(intervals):
-            events.append(ContactEvent(start, end, a, b))
-    events.sort(key=lambda e: (e.t_start, e.t_end, e.a, e.b))
-
-    max_end = max((e.t_end for e in events), default=0.0)
-    if duration is None:
-        duration = max_end
-    elif duration < max_end:
-        raise InvalidParams("duration", f"{duration} < last contact end {max_end}")
-
-    distinct = len({n for e in events for n in (e.a, e.b)})
-    if node_count is None:
-        node_count = distinct
-    elif node_count < distinct:
-        raise InvalidParams("node_count", f"{node_count} < {distinct} distinct ids")
-
-    return ContactTrace(events=tuple(events), duration=float(duration),
-                        node_count=node_count)
+    for position, (t_start, t_end, a, b) in enumerate(raw_events, start=1):
+        _add_contact(by_pair, position, t_start, t_end, a, b)
+    return _assemble(by_pair, duration, node_count)
 
 
-def _header_value(body: str, key: str) -> str | None:
-    if not body.startswith(key):
-        return None
-    rest = body[len(key):].lstrip()
-    if rest.startswith(":") or rest.startswith("="):
-        rest = rest[1:]
-    return rest.strip()
-
-
-def _iter_data_lines(text: str):
-    """Split text into (line_no, fields) data lines plus duration/nodes headers."""
-    headers: dict[str, tuple[int, str]] = {}
-    data = []
+def _data_lines(text: str, headers: dict[str, tuple[int, str]]):
+    """Yield (line_no, fields) for each data line of `text`. The last
+    `duration` and `nodes` headers land in `headers` as (line_no, value)."""
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+        fields = line.split()
+        if not fields:
             continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            for key in ("duration", "nodes"):
-                value = _header_value(body, key)
-                if value is not None:
-                    headers[key] = (line_no, value)
+        if fields[0][0] == "#":
+            header = _HEADER.fullmatch(line.strip())
+            if header:
+                headers[header[1]] = (line_no, header[2].strip())
             continue
-        data.append((line_no, stripped.split()))
-    return headers, data
+        yield line_no, fields
 
 
 def _parse_headers(headers: dict[str, tuple[int, str]]) -> tuple[float | None, int | None]:
@@ -230,6 +237,8 @@ def _parse_headers(headers: dict[str, tuple[int, str]]) -> tuple[float | None, i
         line_no, value = headers["duration"]
         try:
             duration = float(value)
+            if not -_INF < duration < _INF:
+                raise ValueError(value)
         except ValueError:
             raise MalformedLine(line_no, "bad duration header") from None
     if "nodes" in headers:
@@ -241,8 +250,8 @@ def _parse_headers(headers: dict[str, tuple[int, str]]) -> tuple[float | None, i
     return duration, node_count
 
 
-def _tabular_events(data: list[tuple[int, list[str]]]):
-    for line_no, fields in data:
+def _tabular(lines, by_pair: dict) -> None:
+    for line_no, fields in lines:
         if len(fields) != 4:
             raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
         try:
@@ -250,26 +259,20 @@ def _tabular_events(data: list[tuple[int, list[str]]]):
             a, b = int(fields[2]), int(fields[3])
         except ValueError:
             raise MalformedLine(line_no, "unparsable field") from None
-        if a < 0 or b < 0 or t_start < 0:
-            raise MalformedLine(line_no, "negative value")
-        if a == b:
-            raise SelfContact(line_no)
-        if t_start >= t_end:
-            raise InvertedInterval(line_no)
-        yield t_start, t_end, a, b
+        _add_contact(by_pair, line_no, t_start, t_end, a, b)
 
 
-def _one_events(data: list[tuple[int, list[str]]]):
-    """Pair CONN up/down lines per unordered node pair, in file order.
+def _one_events(lines, by_pair: dict) -> float:
+    """Pair CONN up/down lines per unordered node pair, in file order, and
+    return the last timestamp seen (0.0 for no lines).
 
     A stray down (no matching up) is ignored; a repeated up while the pair
     is already open is idempotent; an up never closed ends at the last
     timestamp seen in the file.
     """
     open_since: dict[tuple[int, int], float] = {}
-    events = []
     last_time = 0.0
-    for line_no, fields in data:
+    for line_no, fields in lines:
         if len(fields) != 5 or fields[1].upper() != "CONN":
             raise MalformedLine(line_no, "expected `time CONN a b up|down`")
         try:
@@ -280,25 +283,17 @@ def _one_events(data: list[tuple[int, list[str]]]):
         state = fields[4].lower()
         if state not in ("up", "down"):
             raise MalformedLine(line_no, f"unknown state {fields[4]!r}")
-        if time < 0 or a < 0 or b < 0:
-            raise MalformedLine(line_no, "negative value")
-        if a == b:
-            raise SelfContact(line_no)
+        _check_meeting(line_no, time, a, b)
         last_time = max(last_time, time)
         pair = (a, b) if a < b else (b, a)
         if state == "up":
             open_since.setdefault(pair, time)
-        else:
-            start = open_since.pop(pair, None)
-            if start is None:
-                continue
-            if start >= time:
-                raise InvertedInterval(line_no)
-            events.append((start, time, pair[0], pair[1]))
-    for pair, start in open_since.items():
-        if start < last_time:
-            events.append((start, last_time, pair[0], pair[1]))
-    return events, last_time
+        elif pair in open_since:
+            _add_contact(by_pair, line_no, open_since.pop(pair), time, *pair)
+    for (a, b), start in open_since.items():
+        if start < last_time:  # checked on its up line, so this cannot fail
+            _add_contact(by_pair, 0, start, last_time, a, b)
+    return last_time
 
 
 def parse_contact_trace(text: str, fmt: str = "tabular") -> ContactTrace:
@@ -306,21 +301,23 @@ def parse_contact_trace(text: str, fmt: str = "tabular") -> ContactTrace:
 
     tabular: one interval per line, `t_start t_end node_a node_b`.
     one_events: `time CONN node_a node_b up|down` lines paired in file order.
-    Lines starting with `#` are ignored except for optional
-    `# duration: <s>` and `# nodes: <count>` headers, which may enlarge the
-    derived values.
+    Lines starting with `#` are comments, except `# duration: <s>` and
+    `# nodes: <count>` headers (`=` may stand for `:`), which may enlarge
+    the derived values.
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format: {fmt!r}")
-    headers, data = _iter_data_lines(text)
-    duration, node_count = _parse_headers(headers)
+    headers: dict[str, tuple[int, str]] = {}
+    by_pair: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    lines = _data_lines(text, headers)
+    last_time = None
     if fmt == "tabular":
-        raw = list(_tabular_events(data))
+        _tabular(lines, by_pair)
     else:
-        raw, last_time = _one_events(data)
-        if duration is None and data:
-            duration = last_time
-    return build_trace(raw, duration=duration, node_count=node_count)
+        last_time = _one_events(lines, by_pair)
+    duration, node_count = _parse_headers(headers)
+    return _assemble(by_pair, last_time if duration is None else duration,
+                     node_count)
 
 
 def serialize_contact_trace(trace: ContactTrace) -> str:
@@ -385,8 +382,8 @@ class SyntheticParams:
     def validate(self):
         if self.node_count < 2:
             raise InvalidParams("node_count", "need at least 2 nodes")
-        if self.duration <= 0:
-            raise InvalidParams("duration", "must be positive")
+        if not 0 < self.duration < _INF:
+            raise InvalidParams("duration", "must be positive and finite")
         if self.contact_rate <= 0:
             raise InvalidParams("contact_rate", "must be positive")
         if self.n_categories < 1:

@@ -2,9 +2,10 @@
 
 These deliberately share no code with the library paths they check:
 earliest arrival is a fixpoint relaxation directly over contact
-intervals, the clustering optimum enumerates every set partition, and the
+intervals, the clustering optimum enumerates every set partition, the
 reference k-means is the vectorised numpy implementation the library's
-pure-Python one must reproduce exactly.
+pure-Python one must reproduce exactly, and the reference trace
+normalization merges each pair's intervals and sorts with an explicit key.
 """
 
 from __future__ import annotations
@@ -149,3 +150,30 @@ def numpy_kmeans(points, k: int, seed: int, max_iter: int = 100) -> Clustering:
         sse_history=tuple(history),
         converged=converged,
     )
+
+
+def merge_pair_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Union of intervals for one node pair; overlapping or touching runs collapse."""
+    merged: list[list[float]] = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return [(s, e) for s, e in merged]
+
+
+def normalize_contacts(raw) -> tuple[list[tuple[float, float, int, int]], float, int]:
+    """Reference normalization of valid (t_start, t_end, a, b) tuples:
+    (events, duration, node_count) with pairs stored a < b, each pair's
+    intervals merged, events sorted by (t_start, t_end, a, b), duration the
+    latest end and node_count the number of distinct ids."""
+    by_pair: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    for t_start, t_end, a, b in raw:
+        by_pair.setdefault((min(a, b), max(a, b)), []).append((t_start, t_end))
+    events = [(s, e, a, b) for (a, b), intervals in by_pair.items()
+              for s, e in merge_pair_intervals(intervals)]
+    events.sort(key=lambda ev: (ev[0], ev[1], ev[2], ev[3]))
+    duration = max((ev[1] for ev in events), default=0.0)
+    node_count = len({n for ev in events for n in ev[2:]})
+    return events, duration, node_count

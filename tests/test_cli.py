@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,33 @@ class TestRunSweep:
                        if p.is_file())
         assert files == ["config.json", "runs/n2_s1/per_message.csv", "summary.csv"]
 
+    def test_killed_sweep_leaves_no_summary(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.csv").write_text(summary_header() + "\nfrom an earlier sweep\n")
+        # each point replays ~20k contacts, so the sweep is still at its
+        # second point when the first point's files appear
+        path = synthetic_config(tmp_path, categories=[3], seeds=list(range(1, 13)),
+                                synthetic={"node_count": 100, "duration": 20000.0,
+                                           "contact_rate": 2e-4, "interest_prob": 0.3})
+        first = out / "runs" / "n3_s1" / "per_message.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dtn_cluster_sim.cli", "run",
+             "--config", str(path), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": _src_dir()},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not first.exists() and proc.poll() is None:
+                assert time.monotonic() < deadline, "first sweep point never written"
+                time.sleep(0.005)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert first.exists()
+        assert not (out / "summary.csv").exists()
+        assert not (out / "runs" / "n3_s12").exists()
+
     def test_missing_out(self, tmp_path):
         config = parse_config(write_config(tmp_path))
         with pytest.raises(MissingRequired):
@@ -280,11 +308,26 @@ class TestMainEntry:
         ({"mode": "kmeans", "k_clusters": 0}, "k_clusters"),
         ({"message_count": -3}, "message_count"),
         ({"message_interval": -50.0}, "message_interval"),
+        ({"message_interval": float("nan")}, "message_interval"),
+        ({"ttl": float("nan")}, "ttl"),
+        ({"ttl": 10 ** 400}, "ttl"),
+        ({"trace": None, "profiles": None,
+          "synthetic": {"node_count": 8, "duration": float("nan"),
+                        "contact_rate": 0.002, "interest_prob": 0.5}},
+         "synthetic.duration"),
+        ({"trace": "nan_start.txt"}, "nan_start.txt"),
+        ({"trace": "inf_end.txt"}, "inf_end.txt"),
+        ({"trace": "nan_duration.txt"}, "nan_duration.txt"),
+        ({"trace": "nan_down.txt", "trace_format": "one_events"}, "nan_down.txt"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ragged.txt").write_text("0 1 0 1\n1 0 1\n")
+        (tmp_path / "nan_start.txt").write_text("1 4 0 1\nnan 10 1 2\n")
+        (tmp_path / "inf_end.txt").write_text("0 inf 1 2\n")
+        (tmp_path / "nan_duration.txt").write_text("# duration: nan\n1 4 0 1\n")
+        (tmp_path / "nan_down.txt").write_text("nan CONN 1 2 down\n")
         path = write_config(tmp_path, **change)
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -292,6 +335,15 @@ class TestMainEntry:
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_infinite_synthetic_duration_is_config_error(self, tmp_path):
+        # checked through parse_config only: a run with it never ends
+        path = synthetic_config(tmp_path, synthetic={
+            "node_count": 8, "duration": float("inf"),
+            "contact_rate": 0.002, "interest_prob": 0.5})
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ConfigError, match="synthetic.duration"):
+            parse_config(path)
 
     def test_int_floats_echo_as_floats(self, tmp_path):
         path = write_config(tmp_path, threshold=1, ttl=600)
@@ -315,10 +367,13 @@ class TestRunConfigHelpers:
         assert rebuilt.synthetic == config.synthetic
 
 
+def _src_dir() -> str:
+    return str(Path(dtn_cluster_sim.__file__).resolve().parent.parent)
+
+
 def test_cli_import_leaves_numpy_out():
     """The CLI has no runtime dependency: importing it loads no numpy."""
-    src = str(Path(dtn_cluster_sim.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": _src_dir()}
     code = "import sys, dtn_cluster_sim.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -10,6 +10,7 @@ from dtn_cluster_sim.trace_model import (ContactEvent, DuplicateNode, InvalidPar
                                          parse_contact_trace, parse_interest_profiles,
                                          serialize_contact_trace,
                                          serialize_profiles, validate_scenario)
+from oracles import normalize_contacts
 
 
 class TestParseTabular:
@@ -88,6 +89,39 @@ class TestParseTabular:
         with pytest.raises(ValueError):
             parse_contact_trace("", fmt="pcap")
 
+    @pytest.mark.parametrize("line", ["nan 10 1 2", "0 inf 1 2", "0 nan 1 2",
+                                      "inf inf 1 2", "0 1e400 1 2"])
+    def test_non_finite_time_rejected(self, line):
+        with pytest.raises(MalformedLine, match="non-finite") as err:
+            parse_contact_trace("0 5 1 2\n" + line + "\n")
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_duration_header_rejected(self, value):
+        with pytest.raises(MalformedLine, match="bad duration header") as err:
+            parse_contact_trace(f"0 10 1 2\n# duration: {value}\n")
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("comment", ["# nodes in this trace are phones",
+                                         "# duration of the study: one day",
+                                         "# durations: 5", "# duration 99"])
+    def test_free_text_comment_is_not_a_header(self, comment):
+        trace = parse_contact_trace(comment + "\n0 10 1 2\n")
+        assert trace.duration == 10.0
+        assert trace.node_count == 2
+
+    @pytest.mark.parametrize("header", ["# duration: abc", "# nodes = many",
+                                        "## duration=1 day", "# duration:"])
+    def test_bad_header_value_rejected(self, header):
+        with pytest.raises(MalformedLine, match="header") as err:
+            parse_contact_trace("0 10 1 2\n" + header + "\n")
+        assert err.value.line_no == 2
+
+    def test_header_with_equals_sign(self):
+        trace = parse_contact_trace("#duration = 99\n##  nodes=7\n0 10 1 2\n")
+        assert trace.duration == 99.0
+        assert trace.node_count == 7
+
 
 class TestParseOneEvents:
     def test_pairing_up_down(self):
@@ -135,6 +169,14 @@ class TestParseOneEvents:
     def test_unknown_state(self):
         with pytest.raises(MalformedLine):
             parse_contact_trace("5.0 CONN 1 2 sideways\n", fmt="one_events")
+
+    @pytest.mark.parametrize("text", ["nan CONN 1 2 down\n",
+                                      "1.0 CONN 1 2 up\ninf CONN 1 2 down\n",
+                                      "1.0 CONN 1 2 up\nnan CONN 3 4 up\n"])
+    def test_non_finite_time_rejected(self, text):
+        with pytest.raises(MalformedLine, match="non-finite") as err:
+            parse_contact_trace(text, fmt="one_events")
+        assert err.value.line_no == text.count("\n")
 
 
 class TestRoundTrip:
@@ -271,11 +313,17 @@ class TestBuildTrace:
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
-            ContactEvent(5.0, 5.0, 1, 2)
+            build_trace([(0.0, 1.0, 1, 2), (5.0, 5.0, 1, 2)])
         with pytest.raises(ValueError):
-            ContactEvent(0.0, 5.0, 2, 2)
+            build_trace([(0.0, 5.0, 2, 2)])
         with pytest.raises(ValueError):
-            ContactEvent(-1.0, 5.0, 1, 2)
+            build_trace([(-1.0, 5.0, 1, 2)])
+
+    @pytest.mark.parametrize("raw", [(float("nan"), 5.0, 1, 2), (0.0, float("nan"), 1, 2),
+                                     (0.0, float("inf"), 1, 2), (0.0, 5.0, -1, 2)])
+    def test_rejects_non_finite_or_negative(self, raw):
+        with pytest.raises(ValueError):
+            build_trace([raw])
 
     def test_merge_is_idempotent(self):
         rng = random.Random(0)
@@ -284,3 +332,58 @@ class TestBuildTrace:
         once = build_trace(raw)
         twice = build_trace([(e.t_start, e.t_end, e.a, e.b) for e in once.events])
         assert once.events == twice.events
+
+
+def _random_raw_contacts(rng: random.Random) -> list[tuple[float, float, int, int]]:
+    """Valid raw contacts among a few nodes, half of them on a coarse time
+    grid, so that reversed pairs, duplicates, touching and nested
+    intervals and one-interval pairs are all common."""
+    nodes = rng.randint(2, 7)
+    raw = []
+    for _ in range(rng.randint(0, 40)):
+        a, b = rng.sample(range(nodes), 2)
+        if rng.random() < 0.5:
+            start = float(rng.randint(0, 30))
+            end = start + rng.randint(1, 6)
+        else:
+            start = rng.uniform(0, 30)
+            end = start + rng.uniform(0.01, 6)
+        raw.append((start, end, a, b))
+        shape = rng.random()
+        if shape < 0.1:
+            raw.append(rng.choice(raw))                          # duplicate
+        elif shape < 0.2:
+            raw.append((end, end + rng.randint(1, 3), b, a))     # touching
+        elif shape < 0.3:
+            quarter = (end - start) / 4
+            raw.append((start + quarter, end - quarter, b, a))   # nested
+    rng.shuffle(raw)
+    return raw
+
+
+def test_build_and_parse_match_reference_normalization():
+    """build_trace and the tabular parser against the reference merge and
+    keyed sort in tests/oracles.py, on seeded raw contact lists."""
+    shapes = dict.fromkeys(("reversed", "duplicate", "touching", "nested", "single"), 0)
+    rng = random.Random(2024)
+    for _ in range(300):
+        raw = _random_raw_contacts(rng)
+        events, duration, node_count = normalize_contacts(raw)
+        text = "".join(f"{s!r} {e!r} {a} {b}\n" for s, e, a, b in raw)
+        for trace in (build_trace(raw), parse_contact_trace(text)):
+            assert all(type(e) is ContactEvent for e in trace.events)
+            assert [tuple(e) for e in trace.events] == events
+            assert trace.duration == duration
+            assert trace.node_count == node_count
+
+        by_pair: dict = {}
+        for s, e, a, b in raw:
+            shapes["reversed"] += a > b
+            by_pair.setdefault((min(a, b), max(a, b)), []).append((s, e))
+        for intervals in by_pair.values():
+            shapes["single"] += len(intervals) == 1
+            shapes["duplicate"] += len(set(intervals)) < len(intervals)
+            shapes["touching"] += any(e == s2 for _, e in intervals for s2, _ in intervals)
+            shapes["nested"] += any(s1 < s2 and e2 < e1 for s1, e1 in intervals
+                                    for s2, e2 in intervals)
+    assert min(shapes.values()) >= 50, shapes
