@@ -8,8 +8,7 @@ under a forwarding rule (`sim_engine`), aggregate the outcome
 """
 
 from .clustering import (Clustering, GroupResolution, dump_clustering, kmeans,
-                         points_of, resolve_group_exact, resolve_group_kmeans,
-                         squared_distance, sse)
+                         points_of, resolve_group_exact, resolve_group_kmeans)
 from .metrics import (MetricsReport, avg_cost, avg_delay, avg_hops, build_report,
                       delivery_ratio, per_message_csv, resource_used,
                       summary_header, summary_row)
@@ -36,6 +35,6 @@ __all__ = [
     "parse_contact_trace", "parse_interest_profiles", "per_message_csv",
     "points_of", "resolve_group_exact", "resolve_group_kmeans",
     "resource_used", "run", "serialize_contact_trace", "serialize_profiles",
-    "squared_distance", "sse", "summary_header", "summary_row",
+    "summary_header", "summary_row",
     "validate_scenario",
 ]

@@ -265,16 +265,26 @@ def build_scenario(config: RunConfig, n_categories: int, seed: int,
     )
 
 
-def run_sweep(config: RunConfig) -> int:
-    """Run every (n_categories, seed) pair and write the output tree."""
+def _output_dir(config: RunConfig) -> Path:
+    """The configured output directory, created if missing; a path that
+    cannot be a directory is a config error naming it."""
     if config.out is None:
         raise MissingRequired("out")
+    out = Path(config.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
+def run_sweep(config: RunConfig) -> int:
+    """Run every (n_categories, seed) pair and write the output tree."""
     file_inputs = None
     if config.synthetic is None:
         file_inputs = _load_file_inputs(config)
 
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(config)
     # an earlier sweep's files; no summary.csv marks an unfinished sweep
     if (out / "runs").exists():
         shutil.rmtree(out / "runs")
@@ -337,12 +347,9 @@ def cmd_gen_trace(args) -> int:
     config = parse_config(args.config, _overrides(args))
     if config.synthetic is None:
         raise MissingRequired("synthetic")
-    if config.out is None:
-        raise MissingRequired("out")
+    out = _output_dir(config)
     cat, seed = _first_point(config)
     trace, profiles = generate_synthetic_trace(_synthetic_params(config, cat), seed)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.txt"
     profile_path = out / "profiles.txt"
     trace_path.write_text(serialize_contact_trace(trace), encoding="utf-8")
@@ -355,7 +362,11 @@ def cmd_gen_trace(args) -> int:
 def _overrides(args) -> dict:
     categories = None
     if getattr(args, "categories", None):
-        categories = [int(v) for v in args.categories.split(",") if v.strip()]
+        try:
+            categories = [int(v) for v in args.categories.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError("--categories must be comma-separated integers, "
+                              f"got {args.categories!r}") from None
     return {
         "seed": getattr(args, "seed", None),
         "router": getattr(args, "router", None),

@@ -46,10 +46,10 @@ class LengthMismatch(ValueError):
         super().__init__(f"vector length {got}, expected {expected}")
 
 
-class UnassignedPoint(ValueError):
+class NonBinaryVector(ValueError):
     def __init__(self, node_id: int):
         self.node_id = node_id
-        super().__init__(f"node {node_id} has no cluster assignment")
+        super().__init__(f"node {node_id}: vector components must be 0 or 1")
 
 
 class TooFewDistinctPoints(ValueError):
@@ -86,25 +86,6 @@ class Clustering:
         return sorted(n for n, c in self.assignment.items() if c == cluster)
 
 
-def squared_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Sum of componentwise squared differences."""
-    if len(p) != len(q):
-        raise LengthMismatch(len(p), len(q))
-    return float(sum((x - y) ** 2 for x, y in zip(p, q)))
-
-
-def sse(points: Mapping[int, Sequence[int]], clustering: Clustering) -> float:
-    """Total squared distance of every point to its assigned centroid."""
-    total = 0.0
-    for node in sorted(points):
-        try:
-            cluster = clustering.assignment[node]
-        except KeyError:
-            raise UnassignedPoint(node) from None
-        total += squared_distance(points[node], clustering.centroids[cluster])
-    return total
-
-
 def _numpy_order_sum(terms: list[float]) -> float:
     """Sum floats in the order of numpy's float64 add-reduce over a
     contiguous axis: left to right below 8 terms; up to 128 terms, eight
@@ -126,16 +107,17 @@ def _numpy_order_sum(terms: list[float]) -> float:
 
 
 def _distance(x: Centroid, c: Centroid) -> float:
+    """Squared distance, summed in numpy's order."""
     diff = list(map(sub, x, c))
     return _numpy_order_sum(list(map(mul, diff, diff)))
 
 
-def _assign(rows: list[Centroid], ones: list[list[int]] | None,
+def _assign(rows: list[Centroid], ones: list[list[int]],
             row_of: list[int], centroids: list[Centroid]) -> tuple[list[int], float]:
     """Nearest centroid of every point and the summed distance to it.
 
-    Each distinct row is solved once; `row_of` maps points to rows. For
-    binary rows (`ones` lists their set bits) a screen picks the clusters
+    Each distinct binary row is solved once; `row_of` maps points to rows
+    and `ones` lists each row's set bits. A screen picks the clusters
     whose distance can be the least. The estimate |c|^2 + sum over set
     bits of (1 - 2c_i) equals the distance in exact arithmetic. With every
     component in [0, 1], the rounding of the estimate and of the
@@ -145,25 +127,21 @@ def _assign(rows: list[Centroid], ones: list[list[int]] | None,
     it, those are compared on exact-order distances. The estimate stands
     in for the distance of a cluster that is alone in the band.
     """
-    k = len(centroids)
-    if ones is not None:
-        band = 16 * (len(centroids[0]) + 2) ** 2 * 2.0 ** -53
-        base = [reduce(add, [c * c for c in cent], 0.0) for cent in centroids]
-        steps = [[1.0 - 2.0 * c for c in column] for column in zip(*centroids)]
+    band = 16 * (len(centroids[0]) + 2) ** 2 * 2.0 ** -53
+    base = [reduce(add, [c * c for c in cent], 0.0) for cent in centroids]
+    steps = [[1.0 - 2.0 * c for c in column] for column in zip(*centroids)]
     nearest, nearest_d = [], []
-    for r, row in enumerate(rows):
-        candidates = range(k)
-        if ones is not None:
-            est = base
-            for i in ones[r]:
-                est = map(add, est, steps[i])
-            est = list(est)
-            least = min(est)
-            candidates = [j for j, e in enumerate(est) if e <= least + band]
-            if len(candidates) == 1:
-                nearest.append(candidates[0])
-                nearest_d.append(least)
-                continue
+    for row, bits in zip(rows, ones):
+        est = base
+        for i in bits:
+            est = map(add, est, steps[i])
+        est = list(est)
+        least = min(est)
+        candidates = [j for j, e in enumerate(est) if e <= least + band]
+        if len(candidates) == 1:
+            nearest.append(candidates[0])
+            nearest_d.append(least)
+            continue
         d = {j: _distance(row, centroids[j]) for j in candidates}
         best = min(d, key=d.__getitem__)  # the first, so the lowest index
         nearest.append(best)
@@ -204,7 +182,8 @@ def _means_with_repair(X: list[Centroid], assign: list[int],
 
 def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
            max_iter: int = 100) -> Clustering:
-    """Cluster binary interest vectors into k groups.
+    """Cluster binary interest vectors into k groups; a vector with any
+    other component raises NonBinaryVector.
 
     Initial centroids are k distinct vectors sampled without replacement by
     a generator seeded with `seed` (candidates ordered by first appearance
@@ -223,9 +202,11 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
     ids = sorted(points)
     vectors = [tuple(points[i]) for i in ids]
     n = len(vectors[0])
-    for v in vectors:
+    for node, v in zip(ids, vectors):
         if len(v) != n:
             raise LengthMismatch(n, len(v))
+        if not all(c in (0, 1) for c in v):
+            raise NonBinaryVector(node)
 
     distinct = list(dict.fromkeys(vectors))
     if k > len(distinct):
@@ -238,9 +219,7 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
     row_of = [position[v] for v in vectors]
     centroids = [rows[i] for i in chosen]
     X = [rows[r] for r in row_of]
-    ones = None
-    if all(c in (0.0, 1.0) for row in rows for c in row):
-        ones = [[i for i, c in enumerate(row) if c] for row in rows]
+    ones = [[i for i, c in enumerate(row) if c] for row in rows]
 
     assign, err = _assign(rows, ones, row_of, centroids)
     history = [err]

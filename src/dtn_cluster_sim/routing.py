@@ -14,13 +14,16 @@ duplicate suppression is the engine's, which offers a message only to
 peers absent from its receipt log.
 
 Buffers hold a bounded number of messages and evict the longest-stored
-entry first (drop-oldest).
+entry first (drop-oldest). Every copy of a message is the same `Message`;
+what differs between copies, the receipt time and the hop count, is in
+the buffer entry that holds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class DuplicateMessage(ValueError):
@@ -37,8 +40,8 @@ class ForwardDecision(Enum):
 
 @dataclass(frozen=True)
 class Message:
-    """One unit of dissemination. Copies count their hops from the source;
-    the id identifies the logical message across all copies."""
+    """One unit of dissemination, shared by every copy of it. A copy's hop
+    count from the source lives in its buffer entry."""
 
     id: int
     source: int
@@ -46,7 +49,6 @@ class Message:
     created_at: float
     destination_group: frozenset[int]
     final_destination: int | None = None
-    hop_count: int = 0
 
     def __post_init__(self):
         if self.category < 1:
@@ -55,22 +57,22 @@ class Message:
                 and self.final_destination not in self.destination_group):
             raise ValueError("final destination must belong to the group")
 
-    def hand_to(self) -> "Message":
-        """The copy a peer receives: one more hop."""
-        return replace(self, hop_count=self.hop_count + 1)
 
+class BufferEntry(NamedTuple):
+    """One stored copy. Tuple order is the exchange order: ascending
+    received_at, ties by message id, which is unique within a buffer."""
 
-@dataclass
-class BufferEntry:
-    message: Message
     received_at: float
+    message_id: int
+    hops: int
+    message: Message
 
 
 class Buffer:
     """Per-node message store with drop-oldest eviction.
 
-    capacity counts messages; None means unlimited. "Oldest" is storage
-    age at this node (received_at), ties broken by smaller message id.
+    capacity counts messages; None means unlimited. The oldest entry is
+    the first in exchange order.
     """
 
     def __init__(self, capacity: int | None = 50):
@@ -85,17 +87,16 @@ class Buffer:
     def __contains__(self, message_id: int) -> bool:
         return message_id in self._entries
 
-    def insert(self, message: Message, now: float) -> list[Message]:
-        """Store a copy received at `now`; returns evicted messages in
-        eviction order."""
+    def insert(self, message: Message, now: float, hops: int = 0) -> list[Message]:
+        """Store a copy received at `now`, `hops` hops from its source;
+        returns evicted messages in eviction order."""
         if message.id in self._entries:
             raise DuplicateMessage(message.id)
-        self._entries[message.id] = BufferEntry(message, now)
+        self._entries[message.id] = BufferEntry(now, message.id, hops, message)
         evicted = []
         while self.capacity is not None and len(self._entries) > self.capacity:
-            victim = min(self._entries.values(),
-                         key=lambda e: (e.received_at, e.message.id))
-            del self._entries[victim.message.id]
+            victim = min(self._entries.values())
+            del self._entries[victim.message_id]
             evicted.append(victim.message)
         return evicted
 
@@ -109,9 +110,8 @@ class Buffer:
         return dead
 
     def in_exchange_order(self) -> list[BufferEntry]:
-        """Entries by ascending received_at, ties by message id."""
-        return sorted(self._entries.values(),
-                      key=lambda e: (e.received_at, e.message.id))
+        """Entries in exchange order, the natural order of BufferEntry."""
+        return sorted(self._entries.values())
 
 
 def interest_cluster_transfer(message: Message, peer: int,

@@ -23,7 +23,9 @@ got which message and when. A message is offered only to peers absent
 from it, so no node receives a message twice. A record's forward count
 and final-destination receipt are read off the log at the end; only
 the first group receipt is noted as it happens, with the hop count of
-the copy that made it.
+the copy that made it. Every copy of a message is one shared `Message`;
+a copy's hop count lives in its buffer entry, and a forward stores the
+carrier's count plus one.
 
 Exchanges run in passes over contacts in ascending (a, b) order. A
 contact above the one that just forwarded is taken later in the same
@@ -163,7 +165,7 @@ class SimResult:
 
 
 def _scenario_nodes(scenario: Scenario) -> list[int]:
-    return sorted(set(scenario.trace.nodes()) | {p.node for p in scenario.profiles})
+    return sorted(set(scenario.trace.nodes) | {p.node for p in scenario.profiles})
 
 
 def build_schedule(scenario: Scenario) -> list[ScheduledCreation]:
@@ -294,13 +296,13 @@ def run(scenario: Scenario) -> SimResult:
         if rc.ttl is not None:
             counts.expired += len(buffers[node].purge_expired(t, rc.ttl))
 
-    def note_receipt(msg: Message, node: int, t: float):
+    def note_receipt(msg: Message, node: int, t: float, hops: int):
         nonlocal tick
         tick += 1
         gained[node] = tick
         first_receipts[msg.id][node] = t
         if node in msg.destination_group and msg.id not in delivered:
-            delivered[msg.id] = (node, t, msg.hop_count)
+            delivered[msg.id] = (node, t, hops)
 
     def exchange(a: int, b: int, t: float) -> int:
         """Both directions of one contact; returns accepted transfers."""
@@ -320,9 +322,9 @@ def run(scenario: Scenario) -> SimResult:
                 else:
                     decision = interest_cluster_transfer(msg, peer, rc.strict)
                 if decision is ForwardDecision.FORWARD:
-                    copy = msg.hand_to()
-                    note_receipt(copy, peer, t)
-                    counts.drops += len(buffers[peer].insert(copy, t))
+                    hops = entry.hops + 1
+                    note_receipt(msg, peer, t, hops)
+                    counts.drops += len(buffers[peer].insert(msg, t, hops))
                     counts.forwards += 1
                     forwards_here += 1
                     if pair in budget:
@@ -375,7 +377,7 @@ def run(scenario: Scenario) -> SimResult:
         elif rank == 1:
             msg = messages[info[0]]
             purge(msg.source, t)
-            note_receipt(msg, msg.source, t)
+            note_receipt(msg, msg.source, t, 0)
             counts.drops += len(buffers[msg.source].insert(msg, t))
             sweep(t, incident[msg.source])
         else:

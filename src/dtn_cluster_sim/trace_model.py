@@ -93,10 +93,7 @@ class ContactTrace:
     events: tuple[ContactEvent, ...]
     duration: float
     node_count: int
-
-    def nodes(self) -> list[int]:
-        """Distinct node ids appearing in the events, ascending."""
-        return sorted({n for e in self.events for n in (e.a, e.b)})
+    nodes: tuple[int, ...]  # distinct ids appearing in the events, ascending
 
 
 @dataclass(frozen=True)
@@ -189,14 +186,15 @@ def _assemble(by_pair: dict[tuple[int, int], list[tuple[float, float]]],
     elif duration < max_end:
         raise InvalidParams("duration", f"{duration} < last contact end {max_end}")
 
-    distinct = len({n for pair in by_pair for n in pair})
+    nodes = tuple(sorted({n for pair in by_pair for n in pair}))
     if node_count is None:
-        node_count = distinct
-    elif node_count < distinct:
-        raise InvalidParams("node_count", f"{node_count} < {distinct} distinct ids")
+        node_count = len(nodes)
+    elif node_count < len(nodes):
+        raise InvalidParams("node_count", f"{node_count} < {len(nodes)} distinct ids")
 
     return ContactTrace(events=tuple(map(ContactEvent._make, events)),
-                        duration=float(duration), node_count=node_count)
+                        duration=float(duration), node_count=node_count,
+                        nodes=nodes)
 
 
 def build_trace(raw_events: Iterable[tuple[float, float, int, int]],
@@ -434,7 +432,7 @@ def generate_synthetic_trace(params: SyntheticParams,
 def validate_scenario(trace: ContactTrace,
                       profiles: Iterable[InterestProfile]) -> ScenarioReport:
     """Report node ids in the trace without a profile and vice versa."""
-    trace_nodes = set(trace.nodes())
+    trace_nodes = set(trace.nodes)
     profile_nodes = {p.node for p in profiles}
     return ScenarioReport(
         missing_profile=tuple(sorted(trace_nodes - profile_nodes)),

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the library paths they check:
 earliest arrival is a fixpoint relaxation directly over contact
-intervals, the clustering optimum enumerates every set partition, the
+intervals, the clustering optimum enumerates every set partition (by a
+plain left-to-right squared distance), the
 reference k-means is the vectorised numpy implementation the library's
 pure-Python one must reproduce exactly, and the reference trace
 normalization merges each pair's intervals and sorts with an explicit key.
@@ -66,13 +67,18 @@ def _partitions_into(items: list, k: int):
                 yield [block] + sub
 
 
+def squared_distance(p, q) -> float:
+    """Sum of componentwise squared differences."""
+    return sum((x - y) ** 2 for x, y in zip(p, q, strict=True))
+
+
 def partition_sse(blocks: list[list[tuple]]) -> float:
     total = 0.0
     for block in blocks:
         n = len(block[0])
         mean = [sum(vec[i] for vec in block) / len(block) for i in range(n)]
         for vec in block:
-            total += sum((vec[i] - mean[i]) ** 2 for i in range(n))
+            total += squared_distance(vec, mean)
     return total
 
 

@@ -14,14 +14,14 @@ from scipy.stats import spearmanr
 
 from dtn_cluster_sim.cli import parse_config, run_sweep
 from dtn_cluster_sim.clustering import (kmeans, points_of, resolve_group_exact,
-                                        resolve_group_kmeans, squared_distance)
+                                        resolve_group_kmeans)
 from dtn_cluster_sim.metrics import build_report, per_message_csv
 from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig, run)
 from dtn_cluster_sim.trace_model import (InterestProfile, SyntheticParams,
                                          generate_synthetic_trace,
                                          parse_contact_trace)
 
-from oracles import best_partition_sse, earliest_arrival
+from oracles import best_partition_sse, earliest_arrival, squared_distance
 
 
 def ok(n: int, text: str):

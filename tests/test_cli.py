@@ -282,12 +282,13 @@ class TestMainEntry:
 
     def test_gen_trace_outputs_parse_back(self, tmp_path, capsys):
         path = synthetic_config(tmp_path)
-        assert main(["gen-trace", "--config", str(path),
+        assert main(["gen-trace", "--config", str(path), "--categories", "5",
                      "--out", str(tmp_path / "gen")]) == 0
         trace = parse_contact_trace((tmp_path / "gen" / "trace.txt").read_text())
         assert trace.node_count == 8
         profile_lines = (tmp_path / "gen" / "profiles.txt").read_text().splitlines()
         assert len(profile_lines) == 8
+        assert all(len(line.split()) == 1 + 5 for line in profile_lines)
 
     @pytest.mark.parametrize("change, named", [
         ({"strict": "false"}, "strict"),
@@ -356,6 +357,28 @@ class TestMainEntry:
         path = write_config(tmp_path)
         assert main(["gen-trace", "--config", str(path),
                      "--out", str(tmp_path / "gen")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "validate", "gen-trace"])
+    def test_non_integer_categories_exit_2(self, tmp_path, capsys, command):
+        path = synthetic_config(tmp_path)
+        code = main([command, "--config", str(path), "--categories", "1,a",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--categories" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/x"])
+    @pytest.mark.parametrize("command", ["run", "gen-trace"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
+                                                    command, out):
+        path = synthetic_config(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / out)])
+        assert code == 2
+        assert f"output directory {tmp_path / out}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 class TestRunConfigHelpers:

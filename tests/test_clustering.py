@@ -4,58 +4,18 @@ import pytest
 
 from dtn_cluster_sim import clustering
 from dtn_cluster_sim.clustering import (CategoryOutOfRange, Clustering, EmptyInput,
-                                        LengthMismatch, TooFewDistinctPoints,
-                                        UnassignedPoint, dump_clustering, kmeans,
+                                        LengthMismatch, NonBinaryVector,
+                                        TooFewDistinctPoints, dump_clustering, kmeans,
                                         points_of, resolve_group_exact,
-                                        resolve_group_kmeans, squared_distance, sse)
+                                        resolve_group_kmeans)
 from dtn_cluster_sim.trace_model import InterestProfile
 
 from oracles import (best_partition_sse, numpy_assign, numpy_kmeans,
-                     numpy_means_with_repair)
+                     numpy_means_with_repair, squared_distance)
 
 
 def profiles_of(vectors: dict[int, tuple[int, ...]]) -> list[InterestProfile]:
     return [InterestProfile(node, vec) for node, vec in sorted(vectors.items())]
-
-
-class TestSquaredDistance:
-    def test_identity(self):
-        assert squared_distance((0, 1), (0, 1)) == 0.0
-
-    def test_symmetric_flip(self):
-        assert squared_distance((0, 1), (1, 0)) == 2.0
-
-    def test_fractional_centroid(self):
-        # (1 - 0.5)^2 + 0 + 0
-        assert squared_distance((1, 1, 0), (0.5, 1, 0)) == 0.25
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            squared_distance((0, 1), (0, 1, 1))
-
-
-class TestSse:
-    def test_single_point_single_cluster(self):
-        points = {4: (1, 0)}
-        c = kmeans(points, 1, seed=0)
-        assert sse(points, c) == 0.0
-
-    def test_two_points_one_centroid(self):
-        points = {0: (1, 0), 1: (0, 1)}
-        c = Clustering(k=1, centroids=((0.5, 0.5),), assignment={0: 0, 1: 0},
-                       iterations_used=0, sse_history=(), converged=True)
-        assert sse(points, c) == pytest.approx(1.0)
-
-    def test_pure_clusters_zero(self):
-        points = {0: (1, 0), 1: (1, 0), 2: (0, 1), 3: (0, 1)}
-        c = kmeans(points, 2, seed=5)
-        assert sse(points, c) == 0.0
-
-    def test_unassigned_point(self):
-        c = Clustering(k=1, centroids=((0.0,),), assignment={0: 0},
-                       iterations_used=0, sse_history=(), converged=True)
-        with pytest.raises(UnassignedPoint):
-            sse({0: (0,), 1: (1,)}, c)
 
 
 class TestKmeans:
@@ -100,6 +60,15 @@ class TestKmeans:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             kmeans({0: (1,)}, 0, seed=0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            kmeans({0: (0, 1), 1: (0, 1, 1)}, 1, seed=0)
+
+    def test_non_binary_vector(self):
+        with pytest.raises(NonBinaryVector) as err:
+            kmeans({0: (0, 1), 4: (2, 0), 5: (0, 7)}, 1, seed=0)
+        assert err.value.node_id == 4
 
     def test_sse_history_non_increasing(self):
         rng = random.Random(11)
@@ -154,18 +123,12 @@ class TestKmeans:
         assert p1 == p2
         assert c1.sse_history == c2.sse_history
 
-    def test_sse_matches_history_tail(self):
-        rng = random.Random(29)
-        points = {i: tuple(rng.randint(0, 1) for _ in range(6)) for i in range(45)}
-        c = kmeans(points, 4, seed=3)
-        assert sse(points, c) == pytest.approx(c.sse_history[-1], abs=1e-9)
-
 
 def reference_dataset(rng: random.Random):
     """Binary points with a dimension below 8, from 8 to 128 or above 128
     (the three branches of numpy's summation order); small and dense (many
-    duplicate rows and exact distance ties); or small integers, which take
-    no screen."""
+    duplicate rows and exact distance ties); or small integers, which
+    kmeans refuses."""
     shape = rng.choice(("short", "medium", "long", "dense", "dense", "integer"))
     if shape in ("dense", "integer"):
         m, n, p = rng.randint(2, 60), rng.randint(1, 4), 0.5
@@ -184,8 +147,9 @@ def reference_dataset(rng: random.Random):
 
 def test_matches_numpy_reference(monkeypatch):
     """Assignments, centroids, iterations and convergence equal the numpy
-    implementation's exactly; the objective history to 1e-9."""
-    exact_distances = 0
+    implementation's exactly; the objective history to 1e-9. Non-binary
+    points raise NonBinaryVector."""
+    exact_distances = refused = 0
     distance = clustering._distance
 
     def spy_distance(x, c):
@@ -197,6 +161,11 @@ def test_matches_numpy_reference(monkeypatch):
     rng = random.Random(2018)
     for trial in range(300):
         points, k, max_iter = reference_dataset(rng)
+        if any(c not in (0, 1) for vec in points.values() for c in vec):
+            with pytest.raises(NonBinaryVector):
+                kmeans(points, k, seed=trial, max_iter=max_iter)
+            refused += 1
+            continue
         got = kmeans(points, k, seed=trial, max_iter=max_iter)
         want = numpy_kmeans(points, k, seed=trial, max_iter=max_iter)
         assert got.centroids == want.centroids, trial
@@ -205,6 +174,7 @@ def test_matches_numpy_reference(monkeypatch):
         assert got.converged == want.converged, trial
         assert got.sse_history == pytest.approx(want.sse_history, rel=0, abs=1e-9)
     assert exact_distances >= 100  # near ties did reach the exact-order sums
+    assert refused
 
 
 def test_assign_breaks_exact_ties_like_numpy():

@@ -14,8 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the sweep demo's work directory inside tmp_path
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
+    # an empty TMPDIR of its own, apart from the working directory, so a
+    # temp file the demo leaves behind shows
+    tmp, work = tmp_path / "tmp", tmp_path / "work"
+    tmp.mkdir()
+    work.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp)}
+    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=work,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp.iterdir()) == []

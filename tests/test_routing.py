@@ -44,13 +44,22 @@ class TestEpidemic:
 
 class TestMessage:
     def test_path_defaults_to_source(self):
-        assert msg(source=4).hop_count == 0
+        # a copy stored without a hop count is the source's own: 0 hops
+        b = Buffer(capacity=None)
+        b.insert(msg(source=4), now=0.0)
+        assert [e.hops for e in b.in_exchange_order()] == [0]
 
     def test_hand_to_extends_path(self):
-        m = msg(source=4).hand_to()
-        assert m.hop_count == 1
-        assert m.hand_to().hop_count == 2
-        assert m.source == 4
+        # handing a copy on stores the carrier's hop count plus one, on the
+        # one shared Message
+        m = msg(source=4)
+        carrier, peer = Buffer(capacity=None), Buffer(capacity=None)
+        carrier.insert(m, now=0.0, hops=1)
+        (entry,) = carrier.in_exchange_order()
+        peer.insert(entry.message, now=1.0, hops=entry.hops + 1)
+        (copy,) = peer.in_exchange_order()
+        assert (copy.hops, copy.received_at) == (2, 1.0)
+        assert copy.message is m and copy.message.source == 4
 
     def test_final_destination_must_be_member(self):
         with pytest.raises(ValueError):
@@ -111,6 +120,15 @@ class TestBuffer:
         b.insert(msg(mid=1), now=2.0)
         b.insert(msg(mid=2), now=1.0)
         assert [e.message.id for e in b.in_exchange_order()] == [2, 1, 3]
+
+    def test_same_instant_entries_come_out_by_id(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            ids = rng.sample(range(50), 8)
+            b = Buffer(capacity=None)
+            for mid in ids:
+                b.insert(msg(mid=mid), now=3.0, hops=rng.randrange(4))
+            assert [e.message_id for e in b.in_exchange_order()] == sorted(ids)
 
     def test_purge_expired(self):
         b = Buffer(capacity=None)

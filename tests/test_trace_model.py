@@ -19,6 +19,7 @@ class TestParseTabular:
         assert len(trace.events) == 2
         assert trace.duration == 12.0
         assert trace.node_count == 3
+        assert trace.nodes == (1, 2, 3)
         assert trace.events[0] == ContactEvent(0.0, 10.0, 1, 2)
         assert trace.events[1] == ContactEvent(5.0, 12.0, 2, 3)
 
@@ -375,6 +376,7 @@ def test_build_and_parse_match_reference_normalization():
             assert [tuple(e) for e in trace.events] == events
             assert trace.duration == duration
             assert trace.node_count == node_count
+            assert trace.nodes == tuple(sorted({n for ev in events for n in ev[2:]}))
 
         by_pair: dict = {}
         for s, e, a, b in raw:
