@@ -35,7 +35,7 @@ assert parse_contact_trace(serialize_contact_trace(trace2)) == trace2
 print("\ncanonical form:")
 print(serialize_contact_trace(trace2))
 
-profiles = parse_interest_profiles("1 1 0\n2 0 1\n9 1 1\n", n_categories=2)
+profiles = parse_interest_profiles("1 1 0\n2 0 1\n9 1 1\n")
 print("profiles:")
 print(serialize_profiles(profiles))
 

@@ -7,9 +7,13 @@ point and lays the results out as:
 
     out/
       config.json            effective config echo (reproduces the sweep)
-      summary.csv            one row per run that succeeded; written last
+      summary.csv            one row per run that succeeded
       failures.csv           run_id,error per failed run (only if any failed)
       runs/n<cat>_s<seed>/   per_message.csv, clustering.txt (k-means mode)
+
+The earlier sweep's files go before the first point runs; `config.json`,
+`failures.csv` and `summary.csv` are written after the last, so a tree
+without `summary.csv` holds a sweep that did not finish.
 
 Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
 file that cannot be read or parsed.
@@ -29,8 +33,7 @@ from typing import get_args, get_type_hints
 
 from .clustering import dump_clustering
 from .metrics import build_report, per_message_csv, summary_header, summary_row
-from .sim_engine import (GROUP_MODES, ROUTER_KINDS, RouterConfig, Scenario,
-                         ScheduleConfig, run)
+from .sim_engine import RouterConfig, Scenario, ScheduleConfig, run
 from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
                           SyntheticParams, TraceError, generate_synthetic_trace,
                           parse_contact_trace, parse_interest_profiles,
@@ -169,7 +172,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     overrides = overrides or {}
     if overrides.get("seed") is not None:
         data["seeds"] = [overrides["seed"]]
-    for key in ("categories", "router", "mode", "strict", "out"):
+    for key in ("categories", "out"):
         if overrides.get(key) is not None:
             data[key] = overrides[key]
 
@@ -195,15 +198,6 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     return config
 
 
-def sniff_profile_arity(text: str) -> int:
-    """Interest-vector length implied by the first data line of a profile file."""
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            return len(stripped.split()) - 1
-    return 0
-
-
 def adapt_profiles(profiles: list[InterestProfile], n: int) -> list[InterestProfile]:
     """Fit profiles to a scenario with n categories: extra bits are cut,
     missing bits filled with zeros."""
@@ -224,8 +218,10 @@ def adapt_profiles(profiles: list[InterestProfile], n: int) -> list[InterestProf
 
 
 def _load_file_inputs(config: RunConfig):
-    """Parse the trace and profile files; a file that cannot be read or
-    parsed is a config error naming it."""
+    """Parse the trace and profile files (None for a synthetic config); a
+    file that cannot be read or parsed is a config error naming it."""
+    if config.synthetic is not None:
+        return None
     path = config.trace
     try:
         trace_text = Path(path).read_text(encoding="utf-8")
@@ -233,9 +229,7 @@ def _load_file_inputs(config: RunConfig):
         profiles: list[InterestProfile] = []
         if config.profiles is not None:
             path = config.profiles
-            profile_text = Path(path).read_text(encoding="utf-8")
-            arity = sniff_profile_arity(profile_text)
-            profiles = parse_interest_profiles(profile_text, arity)
+            profiles = parse_interest_profiles(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, TraceError, InvalidParams) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return trace, profiles
@@ -246,14 +240,13 @@ def _synthetic_params(config: RunConfig, n_categories: int) -> SyntheticParams:
 
 
 def build_scenario(config: RunConfig, n_categories: int, seed: int,
-                   file_inputs=None) -> Scenario:
-    """Materialize one sweep point."""
+                   file_inputs) -> Scenario:
+    """Materialize one sweep point from `_load_file_inputs(config)`."""
     if config.synthetic is not None:
         trace, profiles = generate_synthetic_trace(
             _synthetic_params(config, n_categories), seed)
     else:
-        trace, profiles = file_inputs if file_inputs is not None \
-            else _load_file_inputs(config)
+        trace, profiles = file_inputs
         profiles = adapt_profiles(profiles, n_categories)
     return Scenario(
         trace=trace,
@@ -278,21 +271,23 @@ def _output_dir(config: RunConfig) -> Path:
     return out
 
 
+def _clear_earlier_sweep(out: Path) -> None:
+    """Remove an earlier sweep's files from `out`; one that cannot be
+    removed is a config error naming it."""
+    try:
+        if (out / "runs").exists():
+            shutil.rmtree(out / "runs")
+        for name in ("config.json", "failures.csv", "summary.csv"):
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot clear an earlier sweep's output: {exc}") from exc
+
+
 def run_sweep(config: RunConfig) -> int:
     """Run every (n_categories, seed) pair and write the output tree."""
-    file_inputs = None
-    if config.synthetic is None:
-        file_inputs = _load_file_inputs(config)
-
+    file_inputs = _load_file_inputs(config)
     out = _output_dir(config)
-    # an earlier sweep's files; no summary.csv marks an unfinished sweep
-    if (out / "runs").exists():
-        shutil.rmtree(out / "runs")
-    (out / "summary.csv").unlink(missing_ok=True)
-    (out / "failures.csv").unlink(missing_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(config.effective(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+    _clear_earlier_sweep(out)
 
     rows = [summary_header()]
     failures: list[tuple[str, str]] = []
@@ -315,6 +310,9 @@ def run_sweep(config: RunConfig) -> int:
                 (run_dir / "clustering.txt").write_text(
                     dump_clustering(result.clustering), encoding="utf-8")
             rows.append(summary_row(report))
+    (out / "config.json").write_text(
+        json.dumps(config.effective(), sort_keys=True, indent=2) + "\n",
+        encoding="utf-8")
     if failures:
         with open(out / "failures.csv", "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
@@ -328,23 +326,16 @@ def _first_point(config: RunConfig) -> tuple[int, int]:
     return sorted(set(config.categories))[0], sorted(set(config.seeds))[0]
 
 
-def cmd_run(args) -> int:
-    config = parse_config(args.config, _overrides(args))
-    return run_sweep(config)
-
-
-def cmd_validate(args) -> int:
-    config = parse_config(args.config, _overrides(args))
+def cmd_validate(config: RunConfig) -> int:
     cat, seed = _first_point(config)
-    scenario = build_scenario(config, cat, seed)
+    scenario = build_scenario(config, cat, seed, _load_file_inputs(config))
     report = validate_scenario(scenario.trace, scenario.profiles)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
 
 
-def cmd_gen_trace(args) -> int:
-    config = parse_config(args.config, _overrides(args))
+def cmd_gen_trace(config: RunConfig) -> int:
     if config.synthetic is None:
         raise MissingRequired("synthetic")
     out = _output_dir(config)
@@ -361,33 +352,13 @@ def cmd_gen_trace(args) -> int:
 
 def _overrides(args) -> dict:
     categories = None
-    if getattr(args, "categories", None):
+    if args.categories:
         try:
             categories = [int(v) for v in args.categories.split(",") if v.strip()]
         except ValueError:
             raise ConfigError("--categories must be comma-separated integers, "
                               f"got {args.categories!r}") from None
-    return {
-        "seed": getattr(args, "seed", None),
-        "router": getattr(args, "router", None),
-        "mode": getattr(args, "mode", None),
-        "strict": True if getattr(args, "strict", None) else None,
-        "categories": categories,
-        "out": getattr(args, "out", None),
-    }
-
-
-def _add_common_flags(parser):
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="replace the seed sweep with this single seed")
-    parser.add_argument("--router", choices=ROUTER_KINDS, default=None)
-    parser.add_argument("--mode", choices=GROUP_MODES, default=None)
-    parser.add_argument("--strict", action="store_true", default=None,
-                        help="close the whole contact on the first non-member peer")
-    parser.add_argument("--categories", default=None,
-                        help="comma-separated category counts, e.g. 1,5,10")
-    parser.add_argument("--out", default=None, help="output directory")
+    return {"seed": args.seed, "categories": categories, "out": args.out}
 
 
 def main(argv=None) -> int:
@@ -396,16 +367,21 @@ def main(argv=None) -> int:
         description="Trace-driven simulator for interest-group message "
                     "dissemination in delay tolerant networks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("run", cmd_run),
+    for name, handler in (("run", run_sweep),
                           ("validate", cmd_validate),
                           ("gen-trace", cmd_gen_trace)):
         p = sub.add_parser(name)
-        _add_common_flags(p)
+        p.add_argument("--config", required=True, help="JSON config file")
+        p.add_argument("--seed", type=int, default=None,
+                       help="replace the seed sweep with this single seed")
+        p.add_argument("--categories", default=None,
+                       help="comma-separated category counts, e.g. 1,5,10")
+        p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(handler=handler)
 
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(parse_config(args.config, _overrides(args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

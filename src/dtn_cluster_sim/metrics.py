@@ -14,14 +14,11 @@ Conventions, chosen so rows are auditable and byte-stable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 from .sim_engine import DeliveryRecord, SimResult
 
-SUMMARY_COLUMNS = ("run_id,router,mode,strict,n_categories,k_clusters,seed,"
-                   "created,delivered,delivery_ratio,avg_delay,avg_hops,"
-                   "avg_cost,resource_used")
 PER_MESSAGE_COLUMNS = ("message_id,source,category,created_at,group_size,"
                        "group_delivered_at,first_receiver,hops,forwards_total,"
                        "final_delivered_at")
@@ -129,36 +126,26 @@ def _opt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _fixed(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
 def _time(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
 def summary_header() -> str:
-    return SUMMARY_COLUMNS
+    """`summary.csv` columns: the report's field names, in order."""
+    return ",".join(f.name for f in fields(MetricsReport))
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return _opt(value)
 
 
 def summary_row(report: MetricsReport) -> str:
-    fields = [
-        report.run_id,
-        report.router,
-        report.mode,
-        "true" if report.strict else "false",
-        str(report.n_categories),
-        _opt(report.k_clusters),
-        str(report.seed),
-        str(report.created),
-        str(report.delivered),
-        _fixed(report.delivery_ratio),
-        _fixed(report.avg_delay),
-        _fixed(report.avg_hops),
-        _fixed(report.avg_cost),
-        _fixed(report.resource_used),
-    ]
-    return ",".join(fields)
+    """One `summary.csv` row: one cell per report field."""
+    return ",".join(map(_cell, astuple(report)))
 
 
 def per_message_csv(records: Sequence[DeliveryRecord]) -> str:

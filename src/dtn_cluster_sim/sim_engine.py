@@ -27,11 +27,12 @@ the copy that made it. Every copy of a message is one shared `Message`;
 a copy's hop count lives in its buffer entry, and a forward stores the
 carrier's count plus one.
 
-Exchanges run in passes over contacts in ascending (a, b) order. A
-contact above the one that just forwarded is taken later in the same
-pass, one below it in the next pass. That is the order of repeating full
-ascending passes until one moves nothing, so order-sensitive outcomes
-(evictions, budgets, strict closes, hop counts) are those of such passes.
+Exchanges run in passes over contacts in ascending (a, b) order, and
+the worklist key is (pass, pair). A contact above the one that just
+forwarded is queued with the same pass, one below it with the next pass.
+That is the order of repeating full ascending passes until one moves
+nothing, so order-sensitive outcomes (evictions, budgets, strict closes,
+hop counts) are those of such passes.
 
 Everything is a pure function of the Scenario (including its seed): two
 runs of the same scenario produce identical results, byte for byte once
@@ -340,25 +341,22 @@ def run(scenario: Scenario) -> SimResult:
         gains a message meanwhile, until no contact can move one. The skip
         rule and the pass order are those of the module docstring; a pair
         pushed twice is skipped the second time by the same rule."""
-        heap = sorted(pairs)
+        heap = [(0, pair) for pair in sorted(pairs)]
         while heap:
-            next_pass = set()
-            while heap:
-                pair = heappop(heap)
-                a, b = pair
-                if (budget.get(pair, 1) <= 0
-                        or exchanged.get(pair, -1) >= max(gained[a], gained[b])
-                        or not (buffers[a] or buffers[b])):
-                    continue
-                moved = exchange(a, b, t)
-                exchanged[pair] = tick
-                if moved:
-                    for other in incident[a] | incident[b]:
-                        if other > pair:
-                            heappush(heap, other)
-                        elif other < pair:
-                            next_pass.add(other)
-            heap = sorted(next_pass)
+            sweep_pass, pair = heappop(heap)
+            a, b = pair
+            if (budget.get(pair, 1) <= 0
+                    or exchanged.get(pair, -1) >= max(gained[a], gained[b])
+                    or not (buffers[a] or buffers[b])):
+                continue
+            moved = exchange(a, b, t)
+            exchanged[pair] = tick
+            if moved:
+                for other in incident[a] | incident[b]:
+                    if other > pair:
+                        heappush(heap, (sweep_pass, other))
+                    elif other < pair:
+                        heappush(heap, (sweep_pass + 1, other))
 
     events: list[tuple[float, int, tuple[int, ...]]] = []
     for t_start, t_end, a, b in scenario.trace.events:

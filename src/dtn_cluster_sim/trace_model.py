@@ -326,9 +326,14 @@ def serialize_contact_trace(trace: ContactTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_interest_profiles(text: str, n_categories: int) -> list[InterestProfile]:
-    """Parse `node_id bit_1 ... bit_n` lines into profiles, sorted by node id."""
+def parse_interest_profiles(text: str) -> list[InterestProfile]:
+    """Parse `node_id bit_1 ... bit_n` lines into profiles, sorted by node id.
+
+    The first data line fixes n; a later line with another bit count is a
+    `WrongArity` naming that line. Text with no data lines gives [].
+    """
     profiles: dict[int, InterestProfile] = {}
+    arity = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -340,8 +345,10 @@ def parse_interest_profiles(text: str, n_categories: int) -> list[InterestProfil
             raise MalformedLine(line_no, "unparsable node id") from None
         if node < 0:
             raise MalformedLine(line_no, "negative node id")
-        if len(fields) - 1 != n_categories:
-            raise WrongArity(line_no, n_categories, len(fields) - 1)
+        if arity is None:
+            arity = len(fields) - 1
+        elif len(fields) - 1 != arity:
+            raise WrongArity(line_no, arity, len(fields) - 1)
         bits = []
         for field in fields[1:]:
             if field not in ("0", "1"):

@@ -11,7 +11,7 @@ import pytest
 import dtn_cluster_sim
 from dtn_cluster_sim.cli import (ConflictingSources, ConfigError, MissingRequired,
                                  RunConfig, UnknownKey, adapt_profiles, main,
-                                 parse_config, run_sweep, sniff_profile_arity)
+                                 parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
 from dtn_cluster_sim.trace_model import InterestProfile, parse_contact_trace
 
@@ -78,14 +78,9 @@ class TestParseConfig:
         config = parse_config(path, {"seed": 7})
         assert config.seeds == [7]
 
-    def test_categories_and_router_overrides(self, tmp_path):
-        config = parse_config(write_config(tmp_path),
-                              {"categories": [1, 5], "router": "epidemic",
-                               "mode": "kmeans", "strict": True})
+    def test_categories_override(self, tmp_path):
+        config = parse_config(write_config(tmp_path), {"categories": [1, 5]})
         assert config.categories == [1, 5]
-        assert config.router == "epidemic"
-        assert config.mode == "kmeans"
-        assert config.strict is True
 
     def test_unknown_key(self, tmp_path):
         path = write_config(tmp_path, bogus=1)
@@ -119,10 +114,6 @@ class TestParseConfig:
 
 
 class TestProfileAdaptation:
-    def test_sniff_arity(self):
-        assert sniff_profile_arity(PROFILE_TEXT) == 3
-        assert sniff_profile_arity("# only comments\n") == 0
-
     def test_truncate(self):
         profiles = [InterestProfile(1, (1, 0, 1))]
         assert adapt_profiles(profiles, 2)[0].interests == (1, 0)
@@ -224,6 +215,7 @@ class TestRunSweep:
         out = tmp_path / "out"
         out.mkdir()
         (out / "summary.csv").write_text(summary_header() + "\nfrom an earlier sweep\n")
+        (out / "config.json").write_text('{"categories": [7]}\n')
         # each point replays ~20k contacts, so the sweep is still at its
         # second point when the first point's files appear
         path = synthetic_config(tmp_path, categories=[3], seeds=list(range(1, 13)),
@@ -245,7 +237,25 @@ class TestRunSweep:
             proc.wait()
         assert first.exists()
         assert not (out / "summary.csv").exists()
+        assert not (out / "config.json").exists()
         assert not (out / "runs" / "n3_s12").exists()
+
+    @pytest.mark.parametrize("stale", ["runs", "summary.csv"])
+    def test_earlier_output_that_cannot_be_cleared_exits_2(self, tmp_path, capsys,
+                                                           stale):
+        # a file where the sweep needs a directory, or the reverse
+        out = tmp_path / "out"
+        out.mkdir()
+        if stale == "runs":
+            (out / stale).write_text("not a directory\n")
+        else:
+            (out / stale).mkdir()
+        code = main(["run", "--config", str(synthetic_config(tmp_path)),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(out / stale) in err
+        assert "Traceback" not in err
 
     def test_missing_out(self, tmp_path):
         config = parse_config(write_config(tmp_path))
@@ -352,6 +362,18 @@ class TestMainEntry:
         echo = json.loads((tmp_path / "out" / "config.json").read_text())
         assert echo["threshold"] == 1.0 and isinstance(echo["threshold"], float)
         assert echo["ttl"] == 600.0 and isinstance(echo["ttl"], float)
+
+    @pytest.mark.parametrize("flag", [["--router", "epidemic"], ["--mode", "kmeans"],
+                                      ["--strict"]])
+    @pytest.mark.parametrize("command", ["run", "validate", "gen-trace"])
+    def test_config_keys_are_not_flags(self, tmp_path, capsys, command, flag):
+        path = synthetic_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                  *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gen_trace_needs_synthetic(self, tmp_path):
         path = write_config(tmp_path)

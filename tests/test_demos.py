@@ -1,5 +1,6 @@
-"""Each demo script runs to completion; the demos assert their own
-round trips, so a change that breaks one fails here."""
+"""Each demo script, and the README's library quickstart, runs to
+completion; the demos assert their own round trips, so a change that
+breaks one fails here."""
 
 import os
 import subprocess
@@ -24,3 +25,14 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(tmp.iterdir()) == []
+
+
+def test_readme_library_quickstart_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quickstart (library)\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "\ndemo,cluster,exact,false,2," in proc.stdout

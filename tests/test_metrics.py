@@ -206,6 +206,13 @@ class TestSerialization:
         assert float(parsed["created_at"]) == rec.created_at
         assert float(parsed["group_delivered_at"]) == rec.group_delivered_at
 
+    def test_summary_header_is_the_documented_contract(self):
+        # derived from MetricsReport's field names, so a renamed field
+        # shows here
+        assert summary_header() == (
+            "run_id,router,mode,strict,n_categories,k_clusters,seed,created,"
+            "delivered,delivery_ratio,avg_delay,avg_hops,avg_cost,resource_used")
+
     def test_empty_records_header_only(self):
         assert per_message_csv([]).splitlines() == [
             "message_id,source,category,created_at,group_size,group_delivered_at,"

@@ -199,31 +199,38 @@ class TestRoundTrip:
 
 class TestParseProfiles:
     def test_basic(self):
-        profiles = parse_interest_profiles("7 0 1\n9 1 0\n", 2)
+        profiles = parse_interest_profiles("7 0 1\n9 1 0\n")
         assert profiles == [InterestProfile(7, (0, 1)), InterestProfile(9, (1, 0))]
 
     def test_wrong_arity(self):
-        with pytest.raises(WrongArity) as err:
-            parse_interest_profiles("7 0 1 1\n", 2)
-        assert err.value.line_no == 1
+        """The first data line fixes the bit count; a later line that
+        differs is named."""
+        for text, named in (("7 0 1\n8 0 1 1\n", (2, 2, 3)),
+                            ("# hdr\n7 0 1 1\n\n8 0 1 1\n9 1\n", (5, 3, 1))):
+            with pytest.raises(WrongArity) as err:
+                parse_interest_profiles(text)
+            assert (err.value.line_no, err.value.expected, err.value.got) == named
+
+    def test_only_comments_parse_to_nothing(self):
+        assert parse_interest_profiles("# only comments\n\n#7 0 1\n") == []
 
     def test_non_binary(self):
         with pytest.raises(NonBinaryValue) as err:
-            parse_interest_profiles("7 0 2\n", 2)
+            parse_interest_profiles("7 0 2\n")
         assert err.value.line_no == 1
 
     def test_duplicate_node(self):
         with pytest.raises(DuplicateNode) as err:
-            parse_interest_profiles("7 0 1\n7 1 0\n", 2)
+            parse_interest_profiles("7 0 1\n7 1 0\n")
         assert err.value.node_id == 7
 
     def test_comments_and_sorting(self):
-        profiles = parse_interest_profiles("# hdr\n9 1\n7 0\n", 1)
+        profiles = parse_interest_profiles("# hdr\n9 1\n7 0\n")
         assert [p.node for p in profiles] == [7, 9]
 
     def test_profile_round_trip(self):
-        profiles = parse_interest_profiles("7 0 1\n9 1 0\n", 2)
-        assert parse_interest_profiles(serialize_profiles(profiles), 2) == profiles
+        profiles = parse_interest_profiles("7 0 1\n9 1 0\n")
+        assert parse_interest_profiles(serialize_profiles(profiles)) == profiles
 
 
 class TestSynthetic:
