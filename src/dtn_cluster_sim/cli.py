@@ -11,8 +11,9 @@ point and lays the results out as:
       failures.csv           run_id,error per failed run (only if any failed)
       runs/n<cat>_s<seed>/   per_message.csv, clustering.txt (k-means mode)
 
-The earlier sweep's files go before the first point runs; `config.json`,
-`failures.csv` and `summary.csv` are written after the last, so a tree
+The earlier sweep's files go before the first point runs. Run directories
+are written under `runs.partial/`, which becomes `runs/` after the last
+point; `config.json`, `failures.csv` and `summary.csv` follow, so a tree
 without `summary.csv` holds a sweep that did not finish.
 
 Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
+import os
 import shutil
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -39,9 +40,6 @@ from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
                           parse_contact_trace, parse_interest_profiles,
                           serialize_contact_trace, serialize_profiles,
                           validate_scenario)
-
-log = logging.getLogger(__name__)
-
 
 class ConfigError(ValueError):
     pass
@@ -198,28 +196,10 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     return config
 
 
-def adapt_profiles(profiles: list[InterestProfile], n: int) -> list[InterestProfile]:
-    """Fit profiles to a scenario with n categories: extra bits are cut,
-    missing bits filled with zeros."""
-    out = []
-    changed = False
-    for p in profiles:
-        bits = p.interests
-        if len(bits) > n:
-            bits = bits[:n]
-            changed = True
-        elif len(bits) < n:
-            bits = bits + (0,) * (n - len(bits))
-            changed = True
-        out.append(InterestProfile(p.node, bits))
-    if changed:
-        log.info("profiles adapted to %d categories (truncate/zero-pad)", n)
-    return out
-
-
 def _load_file_inputs(config: RunConfig):
     """Parse the trace and profile files (None for a synthetic config); a
-    file that cannot be read or parsed is a config error naming it."""
+    file that cannot be read or parsed, or a profile file with fewer bits
+    than the largest category count, is a config error naming it."""
     if config.synthetic is not None:
         return None
     path = config.trace
@@ -232,6 +212,10 @@ def _load_file_inputs(config: RunConfig):
             profiles = parse_interest_profiles(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, TraceError, InvalidParams) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    n = max(config.categories)
+    if profiles and len(profiles[0].interests) < n:
+        raise ConfigError(f"{path}: profiles have {len(profiles[0].interests)} bits, "
+                          f"fewer than the {n} categories of the sweep")
     return trace, profiles
 
 
@@ -247,7 +231,8 @@ def build_scenario(config: RunConfig, n_categories: int, seed: int,
             _synthetic_params(config, n_categories), seed)
     else:
         trace, profiles = file_inputs
-        profiles = adapt_profiles(profiles, n_categories)
+        profiles = [InterestProfile(p.node, p.interests[:n_categories])
+                    for p in profiles]
     return Scenario(
         trace=trace,
         profiles=tuple(profiles),
@@ -275,8 +260,9 @@ def _clear_earlier_sweep(out: Path) -> None:
     """Remove an earlier sweep's files from `out`; one that cannot be
     removed is a config error naming it."""
     try:
-        if (out / "runs").exists():
-            shutil.rmtree(out / "runs")
+        for name in ("runs", "runs.partial"):
+            if (out / name).exists():
+                shutil.rmtree(out / name)
         for name in ("config.json", "failures.csv", "summary.csv"):
             (out / name).unlink(missing_ok=True)
     except OSError as exc:
@@ -302,14 +288,16 @@ def run_sweep(config: RunConfig) -> int:
                 print(f"run {run_id} failed: {exc}", file=sys.stderr)
                 failures.append((run_id, str(exc)))
                 continue
-            run_dir = out / "runs" / run_id
-            run_dir.mkdir(parents=True, exist_ok=True)
+            run_dir = out / "runs.partial" / run_id
+            run_dir.mkdir(parents=True)
             (run_dir / "per_message.csv").write_text(
                 per_message_csv(result.records), encoding="utf-8")
             if result.clustering is not None:
                 (run_dir / "clustering.txt").write_text(
                     dump_clustering(result.clustering), encoding="utf-8")
             rows.append(summary_row(report))
+    if (out / "runs.partial").exists():
+        os.replace(out / "runs.partial", out / "runs")
     (out / "config.json").write_text(
         json.dumps(config.effective(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
@@ -339,6 +327,10 @@ def cmd_gen_trace(config: RunConfig) -> int:
     if config.synthetic is None:
         raise MissingRequired("synthetic")
     out = _output_dir(config)
+    points = len(set(config.categories)) * len(set(config.seeds))
+    if points > 1:
+        raise ConfigError(f"gen-trace writes one (categories, seeds) point, the config "
+                          f"has {points}; pick one with --categories and --seed")
     cat, seed = _first_point(config)
     trace, profiles = generate_synthetic_trace(_synthetic_params(config, cat), seed)
     trace_path = out / "trace.txt"

@@ -9,7 +9,8 @@ Conventions, chosen so rows are auditable and byte-stable:
     one interest group;
   * summary values print with 6 fixed decimals, per-message times print
     with full float precision so a parse recovers them exactly;
-  * absent optional values serialize as empty fields.
+  * a ratio or average with nothing to divide by (no messages, or none
+    delivered) is None, and absent values serialize as empty fields.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ PER_MESSAGE_COLUMNS = ("message_id,source,category,created_at,group_size,"
                        "final_delivered_at")
 
 
-class NoMessages(ValueError):
-    pass
-
-
-class NothingDelivered(ValueError):
-    pass
-
-
 class EmptyNetwork(ValueError):
     pass
 
@@ -40,34 +33,34 @@ def _delivered(records: Sequence[DeliveryRecord]) -> list[DeliveryRecord]:
     return [r for r in records if r.group_delivered_at is not None]
 
 
-def delivery_ratio(records: Sequence[DeliveryRecord]) -> float:
+def delivery_ratio(records: Sequence[DeliveryRecord]) -> float | None:
     """Delivered messages over created messages."""
     if not records:
-        raise NoMessages("no records")
+        return None
     return len(_delivered(records)) / len(records)
 
 
-def avg_delay(records: Sequence[DeliveryRecord]) -> float:
+def avg_delay(records: Sequence[DeliveryRecord]) -> float | None:
     """Mean time from creation to first receipt by a group member."""
     delivered = _delivered(records)
     if not delivered:
-        raise NothingDelivered("no delivered records")
+        return None
     return sum(r.group_delivered_at - r.created_at for r in delivered) / len(delivered)
 
 
-def avg_hops(records: Sequence[DeliveryRecord]) -> float:
+def avg_hops(records: Sequence[DeliveryRecord]) -> float | None:
     """Mean hop count of the copy that first reached the group."""
     delivered = _delivered(records)
     if not delivered:
-        raise NothingDelivered("no delivered records")
+        return None
     return sum(r.hops_at_delivery for r in delivered) / len(delivered)
 
 
-def avg_cost(records: Sequence[DeliveryRecord]) -> float:
+def avg_cost(records: Sequence[DeliveryRecord]) -> float | None:
     """All forwards in the run divided by the number of delivered messages."""
     delivered = _delivered(records)
     if not delivered:
-        raise NothingDelivered("no delivered records")
+        return None
     return sum(r.forwards_total for r in records) / len(delivered)
 
 
@@ -99,7 +92,6 @@ class MetricsReport:
 def build_report(result: SimResult, run_id: str) -> MetricsReport:
     """Fold one simulation result into the summary metrics."""
     records = result.records
-    delivered = _delivered(records)
     sc = result.scenario
     union: set[int] = set()
     for members in result.groups_by_category.values():
@@ -113,11 +105,11 @@ def build_report(result: SimResult, run_id: str) -> MetricsReport:
         k_clusters=result.k_effective,
         seed=sc.seed,
         created=len(records),
-        delivered=len(delivered),
-        delivery_ratio=delivery_ratio(records) if records else None,
-        avg_delay=avg_delay(records) if delivered else None,
-        avg_hops=avg_hops(records) if delivered else None,
-        avg_cost=avg_cost(records) if delivered else None,
+        delivered=len(_delivered(records)),
+        delivery_ratio=delivery_ratio(records),
+        avg_delay=avg_delay(records),
+        avg_hops=avg_hops(records),
+        avg_cost=avg_cost(records),
         resource_used=resource_used(union, result.all_nodes),
     )
 

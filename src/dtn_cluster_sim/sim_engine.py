@@ -7,16 +7,15 @@ both endpoints the chance to hand over buffered messages. Transfers are
 instantaneous, so a message can cross several hops at one instant.
 
 After each contact start or message creation the engine sweeps to a
-fixpoint at that instant. It exchanges on the contact that just opened,
-or on the open contacts of the creating node, and then on every open
-contact of a node that gains a message, until no contact can move one.
-A contact whose two ends have gained nothing since its last exchange is
-skipped. Such an exchange would forward nothing: the receipt log only
-grows, buffers only lose entries between gains, budgets only fall, and
-the forwarding rules do not depend on the time. A contact whose two
-buffers are empty is skipped too, and is not stamped as exchanged: a
-buffer fills only through a receipt, which is a gain, so the stamp could
-not change a later skip.
+fixpoint at that instant. It queues the contact that just opened, or the
+open contacts of the creating node; whenever a node gains a message, it
+queues each other open contact of that node that is not queued yet. A
+contact that no gain has queued since its last exchange would forward
+nothing: the receipt log only grows, buffers only lose entries between
+gains, budgets only fall, and the forwarding rules do not depend on the
+time. A queued contact whose budget is spent or whose two buffers are
+empty is passed over; a buffer fills only through a gain, which queues
+the contact again.
 
 The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
@@ -32,7 +31,8 @@ the worklist key is (pass, pair). A contact above the one that just
 forwarded is queued with the same pass, one below it with the next pass.
 That is the order of repeating full ascending passes until one moves
 nothing, so order-sensitive outcomes (evictions, budgets, strict closes,
-hop counts) are those of such passes.
+hop counts) are those of such passes. A contact already queued would be
+queued again with the pass it already carries, so it is queued once.
 
 Everything is a pure function of the Scenario (including its seed): two
 runs of the same scenario produce identical results, byte for byte once
@@ -84,6 +84,9 @@ class RouterConfig:
             raise InvalidParams("buffer_capacity", "must be positive or None")
         if self.ttl is not None and self.ttl <= 0:
             raise InvalidParams("ttl", "must be positive or None")
+        budget = self.max_transfers_per_contact
+        if budget is not None and budget < 1:
+            raise InvalidParams("max_transfers_per_contact", "must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -288,27 +291,21 @@ def run(scenario: Scenario) -> SimResult:
     incident: dict[int, set[tuple[int, int]]] = {node: set() for node in universe}
     # transfers left on an open contact; 0 once spent or closed in strict mode
     budget: dict[tuple[int, int], int] = {}
-    # tick of each node's latest gain and of each open pair's latest exchange
-    tick = 0
-    gained: dict[int, int] = dict.fromkeys(universe, 0)
-    exchanged: dict[tuple[int, int], int] = {}
 
     def purge(node: int, t: float):
         if rc.ttl is not None:
             counts.expired += len(buffers[node].purge_expired(t, rc.ttl))
 
-    def note_receipt(msg: Message, node: int, t: float, hops: int):
-        nonlocal tick
-        tick += 1
-        gained[node] = tick
+    def receive(msg: Message, node: int, t: float, hops: int):
         first_receipts[msg.id][node] = t
         if node in msg.destination_group and msg.id not in delivered:
             delivered[msg.id] = (node, t, hops)
+        counts.drops += len(buffers[node].insert(msg, t, hops))
 
-    def exchange(a: int, b: int, t: float) -> int:
-        """Both directions of one contact; returns accepted transfers."""
+    def exchange(a: int, b: int, t: float) -> set[int]:
+        """Both directions of one contact; returns the ends that gained."""
         pair = (a, b)
-        forwards_here = 0
+        gainers = set()
         purge(a, t)
         purge(b, t)
         for carrier, peer in ((a, b), (b, a)):
@@ -317,46 +314,41 @@ def run(scenario: Scenario) -> SimResult:
                 if peer in first_receipts[msg.id]:
                     continue
                 if budget.get(pair, 1) <= 0:
-                    return forwards_here
+                    return gainers
                 if rc.kind == "epidemic":
                     decision = epidemic_decide(msg, peer)
                 else:
                     decision = interest_cluster_transfer(msg, peer, rc.strict)
                 if decision is ForwardDecision.FORWARD:
-                    hops = entry.hops + 1
-                    note_receipt(msg, peer, t, hops)
-                    counts.drops += len(buffers[peer].insert(msg, t, hops))
+                    receive(msg, peer, t, entry.hops + 1)
+                    gainers.add(peer)
                     counts.forwards += 1
-                    forwards_here += 1
                     if pair in budget:
                         budget[pair] -= 1
                 elif decision is ForwardDecision.CLOSE_CONNECTION:
                     budget[pair] = 0
                     counts.closes += 1
-                    return forwards_here
-        return forwards_here
+                    return gainers
+        return gainers
 
     def sweep(t: float, pairs):
-        """Exchange on `pairs`, and on the open contacts of every node that
-        gains a message meanwhile, until no contact can move one. The skip
-        rule and the pass order are those of the module docstring; a pair
-        pushed twice is skipped the second time by the same rule."""
+        """Exchange on `pairs`, and on the contacts that each gain queues,
+        until the queue is empty; the queue rule and the pass order are
+        those of the module docstring."""
         heap = [(0, pair) for pair in sorted(pairs)]
+        queued = set(pairs)
         while heap:
             sweep_pass, pair = heappop(heap)
+            queued.discard(pair)
             a, b = pair
-            if (budget.get(pair, 1) <= 0
-                    or exchanged.get(pair, -1) >= max(gained[a], gained[b])
-                    or not (buffers[a] or buffers[b])):
+            if budget.get(pair, 1) <= 0 or not (buffers[a] or buffers[b]):
                 continue
-            moved = exchange(a, b, t)
-            exchanged[pair] = tick
-            if moved:
-                for other in incident[a] | incident[b]:
-                    if other > pair:
-                        heappush(heap, (sweep_pass, other))
-                    elif other < pair:
-                        heappush(heap, (sweep_pass + 1, other))
+            for gainer in exchange(a, b, t):
+                for other in incident[gainer]:
+                    if other != pair and other not in queued:
+                        queued.add(other)
+                        heappush(heap, (sweep_pass if other > pair else sweep_pass + 1,
+                                        other))
 
     events: list[tuple[float, int, tuple[int, ...]]] = []
     for t_start, t_end, a, b in scenario.trace.events:
@@ -371,12 +363,10 @@ def run(scenario: Scenario) -> SimResult:
             for node in info:
                 incident[node].discard(info)
             budget.pop(info, None)
-            exchanged.pop(info, None)
         elif rank == 1:
             msg = messages[info[0]]
             purge(msg.source, t)
-            note_receipt(msg, msg.source, t, 0)
-            counts.drops += len(buffers[msg.source].insert(msg, t))
+            receive(msg, msg.source, t, 0)
             sweep(t, incident[msg.source])
         else:
             for node in info:

@@ -10,7 +10,7 @@ import pytest
 
 import dtn_cluster_sim
 from dtn_cluster_sim.cli import (ConflictingSources, ConfigError, MissingRequired,
-                                 RunConfig, UnknownKey, adapt_profiles, main,
+                                 RunConfig, UnknownKey, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
 from dtn_cluster_sim.trace_model import InterestProfile, parse_contact_trace
@@ -114,17 +114,31 @@ class TestParseConfig:
 
 
 class TestProfileAdaptation:
-    def test_truncate(self):
+    def test_truncate(self, tmp_path):
+        config = parse_config(write_config(tmp_path))
         profiles = [InterestProfile(1, (1, 0, 1))]
-        assert adapt_profiles(profiles, 2)[0].interests == (1, 0)
+        scenario = build_scenario(config, 2, 1, (None, profiles))
+        assert scenario.profiles[0].interests == (1, 0)
 
-    def test_pad_with_zeros(self):
+    def test_exact_fit_untouched(self, tmp_path):
+        config = parse_config(write_config(tmp_path))
         profiles = [InterestProfile(1, (1, 0))]
-        assert adapt_profiles(profiles, 4)[0].interests == (1, 0, 0, 0)
+        scenario = build_scenario(config, 2, 1, (None, profiles))
+        assert list(scenario.profiles) == profiles
 
-    def test_exact_fit_untouched(self):
-        profiles = [InterestProfile(1, (1, 0))]
-        assert adapt_profiles(profiles, 2) == profiles
+    @pytest.mark.parametrize("profiles, bits", [("0 1 0 1\n1 0 1 1\n", 3),
+                                                ("0\n1\n2\n", 0)],
+                             ids=["three_bits", "no_bits"])
+    def test_narrow_profile_file_exits_2(self, tmp_path, capsys, profiles, bits):
+        path = write_config(tmp_path, categories=[2, 4])
+        (tmp_path / "profiles.txt").write_text(profiles)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(tmp_path / "profiles.txt") in err
+        assert f"{bits} bits" in err and "4 categories" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunSweep:
@@ -221,7 +235,7 @@ class TestRunSweep:
         path = synthetic_config(tmp_path, categories=[3], seeds=list(range(1, 13)),
                                 synthetic={"node_count": 100, "duration": 20000.0,
                                            "contact_rate": 2e-4, "interest_prob": 0.3})
-        first = out / "runs" / "n3_s1" / "per_message.csv"
+        first = out / "runs.partial" / "n3_s1" / "per_message.csv"
         proc = subprocess.Popen(
             [sys.executable, "-m", "dtn_cluster_sim.cli", "run",
              "--config", str(path), "--out", str(out)],
@@ -238,7 +252,8 @@ class TestRunSweep:
         assert first.exists()
         assert not (out / "summary.csv").exists()
         assert not (out / "config.json").exists()
-        assert not (out / "runs" / "n3_s12").exists()
+        assert not (out / "runs").exists()
+        assert not (out / "runs.partial" / "n3_s12").exists()
 
     @pytest.mark.parametrize("stale", ["runs", "summary.csv"])
     def test_earlier_output_that_cannot_be_cleared_exits_2(self, tmp_path, capsys,
@@ -293,7 +308,7 @@ class TestMainEntry:
     def test_gen_trace_outputs_parse_back(self, tmp_path, capsys):
         path = synthetic_config(tmp_path)
         assert main(["gen-trace", "--config", str(path), "--categories", "5",
-                     "--out", str(tmp_path / "gen")]) == 0
+                     "--seed", "1", "--out", str(tmp_path / "gen")]) == 0
         trace = parse_contact_trace((tmp_path / "gen" / "trace.txt").read_text())
         assert trace.node_count == 8
         profile_lines = (tmp_path / "gen" / "profiles.txt").read_text().splitlines()
@@ -330,6 +345,8 @@ class TestMainEntry:
         ({"trace": "inf_end.txt"}, "inf_end.txt"),
         ({"trace": "nan_duration.txt"}, "nan_duration.txt"),
         ({"trace": "nan_down.txt", "trace_format": "one_events"}, "nan_down.txt"),
+        ({"max_transfers_per_contact": 0}, "max_transfers_per_contact"),
+        ({"max_transfers_per_contact": -3}, "max_transfers_per_contact"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
@@ -374,6 +391,14 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_gen_trace_needs_one_point(self, tmp_path, capsys):
+        path = synthetic_config(tmp_path)
+        assert main(["gen-trace", "--config", str(path), "--categories", "5",
+                     "--out", str(tmp_path / "gen")]) == 2
+        err = capsys.readouterr().err
+        assert "has 2" in err and "--categories" in err and "--seed" in err
+        assert not (tmp_path / "gen" / "trace.txt").exists()
 
     def test_gen_trace_needs_synthetic(self, tmp_path):
         path = write_config(tmp_path)

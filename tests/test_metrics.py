@@ -4,9 +4,8 @@ import io
 import pytest
 
 from dtn_cluster_sim.metrics import (PER_MESSAGE_COLUMNS, EmptyNetwork,
-                                     MetricsReport, NoMessages, NothingDelivered,
-                                     avg_cost, avg_delay, avg_hops, build_report,
-                                     delivery_ratio, per_message_csv,
+                                     MetricsReport, avg_cost, avg_delay, avg_hops,
+                                     build_report, delivery_ratio, per_message_csv,
                                      resource_used, summary_header, summary_row)
 from dtn_cluster_sim.sim_engine import (DeliveryRecord, RouterConfig, Scenario,
                                         ScheduleConfig, run)
@@ -31,8 +30,7 @@ class TestRatios:
         assert delivery_ratio(records) == 1.0
 
     def test_no_messages(self):
-        with pytest.raises(NoMessages):
-            delivery_ratio([])
+        assert delivery_ratio([]) is None
 
 
 class TestAvgDelay:
@@ -50,8 +48,7 @@ class TestAvgDelay:
         assert avg_delay(records) == 2.0
 
     def test_nothing_delivered(self):
-        with pytest.raises(NothingDelivered):
-            avg_delay([record()])
+        assert avg_delay([record()]) is None
 
 
 class TestAvgHops:
@@ -62,8 +59,7 @@ class TestAvgHops:
         assert avg_hops(records) == 1.0
 
     def test_nothing_delivered(self):
-        with pytest.raises(NothingDelivered):
-            avg_hops([record()])
+        assert avg_hops([record()]) is None
 
 
 class TestAvgCost:
@@ -77,8 +73,7 @@ class TestAvgCost:
         assert avg_cost([record(delivered=0.0, hops=0, forwards=0)]) == 0.0
 
     def test_nothing_delivered(self):
-        with pytest.raises(NothingDelivered):
-            avg_cost([record(forwards=3)])
+        assert avg_cost([record(forwards=3)]) is None
 
 
 class TestResourceUsed:
