@@ -198,8 +198,9 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
 
 def _load_file_inputs(config: RunConfig):
     """Parse the trace and profile files (None for a synthetic config); a
-    file that cannot be read or parsed, or a profile file with fewer bits
-    than the largest category count, is a config error naming it."""
+    file that cannot be read or parsed, or a profile file with no profiles
+    or with fewer bits than the largest category count, is a config error
+    naming it."""
     if config.synthetic is not None:
         return None
     path = config.trace
@@ -212,6 +213,8 @@ def _load_file_inputs(config: RunConfig):
             profiles = parse_interest_profiles(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, TraceError, InvalidParams) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if config.profiles is not None and not profiles:
+        raise ConfigError(f"{path}: no profile lines")
     n = max(config.categories)
     if profiles and len(profiles[0].interests) < n:
         raise ConfigError(f"{path}: profiles have {len(profiles[0].interests)} bits, "
@@ -243,14 +246,18 @@ def build_scenario(config: RunConfig, n_categories: int, seed: int,
     )
 
 
-def _output_dir(config: RunConfig) -> Path:
-    """The configured output directory, created if missing; a path that
-    cannot be a directory is a config error naming it."""
+def _output_dir(config: RunConfig, create: bool = True) -> Path:
+    """The configured output directory, created if missing when `create`;
+    a path that cannot be a directory is a config error naming it."""
     if config.out is None:
         raise MissingRequired("out")
     out = Path(config.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        nearest = next(p for p in (out, *out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise NotADirectoryError(f"{nearest} is not a directory")
+        if create:
+            out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
@@ -326,11 +333,12 @@ def cmd_validate(config: RunConfig) -> int:
 def cmd_gen_trace(config: RunConfig) -> int:
     if config.synthetic is None:
         raise MissingRequired("synthetic")
-    out = _output_dir(config)
     points = len(set(config.categories)) * len(set(config.seeds))
     if points > 1:
+        _output_dir(config, create=False)   # a bad --out is reported as such first
         raise ConfigError(f"gen-trace writes one (categories, seeds) point, the config "
                           f"has {points}; pick one with --categories and --seed")
+    out = _output_dir(config)
     cat, seed = _first_point(config)
     trace, profiles = generate_synthetic_trace(_synthetic_params(config, cat), seed)
     trace_path = out / "trace.txt"

@@ -13,14 +13,17 @@ The rules never see a peer that already holds or held the message:
 duplicate suppression is the engine's, which offers a message only to
 peers absent from its receipt log.
 
-Buffers hold a bounded number of messages and evict the longest-stored
-entry first (drop-oldest). Every copy of a message is the same `Message`;
-what differs between copies, the receipt time and the hop count, is in
-the buffer entry that holds it.
+A buffer is a log of entries in exchange order: by receipt time, ties by
+message id. It holds a bounded number of messages and evicts from the
+head of that log, the longest-stored entry first (drop-oldest); evicted
+and expired copies come back in exchange order. Every copy of a message
+is the same `Message`; what differs between copies, the receipt time and
+the hop count, is in the buffer entry that holds it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -69,49 +72,52 @@ class BufferEntry(NamedTuple):
 
 
 class Buffer:
-    """Per-node message store with drop-oldest eviction.
+    """Per-node message store with drop-oldest eviction, kept as one log
+    in exchange order.
 
     capacity counts messages; None means unlimited. The oldest entry is
-    the first in exchange order.
+    the head of the log. In a replay receipt times never decrease, so an
+    insert lands at the tail, or among the entries of its instant by id.
     """
 
     def __init__(self, capacity: int | None = 50):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: dict[int, BufferEntry] = {}
+        self._log: list[BufferEntry] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._log)
 
     def __contains__(self, message_id: int) -> bool:
-        return message_id in self._entries
+        return any(entry.message_id == message_id for entry in self._log)
 
     def insert(self, message: Message, now: float, hops: int = 0) -> list[Message]:
         """Store a copy received at `now`, `hops` hops from its source;
-        returns evicted messages in eviction order."""
-        if message.id in self._entries:
+        returns evicted messages in exchange order."""
+        if message.id in self:
             raise DuplicateMessage(message.id)
-        self._entries[message.id] = BufferEntry(now, message.id, hops, message)
-        evicted = []
-        while self.capacity is not None and len(self._entries) > self.capacity:
-            victim = min(self._entries.values())
-            del self._entries[victim.message_id]
-            evicted.append(victim.message)
-        return evicted
+        insort(self._log, BufferEntry(now, message.id, hops, message))
+        if self.capacity is None or len(self._log) <= self.capacity:
+            return []
+        evicted = self._log[:-self.capacity]
+        del self._log[:-self.capacity]
+        return [entry.message for entry in evicted]
 
     def purge_expired(self, now: float, ttl: float) -> list[Message]:
         """Drop entries whose message was created more than `ttl` before
-        `now`."""
-        dead = [e.message for e in self._entries.values()
-                if now - e.message.created_at > ttl]
-        for message in dead:
-            del self._entries[message.id]
+        `now`; returns them in exchange order."""
+        dead = [entry.message for entry in self._log
+                if now - entry.message.created_at > ttl]
+        if dead:
+            self._log = [entry for entry in self._log
+                         if now - entry.message.created_at <= ttl]
         return dead
 
     def in_exchange_order(self) -> list[BufferEntry]:
-        """Entries in exchange order, the natural order of BufferEntry."""
-        return sorted(self._entries.values())
+        """A copy of the log: entries in exchange order, the natural order
+        of BufferEntry."""
+        return self._log.copy()
 
 
 def interest_cluster_transfer(message: Message, peer: int,

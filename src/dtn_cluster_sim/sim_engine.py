@@ -116,14 +116,6 @@ class Scenario:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class ScheduledCreation:
-    id: int
-    time: float
-    source: int
-    category: int
-
-
 @dataclass
 class EventCounts:
     """Run totals. `expired` counts copies purged by TTL when their buffer
@@ -172,13 +164,13 @@ def _scenario_nodes(scenario: Scenario) -> list[int]:
     return sorted(set(scenario.trace.nodes) | {p.node for p in scenario.profiles})
 
 
-def build_schedule(scenario: Scenario) -> list[ScheduledCreation]:
-    """Fix every message's creation time, source and category.
+def build_schedule(scenario: Scenario) -> list[tuple[float, int, int]]:
+    """Fix every message's creation as a `(time, source, category)` triple;
+    a message's id is its position in the list.
 
-    Explicit entries are taken as given (ids in list order); generated
-    schedules draw sources uniformly from profile-bearing nodes and
-    categories uniformly over [1, n], all from a generator seeded with the
-    scenario seed.
+    Explicit entries are taken as given; generated schedules draw sources
+    uniformly from profile-bearing nodes and categories uniformly over
+    [1, n], all from a generator seeded with the scenario seed.
     """
     duration = scenario.trace.duration
     n = scenario.n_categories
@@ -186,17 +178,14 @@ def build_schedule(scenario: Scenario) -> list[ScheduledCreation]:
     cfg = scenario.schedule
 
     if cfg.explicit is not None:
-        out = []
-        for i, (t, source, category) in enumerate(cfg.explicit):
+        for t, source, category in cfg.explicit:
             if not 0.0 <= t <= duration:
                 raise InvalidParams("schedule", f"creation time {t} outside [0, {duration}]")
             if not 1 <= category <= n:
                 raise InvalidParams("schedule", f"category {category} outside [1, {n}]")
             if source not in universe:
                 raise InvalidParams("schedule", f"unknown source node {source}")
-            out.append(ScheduledCreation(id=i, time=float(t), source=source,
-                                         category=category))
-        return out
+        return [(float(t), source, category) for t, source, category in cfg.explicit]
 
     if cfg.count == 0:
         log.warning("empty message schedule: no messages will be created")
@@ -214,21 +203,17 @@ def build_schedule(scenario: Scenario) -> list[ScheduledCreation]:
                                 f"interval schedule ends at {times[-1]}, past {duration}")
     else:
         times = sorted(rng.uniform(0.0, duration) for _ in range(cfg.count))
-    out = []
-    for i, t in enumerate(times):
-        source = rng.choice(sources)
-        category = rng.randint(1, n)
-        out.append(ScheduledCreation(id=i, time=t, source=source, category=category))
-    return out
+    # source before category: the draw order is part of the seeded schedule
+    return [(t, rng.choice(sources), rng.randint(1, n)) for t in times]
 
 
 def _resolve_groups(scenario: Scenario):
-    """Destination set per category, plus the clustering snapshot when the
-    k-means mode is active."""
+    """Destination group per category as an ascending tuple of node ids,
+    plus the clustering snapshot when the k-means mode is active."""
     n = scenario.n_categories
     rc = scenario.router
     profiles = list(scenario.profiles)
-    groups: dict[int, frozenset[int]] = {}
+    groups: dict[int, tuple[int, ...]] = {}
     fallbacks: dict[int, bool] = {}
     clustering = None
     k_effective = None
@@ -244,11 +229,11 @@ def _resolve_groups(scenario: Scenario):
         clustering = kmeans(points, k_effective, seed=scenario.seed)
         for cat in range(1, n + 1):
             res = resolve_group_kmeans(clustering, profiles, cat, rc.threshold)
-            groups[cat] = frozenset(res.members)
+            groups[cat] = res.members
             fallbacks[cat] = res.fallback
     else:
         for cat in range(1, n + 1):
-            groups[cat] = frozenset(resolve_group_exact(profiles, cat))
+            groups[cat] = tuple(resolve_group_exact(profiles, cat))
             fallbacks[cat] = False
     return groups, fallbacks, clustering, k_effective
 
@@ -273,18 +258,19 @@ def run(scenario: Scenario) -> SimResult:
     schedule = build_schedule(scenario)
 
     rng_final = random.Random(scenario.seed + 0x9E3779B1)
-    messages: dict[int, Message] = {}
-    for sc in schedule:
-        group = groups[sc.category]
+    member_sets = {cat: frozenset(group) for cat, group in groups.items()}
+    messages: list[Message] = []
+    for mid, (t, source, category) in enumerate(schedule):
+        group = groups[category]
         final = None
         if scenario.schedule.track_final and group:
-            final = rng_final.choice(sorted(group))
-        messages[sc.id] = Message(id=sc.id, source=sc.source, category=sc.category,
-                                  created_at=sc.time, destination_group=group,
-                                  final_destination=final)
+            final = rng_final.choice(group)
+        messages.append(Message(id=mid, source=source, category=category, created_at=t,
+                                destination_group=member_sets[category],
+                                final_destination=final))
 
     buffers = {node: Buffer(rc.buffer_capacity) for node in universe}
-    first_receipts: dict[int, dict[int, float]] = {sc.id: {} for sc in schedule}
+    first_receipts: dict[int, dict[int, float]] = {m.id: {} for m in messages}
     # (first receiver, time, hops) of each message's first group receipt
     delivered: dict[int, tuple[int, float, int]] = {}
     counts = EventCounts()
@@ -354,8 +340,8 @@ def run(scenario: Scenario) -> SimResult:
     for t_start, t_end, a, b in scenario.trace.events:
         pair = (a, b)
         events += ((t_end, 0, pair), (t_start, 2, pair))
-    for sc in schedule:
-        events.append((sc.time, 1, (sc.id,)))
+    for m in messages:
+        events.append((m.created_at, 1, (m.id,)))
     events.sort()
 
     for t, rank, info in events:
@@ -377,12 +363,11 @@ def run(scenario: Scenario) -> SimResult:
             sweep(t, (info,))
 
     records = []
-    for mid in sorted(messages):
-        m = messages[mid]
-        receipts = first_receipts[mid]
-        receiver, delivered_at, hops = delivered.get(mid, (None, None, None))
+    for m in messages:
+        receipts = first_receipts[m.id]
+        receiver, delivered_at, hops = delivered.get(m.id, (None, None, None))
         records.append(DeliveryRecord(
-            message_id=mid,
+            message_id=m.id,
             source=m.source,
             category=m.category,
             created_at=m.created_at,
@@ -399,8 +384,8 @@ def run(scenario: Scenario) -> SimResult:
         records=tuple(records),
         counts=counts,
         clustering=clustering,
-        groups_by_category={cat: tuple(sorted(g)) for cat, g in groups.items()},
-        group_fallbacks=dict(fallbacks),
+        groups_by_category=groups,
+        group_fallbacks=fallbacks,
         first_receipts=first_receipts,
         all_nodes=all_nodes,
         k_effective=k_effective,

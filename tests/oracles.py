@@ -5,8 +5,9 @@ earliest arrival is a fixpoint relaxation directly over contact
 intervals, the clustering optimum enumerates every set partition (by a
 plain left-to-right squared distance), the
 reference k-means is the vectorised numpy implementation the library's
-pure-Python one must reproduce exactly, and the reference trace
-normalization merges each pair's intervals and sorts with an explicit key.
+pure-Python one must reproduce exactly, the reference trace
+normalization merges each pair's intervals and sorts with an explicit key,
+and the reference buffer keeps entries by id and sorts them on every read.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from dtn_cluster_sim.clustering import Clustering
+from dtn_cluster_sim.routing import BufferEntry, DuplicateMessage, Message
 
 
 def earliest_arrival(events, source: int, t0: float,
@@ -183,3 +185,42 @@ def normalize_contacts(raw) -> tuple[list[tuple[float, float, int, int]], float,
     duration = max((ev[1] for ev in events), default=0.0)
     node_count = len({n for ev in events for n in ev[2:]})
     return events, duration, node_count
+
+
+class ReferenceBuffer:
+    """Reference drop-oldest buffer: entries in a dict by message id,
+    sorted on every read, the victim found by min() over all entries.
+    Expired copies come back in arrival order."""
+
+    def __init__(self, capacity: int | None = 50):
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._entries: dict[int, BufferEntry] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, message_id: int) -> bool:
+        return message_id in self._entries
+
+    def insert(self, message: Message, now: float, hops: int = 0) -> list[Message]:
+        if message.id in self._entries:
+            raise DuplicateMessage(message.id)
+        self._entries[message.id] = BufferEntry(now, message.id, hops, message)
+        evicted = []
+        while self.capacity is not None and len(self._entries) > self.capacity:
+            victim = min(self._entries.values())
+            del self._entries[victim.message_id]
+            evicted.append(victim.message)
+        return evicted
+
+    def purge_expired(self, now: float, ttl: float) -> list[Message]:
+        dead = [e.message for e in self._entries.values()
+                if now - e.message.created_at > ttl]
+        for message in dead:
+            del self._entries[message.id]
+        return dead
+
+    def in_exchange_order(self) -> list[BufferEntry]:
+        return sorted(self._entries.values())

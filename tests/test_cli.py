@@ -347,11 +347,13 @@ class TestMainEntry:
         ({"trace": "nan_down.txt", "trace_format": "one_events"}, "nan_down.txt"),
         ({"max_transfers_per_contact": 0}, "max_transfers_per_contact"),
         ({"max_transfers_per_contact": -3}, "max_transfers_per_contact"),
+        ({"profiles": "no_data.txt"}, "no_data.txt"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ragged.txt").write_text("0 1 0 1\n1 0 1\n")
+        (tmp_path / "no_data.txt").write_text("# no data\n")
         (tmp_path / "nan_start.txt").write_text("1 4 0 1\nnan 10 1 2\n")
         (tmp_path / "inf_end.txt").write_text("0 inf 1 2\n")
         (tmp_path / "nan_duration.txt").write_text("# duration: nan\n1 4 0 1\n")
@@ -394,11 +396,13 @@ class TestMainEntry:
 
     def test_gen_trace_needs_one_point(self, tmp_path, capsys):
         path = synthetic_config(tmp_path)
-        assert main(["gen-trace", "--config", str(path), "--categories", "5",
-                     "--out", str(tmp_path / "gen")]) == 2
-        err = capsys.readouterr().err
-        assert "has 2" in err and "--categories" in err and "--seed" in err
-        assert not (tmp_path / "gen" / "trace.txt").exists()
+        before = sorted(tmp_path.rglob("*"))
+        for out in ("gen", "gen/sub"):
+            assert main(["gen-trace", "--config", str(path), "--categories", "5",
+                         "--out", str(tmp_path / out)]) == 2
+            err = capsys.readouterr().err
+            assert "has 2" in err and "--categories" in err and "--seed" in err
+            assert sorted(tmp_path.rglob("*")) == before
 
     def test_gen_trace_needs_synthetic(self, tmp_path):
         path = write_config(tmp_path)

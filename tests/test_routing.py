@@ -6,6 +6,8 @@ from dtn_cluster_sim.routing import (Buffer, DuplicateMessage, ForwardDecision,
                                      Message, epidemic_decide,
                                      interest_cluster_transfer)
 
+from oracles import ReferenceBuffer
+
 
 def msg(mid=0, source=1, category=1, created_at=0.0, group=(5, 8), **kw):
     return Message(id=mid, source=source, category=category, created_at=created_at,
@@ -141,3 +143,34 @@ class TestBuffer:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             Buffer(capacity=0)
+
+    @pytest.mark.parametrize("capacity", [1, 2, 5, 50, None])
+    def test_matches_reference_buffer(self, capacity):
+        """Random inserts (same-instant ties, decreasing `now`, duplicates)
+        and purges give the reference's evictions, its expired copies in
+        exchange order, and its contents after every operation."""
+        rng = random.Random(capacity or 0)
+        for _ in range(25):
+            b, ref = Buffer(capacity), ReferenceBuffer(capacity)
+            pool = [msg(mid=i, created_at=float(rng.randrange(20)))
+                    for i in range(rng.randrange(1, 60))]
+            monotone = rng.random() < 0.5
+            now = 0.0
+            for _ in range(100):
+                now = now + rng.randrange(3) if monotone else float(rng.randrange(30))
+                if rng.random() < 0.2:
+                    ttl = float(rng.randrange(1, 15))
+                    order = ref.in_exchange_order()
+                    dead = {m.id for m in ref.purge_expired(now, ttl)}
+                    assert b.purge_expired(now, ttl) == [
+                        e.message for e in order if e.message_id in dead]
+                else:
+                    m, hops = rng.choice(pool), rng.randrange(4)
+                    if m.id in ref:
+                        with pytest.raises(DuplicateMessage):
+                            b.insert(m, now, hops)
+                    else:
+                        assert b.insert(m, now, hops) == ref.insert(m, now, hops)
+                assert b.in_exchange_order() == ref.in_exchange_order()
+                assert len(b) == len(ref)
+                assert [m.id in b for m in pool] == [m.id in ref for m in pool]

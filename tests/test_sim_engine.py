@@ -29,10 +29,7 @@ class TestBuildSchedule:
     def test_explicit_single_event(self):
         sc = scenario(self.TRACE, {0: (1, 0), 1: (0, 1)}, 2,
                       ScheduleConfig(explicit=((10.0, 1, 2),)))
-        sched = build_schedule(sc)
-        assert len(sched) == 1
-        assert (sched[0].time, sched[0].source, sched[0].category) == (10.0, 1, 2)
-        assert sched[0].id == 0
+        assert build_schedule(sc) == [(10.0, 1, 2)]
 
     def test_explicit_validation(self):
         base = {0: (1,), 1: (0,)}
@@ -50,13 +47,13 @@ class TestBuildSchedule:
         vectors = {n: (1, 0, 0, 0) for n in range(6)}
         for seed in range(20):
             sc = scenario(self.TRACE, vectors, 4, ScheduleConfig(count=100), seed=seed)
-            counts = Counter(s.category for s in build_schedule(sc))
+            counts = Counter(category for _, _, category in build_schedule(sc))
             assert all(counts.get(c, 0) >= 10 for c in range(1, 5))
 
     def test_sources_come_from_profiles(self):
         vectors = {3: (1,), 7: (1,)}
         sc = scenario("0 1000 3 7\n", vectors, 1, ScheduleConfig(count=50), seed=2)
-        assert {s.source for s in build_schedule(sc)} <= {3, 7}
+        assert {source for _, source, _ in build_schedule(sc)} <= {3, 7}
 
     def test_deterministic(self):
         vectors = {n: (1, 0) for n in range(5)}
@@ -66,14 +63,14 @@ class TestBuildSchedule:
     def test_times_sorted_within_duration(self):
         sc = scenario(self.TRACE, {0: (1,), 1: (1,)}, 1,
                       ScheduleConfig(count=40), seed=4)
-        times = [s.time for s in build_schedule(sc)]
+        times = [t for t, _, _ in build_schedule(sc)]
         assert times == sorted(times)
         assert all(0.0 <= t <= 1000.0 for t in times)
 
     def test_interval_schedule(self):
         sc = scenario(self.TRACE, {0: (1,), 1: (1,)}, 1,
                       ScheduleConfig(count=4, interval=100.0), seed=0)
-        assert [s.time for s in build_schedule(sc)] == [100.0, 200.0, 300.0, 400.0]
+        assert [t for t, _, _ in build_schedule(sc)] == [100.0, 200.0, 300.0, 400.0]
 
     def test_interval_past_duration_rejected(self):
         sc = scenario(self.TRACE, {0: (1,), 1: (1,)}, 1,
