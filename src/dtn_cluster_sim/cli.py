@@ -41,25 +41,10 @@ from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
                           serialize_contact_trace, serialize_profiles,
                           validate_scenario)
 
+
 class ConfigError(ValueError):
-    pass
-
-
-class UnknownKey(ConfigError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unknown config key: {name}")
-
-
-class MissingRequired(ConfigError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"missing required config key: {name}")
-
-
-class ConflictingSources(ConfigError):
-    def __init__(self):
-        super().__init__("config sets both a trace file and synthetic parameters")
+    """A config file, flag or input file that cannot be used; the message
+    names the key, flag or file."""
 
 
 @dataclass
@@ -147,11 +132,11 @@ def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> dict:
     names = {f.name for f in declared}
     for key in data:
         if key not in names:
-            raise UnknownKey(prefix + key)
+            raise ConfigError(f"unknown config key: {prefix}{key}")
     for f in declared:
         if (f.name not in data and f.default is MISSING
                 and f.default_factory is MISSING):
-            raise MissingRequired(prefix + f.name)
+            raise ConfigError(f"missing required config key: {prefix}{f.name}")
     return {key: _check_value(prefix + key, hints[key], value)
             for key, value in data.items()}
 
@@ -181,9 +166,9 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     if any(c < 1 for c in config.categories):
         raise ConfigError("categories must be >= 1")
     if config.trace is not None and config.synthetic is not None:
-        raise ConflictingSources()
+        raise ConfigError("config sets both a trace file and synthetic parameters")
     if config.trace is None and config.synthetic is None:
-        raise MissingRequired("trace or synthetic")
+        raise ConfigError("missing required config key: trace or synthetic")
     if config.trace_format not in TRACE_FORMATS:
         raise ConfigError(f"unknown trace_format: {config.trace_format!r}")
     try:
@@ -250,7 +235,7 @@ def _output_dir(config: RunConfig, create: bool = True) -> Path:
     """The configured output directory, created if missing when `create`;
     a path that cannot be a directory is a config error naming it."""
     if config.out is None:
-        raise MissingRequired("out")
+        raise ConfigError("missing required config key: out")
     out = Path(config.out)
     try:
         nearest = next(p for p in (out, *out.parents) if p.exists())
@@ -332,7 +317,7 @@ def cmd_validate(config: RunConfig) -> int:
 
 def cmd_gen_trace(config: RunConfig) -> int:
     if config.synthetic is None:
-        raise MissingRequired("synthetic")
+        raise ConfigError("missing required config key: synthetic")
     points = len(set(config.categories)) * len(set(config.seeds))
     if points > 1:
         _output_dir(config, create=False)   # a bad --out is reported as such first

@@ -39,37 +39,6 @@ InterestVector = tuple[int, ...]
 Centroid = tuple[float, ...]
 
 
-class LengthMismatch(ValueError):
-    def __init__(self, expected: int, got: int):
-        self.expected = expected
-        self.got = got
-        super().__init__(f"vector length {got}, expected {expected}")
-
-
-class NonBinaryVector(ValueError):
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        super().__init__(f"node {node_id}: vector components must be 0 or 1")
-
-
-class TooFewDistinctPoints(ValueError):
-    def __init__(self, k: int, distinct: int):
-        self.k = k
-        self.distinct = distinct
-        super().__init__(f"k={k} but only {distinct} distinct vectors")
-
-
-class EmptyInput(ValueError):
-    pass
-
-
-class CategoryOutOfRange(ValueError):
-    def __init__(self, category: int, n: int):
-        self.category = category
-        self.n = n
-        super().__init__(f"category {category} outside [1, {n}]")
-
-
 @dataclass
 class Clustering:
     """Result of one k-means run: centroids, node assignments and the
@@ -182,8 +151,9 @@ def _means_with_repair(X: list[Centroid], assign: list[int],
 
 def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
            max_iter: int = 100) -> Clustering:
-    """Cluster binary interest vectors into k groups; a vector with any
-    other component raises NonBinaryVector.
+    """Cluster binary interest vectors into k groups. No points, vectors of
+    unequal length or with a component other than 0 or 1, and fewer
+    distinct vectors than k raise ValueError.
 
     Initial centroids are k distinct vectors sampled without replacement by
     a generator seeded with `seed` (candidates ordered by first appearance
@@ -193,7 +163,7 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
     value after every assignment step lands in sse_history.
     """
     if not points:
-        raise EmptyInput("no points to cluster")
+        raise ValueError("no points to cluster")
     if k < 1:
         raise ValueError("k must be at least 1")
     if max_iter < 1:
@@ -204,13 +174,13 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
     n = len(vectors[0])
     for node, v in zip(ids, vectors):
         if len(v) != n:
-            raise LengthMismatch(n, len(v))
+            raise ValueError(f"vector length {len(v)}, expected {n}")
         if not all(c in (0, 1) for c in v):
-            raise NonBinaryVector(node)
+            raise ValueError(f"node {node}: vector components must be 0 or 1")
 
     distinct = list(dict.fromkeys(vectors))
     if k > len(distinct):
-        raise TooFewDistinctPoints(k, len(distinct))
+        raise ValueError(f"k={k} but only {len(distinct)} distinct vectors")
 
     rng = random.Random(seed)
     chosen = rng.sample(range(len(distinct)), k)
@@ -251,7 +221,7 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
 
 def _category_index(category: int, n: int) -> int:
     if not 1 <= category <= n:
-        raise CategoryOutOfRange(category, n)
+        raise ValueError(f"category {category} outside [1, {n}]")
     return category - 1
 
 

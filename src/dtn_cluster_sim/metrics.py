@@ -9,8 +9,9 @@ Conventions, chosen so rows are auditable and byte-stable:
     one interest group;
   * summary values print with 6 fixed decimals, per-message times print
     with full float precision so a parse recovers them exactly;
-  * a ratio or average with nothing to divide by (no messages, or none
-    delivered) is None, and absent values serialize as empty fields.
+  * a ratio or average with nothing to divide by (no messages, none
+    delivered, or no nodes for resource_used) is None, and absent values
+    serialize as empty fields.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .sim_engine import DeliveryRecord, SimResult
 PER_MESSAGE_COLUMNS = ("message_id,source,category,created_at,group_size,"
                        "group_delivered_at,first_receiver,hops,forwards_total,"
                        "final_delivered_at")
-
-
-class EmptyNetwork(ValueError):
-    pass
 
 
 def _delivered(records: Sequence[DeliveryRecord]) -> list[DeliveryRecord]:
@@ -64,10 +61,10 @@ def avg_cost(records: Sequence[DeliveryRecord]) -> float | None:
     return sum(r.forwards_total for r in records) / len(delivered)
 
 
-def resource_used(group: Iterable[int], all_nodes: int) -> float:
+def resource_used(group: Iterable[int], all_nodes: int) -> float | None:
     """Fraction of the network belonging to the given group."""
     if all_nodes <= 0:
-        raise EmptyNetwork("network has no nodes")
+        return None
     return len(set(group)) / all_nodes
 
 
@@ -86,7 +83,7 @@ class MetricsReport:
     avg_delay: float | None
     avg_hops: float | None
     avg_cost: float | None
-    resource_used: float
+    resource_used: float | None
 
 
 def build_report(result: SimResult, run_id: str) -> MetricsReport:

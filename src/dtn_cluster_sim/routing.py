@@ -11,7 +11,8 @@ answers FORWARD, SKIP or CLOSE_CONNECTION:
 
 The rules never see a peer that already holds or held the message:
 duplicate suppression is the engine's, which offers a message only to
-peers absent from its receipt log.
+peers absent from its receipt log. A buffer does not check for
+duplicates.
 
 A buffer is a log of entries in exchange order: by receipt time, ties by
 message id. It holds a bounded number of messages and evicts from the
@@ -27,12 +28,6 @@ from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-
-class DuplicateMessage(ValueError):
-    def __init__(self, message_id: int):
-        self.message_id = message_id
-        super().__init__(f"message {message_id} already buffered")
 
 
 class ForwardDecision(Enum):
@@ -89,14 +84,10 @@ class Buffer:
     def __len__(self) -> int:
         return len(self._log)
 
-    def __contains__(self, message_id: int) -> bool:
-        return any(entry.message_id == message_id for entry in self._log)
-
     def insert(self, message: Message, now: float, hops: int = 0) -> list[Message]:
         """Store a copy received at `now`, `hops` hops from its source;
-        returns evicted messages in exchange order."""
-        if message.id in self:
-            raise DuplicateMessage(message.id)
+        returns evicted messages in exchange order. The buffer does not
+        check that it holds no other copy of the message."""
         insort(self._log, BufferEntry(now, message.id, hops, message))
         if self.capacity is None or len(self._log) <= self.capacity:
             return []

@@ -19,7 +19,8 @@ the contact again.
 
 The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
-from it, so no node receives a message twice. A record's forward count
+from it, so no node receives a message twice, and no buffer holds two
+copies of one message (buffers do not check). A record's forward count
 and final-destination receipt are read off the log at the end; only
 the first group receipt is noted as it happens, with the hop count of
 the copy that made it. Every copy of a message is one shared `Message`;

@@ -28,46 +28,11 @@ TRACE_FORMATS = ("tabular", "one_events")
 
 
 class TraceError(ValueError):
-    """Base class for trace and profile input problems."""
+    """A trace or profile line that breaks a rule: `line N: <detail>`."""
 
-
-class MalformedLine(TraceError):
-    def __init__(self, line_no: int, detail: str = ""):
+    def __init__(self, line_no: int, detail: str):
         self.line_no = line_no
-        msg = f"line {line_no}: malformed line"
-        super().__init__(msg + (f" ({detail})" if detail else ""))
-
-
-class InvertedInterval(TraceError):
-    def __init__(self, line_no: int):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: contact interval has t_start >= t_end")
-
-
-class SelfContact(TraceError):
-    def __init__(self, line_no: int):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: node in contact with itself")
-
-
-class WrongArity(TraceError):
-    def __init__(self, line_no: int, expected: int, got: int):
-        self.line_no = line_no
-        self.expected = expected
-        self.got = got
-        super().__init__(f"line {line_no}: expected {expected} interest bits, got {got}")
-
-
-class NonBinaryValue(TraceError):
-    def __init__(self, line_no: int):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: interest values must be 0 or 1")
-
-
-class DuplicateNode(TraceError):
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        super().__init__(f"duplicate profile for node {node_id}")
+        super().__init__(f"line {line_no}: {detail}")
 
 
 class InvalidParams(ValueError):
@@ -143,11 +108,11 @@ def _check_meeting(line_no: int, t: float, a: int, b: int) -> None:
     """The rules for nodes a and b meeting at time t: ids and time
     non-negative, the time finite, the nodes distinct."""
     if a < 0 or b < 0 or t < 0:
-        raise MalformedLine(line_no, "negative value")
+        raise TraceError(line_no, "malformed line (negative value)")
     if not t < _INF:  # +inf or NaN
-        raise MalformedLine(line_no, "non-finite time")
+        raise TraceError(line_no, "malformed line (non-finite time)")
     if a == b:
-        raise SelfContact(line_no)
+        raise TraceError(line_no, "node in contact with itself")
 
 
 def _add_contact(by_pair: dict, line_no: int, t_start: float, t_end: float,
@@ -157,8 +122,8 @@ def _add_contact(by_pair: dict, line_no: int, t_start: float, t_end: float,
     if not (0.0 <= t_start < t_end < _INF and a != b and a >= 0 and b >= 0):
         _check_meeting(line_no, t_start, a, b)  # names the rule broken
         if not t_end < _INF:
-            raise MalformedLine(line_no, "non-finite time")
-        raise InvertedInterval(line_no)
+            raise TraceError(line_no, "malformed line (non-finite time)")
+        raise TraceError(line_no, "contact interval has t_start >= t_end")
     by_pair.setdefault((a, b) if a < b else (b, a), []).append((t_start, t_end))
 
 
@@ -238,25 +203,26 @@ def _parse_headers(headers: dict[str, tuple[int, str]]) -> tuple[float | None, i
             if not -_INF < duration < _INF:
                 raise ValueError(value)
         except ValueError:
-            raise MalformedLine(line_no, "bad duration header") from None
+            raise TraceError(line_no, "malformed line (bad duration header)") from None
     if "nodes" in headers:
         line_no, value = headers["nodes"]
         try:
             node_count = int(value)
         except ValueError:
-            raise MalformedLine(line_no, "bad nodes header") from None
+            raise TraceError(line_no, "malformed line (bad nodes header)") from None
     return duration, node_count
 
 
 def _tabular(lines, by_pair: dict) -> None:
     for line_no, fields in lines:
         if len(fields) != 4:
-            raise MalformedLine(line_no, f"expected 4 fields, got {len(fields)}")
+            raise TraceError(line_no, "malformed line "
+                                      f"(expected 4 fields, got {len(fields)})")
         try:
             t_start, t_end = float(fields[0]), float(fields[1])
             a, b = int(fields[2]), int(fields[3])
         except ValueError:
-            raise MalformedLine(line_no, "unparsable field") from None
+            raise TraceError(line_no, "malformed line (unparsable field)") from None
         _add_contact(by_pair, line_no, t_start, t_end, a, b)
 
 
@@ -272,15 +238,15 @@ def _one_events(lines, by_pair: dict) -> float:
     last_time = 0.0
     for line_no, fields in lines:
         if len(fields) != 5 or fields[1].upper() != "CONN":
-            raise MalformedLine(line_no, "expected `time CONN a b up|down`")
+            raise TraceError(line_no, "malformed line (expected `time CONN a b up|down`)")
         try:
             time = float(fields[0])
             a, b = int(fields[2]), int(fields[3])
         except ValueError:
-            raise MalformedLine(line_no, "unparsable field") from None
+            raise TraceError(line_no, "malformed line (unparsable field)") from None
         state = fields[4].lower()
         if state not in ("up", "down"):
-            raise MalformedLine(line_no, f"unknown state {fields[4]!r}")
+            raise TraceError(line_no, f"malformed line (unknown state {fields[4]!r})")
         _check_meeting(line_no, time, a, b)
         last_time = max(last_time, time)
         pair = (a, b) if a < b else (b, a)
@@ -330,7 +296,7 @@ def parse_interest_profiles(text: str) -> list[InterestProfile]:
     """Parse `node_id bit_1 ... bit_n` lines into profiles, sorted by node id.
 
     The first data line fixes n; a later line with another bit count is a
-    `WrongArity` naming that line. Text with no data lines gives [].
+    TraceError naming that line. Text with no data lines gives [].
     """
     profiles: dict[int, InterestProfile] = {}
     arity = None
@@ -342,20 +308,21 @@ def parse_interest_profiles(text: str) -> list[InterestProfile]:
         try:
             node = int(fields[0])
         except ValueError:
-            raise MalformedLine(line_no, "unparsable node id") from None
+            raise TraceError(line_no, "malformed line (unparsable node id)") from None
         if node < 0:
-            raise MalformedLine(line_no, "negative node id")
+            raise TraceError(line_no, "malformed line (negative node id)")
         if arity is None:
             arity = len(fields) - 1
         elif len(fields) - 1 != arity:
-            raise WrongArity(line_no, arity, len(fields) - 1)
+            raise TraceError(line_no, f"expected {arity} interest bits, "
+                                      f"got {len(fields) - 1}")
         bits = []
         for field in fields[1:]:
             if field not in ("0", "1"):
-                raise NonBinaryValue(line_no)
+                raise TraceError(line_no, "interest values must be 0 or 1")
             bits.append(int(field))
         if node in profiles:
-            raise DuplicateNode(node)
+            raise TraceError(line_no, f"duplicate profile for node {node}")
         profiles[node] = InterestProfile(node, tuple(bits))
     return [profiles[node] for node in sorted(profiles)]
 

@@ -7,7 +7,9 @@ plain left-to-right squared distance), the
 reference k-means is the vectorised numpy implementation the library's
 pure-Python one must reproduce exactly, the reference trace
 normalization merges each pair's intervals and sorts with an explicit key,
-and the reference buffer keeps entries by id and sorts them on every read.
+and the reference buffer keeps entries by id and sorts them on every read
+(it also rejects a duplicate, which the library's buffer leaves to the
+engine).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from dtn_cluster_sim.clustering import Clustering
-from dtn_cluster_sim.routing import BufferEntry, DuplicateMessage, Message
+from dtn_cluster_sim.routing import BufferEntry, Message
 
 
 def earliest_arrival(events, source: int, t0: float,
@@ -187,10 +189,15 @@ def normalize_contacts(raw) -> tuple[list[tuple[float, float, int, int]], float,
     return events, duration, node_count
 
 
+class DuplicateMessage(ValueError):
+    pass
+
+
 class ReferenceBuffer:
     """Reference drop-oldest buffer: entries in a dict by message id,
     sorted on every read, the victim found by min() over all entries.
-    Expired copies come back in arrival order."""
+    Expired copies come back in arrival order. Inserting a message it
+    holds raises DuplicateMessage."""
 
     def __init__(self, capacity: int | None = 50):
         if capacity is not None and capacity < 1:
@@ -206,7 +213,7 @@ class ReferenceBuffer:
 
     def insert(self, message: Message, now: float, hops: int = 0) -> list[Message]:
         if message.id in self._entries:
-            raise DuplicateMessage(message.id)
+            raise DuplicateMessage(f"message {message.id} already buffered")
         self._entries[message.id] = BufferEntry(now, message.id, hops, message)
         evicted = []
         while self.capacity is not None and len(self._entries) > self.capacity:

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 import dtn_cluster_sim
-from dtn_cluster_sim.cli import (ConflictingSources, ConfigError, MissingRequired,
-                                 RunConfig, UnknownKey, build_scenario, main,
+from dtn_cluster_sim.cli import (ConfigError, RunConfig, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
 from dtn_cluster_sim.trace_model import InterestProfile, parse_contact_trace
@@ -50,6 +49,44 @@ def synthetic_config(tmp_path: Path, **extra) -> Path:
     return path
 
 
+# input files of TestMainEntry.test_bad_value_or_file_exits_2
+BAD_FILES = {
+    "ragged.txt": "0 1 0 1\n1 0 1\n",
+    "no_data.txt": "# no data\n",
+    "nan_start.txt": "1 4 0 1\nnan 10 1 2\n",
+    "inf_end.txt": "0 inf 1 2\n",
+    "nan_duration.txt": "# duration: nan\n1 4 0 1\n",
+    "nan_down.txt": "nan CONN 1 2 down\n",
+    "negative_value.txt": "1 4 0 1\n-1 4 0 1\n",
+    "nan_time.txt": "1 4 0 1\nnan 4 0 1\n",
+    "inf_t_end.txt": "1 4 0 1\n1 inf 0 1\n",
+    "self_contact.txt": "1 4 0 1\n1 4 1 1\n",
+    "inverted.txt": "1 4 0 1\n4 4 0 1\n",
+    "field_count.txt": "1 4 0 1\n1 4 0\n",
+    "unparsable.txt": "1 4 0 1\n1 four 0 1\n",
+    "duration_header.txt": "1 4 0 1\n# duration: soon\n",
+    "nodes_header.txt": "1 4 0 1\n# nodes: many\n",
+    "conn_line.txt": "1 CONN 0 1 up\n2 DISC 0 1 down\n",
+    "conn_unparsable.txt": "1 CONN 0 1 up\n2 CONN 0 one down\n",
+    "conn_state.txt": "1 CONN 0 1 up\n2 CONN 0 1 sideways\n",
+    "node_id.txt": "0 1 0 1\nx 0 1 1\n",
+    "negative_node.txt": "0 1 0 1\n-1 0 1 1\n",
+    "arity.txt": "0 1 0 1\n1 0 1\n",
+    "non_binary.txt": "0 1 0 1\n1 0 2 1\n",
+    "duplicate_node.txt": "0 1 0 1\n# c\n0 0 1 1\n",
+}
+
+
+def bad_line(kind: str, name: str, error: str):
+    """A case of test_bad_value_or_file_exits_2: the `kind` input (trace,
+    one_events trace or profiles) is BAD_FILES[name], and the CLI must name
+    the file and `error`."""
+    change = {"profiles": name} if kind == "profiles" else {"trace": name}
+    if kind == "one_events":
+        change["trace_format"] = "one_events"
+    return pytest.param(change, f"{name}: {error}", id=name.removesuffix(".txt"))
+
+
 class TestParseConfig:
     def test_minimal_with_defaults(self, tmp_path):
         config = parse_config(write_config(tmp_path))
@@ -64,13 +101,13 @@ class TestParseConfig:
         path = write_config(tmp_path, synthetic={"node_count": 4, "duration": 10.0,
                                                  "contact_rate": 0.1,
                                                  "interest_prob": 0.5})
-        with pytest.raises(ConflictingSources):
+        with pytest.raises(ConfigError, match="both a trace file and synthetic"):
             parse_config(path)
 
     def test_neither_source(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"categories": [1]}))
-        with pytest.raises(MissingRequired):
+        with pytest.raises(ConfigError, match="missing required config key: trace or"):
             parse_config(path)
 
     def test_seed_flag_overrides_file(self, tmp_path):
@@ -84,7 +121,7 @@ class TestParseConfig:
 
     def test_unknown_key(self, tmp_path):
         path = write_config(tmp_path, bogus=1)
-        with pytest.raises(UnknownKey):
+        with pytest.raises(ConfigError, match="unknown config key: bogus"):
             parse_config(path)
 
     def test_unknown_synthetic_key(self, tmp_path):
@@ -93,13 +130,13 @@ class TestParseConfig:
             "categories": [1],
             "synthetic": {"node_count": 4, "duration": 1.0, "contact_rate": 1.0,
                           "interest_prob": 0.5, "warp": 9}}))
-        with pytest.raises(UnknownKey):
+        with pytest.raises(ConfigError, match="unknown config key: synthetic.warp"):
             parse_config(path)
 
     def test_missing_categories(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"trace": "t"}))
-        with pytest.raises(MissingRequired):
+        with pytest.raises(ConfigError, match="missing required config key: categories"):
             parse_config(path)
 
     def test_invalid_json(self, tmp_path):
@@ -274,7 +311,7 @@ class TestRunSweep:
 
     def test_missing_out(self, tmp_path):
         config = parse_config(write_config(tmp_path))
-        with pytest.raises(MissingRequired):
+        with pytest.raises(ConfigError, match="missing required config key: out"):
             run_sweep(config)
 
 
@@ -348,16 +385,36 @@ class TestMainEntry:
         ({"max_transfers_per_contact": 0}, "max_transfers_per_contact"),
         ({"max_transfers_per_contact": -3}, "max_transfers_per_contact"),
         ({"profiles": "no_data.txt"}, "no_data.txt"),
+        # one file per TraceError raise site in trace_model, named with its line
+        bad_line("trace", "negative_value.txt", "line 2: malformed line (negative value)"),
+        bad_line("trace", "nan_time.txt", "line 2: malformed line (non-finite time)"),
+        bad_line("trace", "inf_t_end.txt", "line 2: malformed line (non-finite time)"),
+        bad_line("trace", "self_contact.txt", "line 2: node in contact with itself"),
+        bad_line("trace", "inverted.txt", "line 2: contact interval has t_start >= t_end"),
+        bad_line("trace", "field_count.txt",
+                 "line 2: malformed line (expected 4 fields, got 3)"),
+        bad_line("trace", "unparsable.txt", "line 2: malformed line (unparsable field)"),
+        bad_line("trace", "duration_header.txt",
+                 "line 2: malformed line (bad duration header)"),
+        bad_line("trace", "nodes_header.txt", "line 2: malformed line (bad nodes header)"),
+        bad_line("one_events", "conn_line.txt",
+                 "line 2: malformed line (expected `time CONN a b up|down`)"),
+        bad_line("one_events", "conn_unparsable.txt",
+                 "line 2: malformed line (unparsable field)"),
+        bad_line("one_events", "conn_state.txt",
+                 "line 2: malformed line (unknown state 'sideways')"),
+        bad_line("profiles", "node_id.txt", "line 2: malformed line (unparsable node id)"),
+        bad_line("profiles", "negative_node.txt",
+                 "line 2: malformed line (negative node id)"),
+        bad_line("profiles", "arity.txt", "line 2: expected 3 interest bits, got 2"),
+        bad_line("profiles", "non_binary.txt", "line 2: interest values must be 0 or 1"),
+        bad_line("profiles", "duplicate_node.txt", "line 3: duplicate profile for node 0"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "ragged.txt").write_text("0 1 0 1\n1 0 1\n")
-        (tmp_path / "no_data.txt").write_text("# no data\n")
-        (tmp_path / "nan_start.txt").write_text("1 4 0 1\nnan 10 1 2\n")
-        (tmp_path / "inf_end.txt").write_text("0 inf 1 2\n")
-        (tmp_path / "nan_duration.txt").write_text("# duration: nan\n1 4 0 1\n")
-        (tmp_path / "nan_down.txt").write_text("nan CONN 1 2 down\n")
+        for name, text in BAD_FILES.items():
+            (tmp_path / name).write_text(text)
         path = write_config(tmp_path, **change)
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -365,6 +422,16 @@ class TestMainEntry:
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_network_leaves_resource_used_empty(self, tmp_path):
+        (tmp_path / "empty.txt").write_text("")
+        path = write_config(tmp_path, trace=str(tmp_path / "empty.txt"),
+                            profiles=None, message_count=0)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            (row,) = csv.DictReader(f)
+        assert row["created"] == "0"
+        assert row["resource_used"] == ""
 
     def test_infinite_synthetic_duration_is_config_error(self, tmp_path):
         # checked through parse_config only: a run with it never ends

@@ -4,8 +4,10 @@ from collections import Counter
 
 import pytest
 
+from dtn_cluster_sim import sim_engine
 from dtn_cluster_sim.clustering import resolve_group_kmeans
 from dtn_cluster_sim.metrics import per_message_csv
+from dtn_cluster_sim.routing import Buffer
 from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig,
                                         build_schedule, run)
 from dtn_cluster_sim.trace_model import (InterestProfile, InvalidParams,
@@ -216,10 +218,10 @@ class TestStrictMode:
                       ScheduleConfig(explicit=((1.0, 1, 1), (7.0, 1, 2))),
                       router=RouterConfig(kind="cluster", mode="exact", strict=True))
         res = run(sc)
-        # first interval closed by message 0; second interval starts fresh,
-        # message 0 closes it again only after message 1 was examined first?
-        # no: ordering is by received_at, so message 0 (t=1) goes first and
-        # closes again -> message 1 still undelivered, two closes counted
+        # node 1 offers in receipt order, so each interval offers message 0
+        # (received at t=1) before message 1 (t=7); node 2 is outside message
+        # 0's group, so strict mode closes both intervals at that first offer
+        # and message 1 is never offered
         assert res.counts.closes == 2
         assert res.records[1].group_delivered_at is None
 
@@ -378,3 +380,22 @@ def test_golden_matrix_unchanged():
         digest.update(repr((res.records, sorted(receipts.items()),
                             c.forwards, c.drops, c.closes)).encode())
     assert digest.hexdigest() == GOLDEN_MATRIX_SHA256
+
+
+def test_no_node_receives_a_message_twice(monkeypatch):
+    """Every forward adds a node to the message's receipt log: a forward to
+    a node already in it would count once more in `forwards` and not in
+    the log. Buffers rely on this and do not check for duplicates, so the
+    check is made here, at each insert, where a second copy would
+    otherwise be forwarded back and forth without end."""
+
+    class CheckedBuffer(Buffer):
+        def insert(self, message, now, hops=0):
+            held = [entry.message_id for entry in self.in_exchange_order()]
+            assert message.id not in held, f"message {message.id} inserted twice"
+            return super().insert(message, now, hops)
+
+    monkeypatch.setattr(sim_engine, "Buffer", CheckedBuffer)
+    for i in range(72):
+        res = run(matrix_scenario(i))
+        assert res.counts.forwards == sum(r.forwards_total for r in res.records), i

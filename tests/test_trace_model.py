@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from dtn_cluster_sim.trace_model import (ContactEvent, DuplicateNode, InvalidParams,
-                                         InterestProfile, InvertedInterval,
-                                         MalformedLine, NonBinaryValue, SelfContact,
-                                         SyntheticParams, WrongArity, build_trace,
+from dtn_cluster_sim.trace_model import (ContactEvent, InvalidParams,
+                                         InterestProfile, SyntheticParams,
+                                         TraceError, build_trace,
                                          generate_synthetic_trace,
                                          parse_contact_trace, parse_interest_profiles,
                                          serialize_contact_trace,
@@ -68,21 +67,21 @@ class TestParseTabular:
         assert len(trace.events) == 2
 
     def test_malformed_line_number(self):
-        with pytest.raises(MalformedLine) as err:
+        with pytest.raises(TraceError, match="line 2: malformed line") as err:
             parse_contact_trace("0 10 1 2\n0 10 1\n")
         assert err.value.line_no == 2
 
     def test_unparsable_field(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(TraceError, match="unparsable field"):
             parse_contact_trace("0 ten 1 2\n")
 
     def test_inverted_interval(self):
-        with pytest.raises(InvertedInterval) as err:
+        with pytest.raises(TraceError, match="t_start >= t_end") as err:
             parse_contact_trace("10 10 1 2\n")
         assert err.value.line_no == 1
 
     def test_self_contact(self):
-        with pytest.raises(SelfContact) as err:
+        with pytest.raises(TraceError, match="with itself") as err:
             parse_contact_trace("0 10 3 3\n")
         assert err.value.line_no == 1
 
@@ -93,13 +92,13 @@ class TestParseTabular:
     @pytest.mark.parametrize("line", ["nan 10 1 2", "0 inf 1 2", "0 nan 1 2",
                                       "inf inf 1 2", "0 1e400 1 2"])
     def test_non_finite_time_rejected(self, line):
-        with pytest.raises(MalformedLine, match="non-finite") as err:
+        with pytest.raises(TraceError, match="non-finite") as err:
             parse_contact_trace("0 5 1 2\n" + line + "\n")
         assert err.value.line_no == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
     def test_non_finite_duration_header_rejected(self, value):
-        with pytest.raises(MalformedLine, match="bad duration header") as err:
+        with pytest.raises(TraceError, match="bad duration header") as err:
             parse_contact_trace(f"0 10 1 2\n# duration: {value}\n")
         assert err.value.line_no == 2
 
@@ -114,7 +113,7 @@ class TestParseTabular:
     @pytest.mark.parametrize("header", ["# duration: abc", "# nodes = many",
                                         "## duration=1 day", "# duration:"])
     def test_bad_header_value_rejected(self, header):
-        with pytest.raises(MalformedLine, match="header") as err:
+        with pytest.raises(TraceError, match="header") as err:
             parse_contact_trace("0 10 1 2\n" + header + "\n")
         assert err.value.line_no == 2
 
@@ -151,12 +150,12 @@ class TestParseOneEvents:
         assert trace.events == (ContactEvent(7.0, 9.0, 1, 2),)
 
     def test_down_before_up_time_is_inverted(self):
-        with pytest.raises(InvertedInterval):
+        with pytest.raises(TraceError, match="t_start >= t_end"):
             parse_contact_trace("5.0 CONN 1 2 up\n5.0 CONN 1 2 down\n",
                                 fmt="one_events")
 
     def test_malformed_line(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(TraceError, match="CONN"):
             parse_contact_trace("5.0 DISCO 1 2 up\n", fmt="one_events")
 
     def test_duration_is_last_timestamp(self):
@@ -168,14 +167,14 @@ class TestParseOneEvents:
         assert trace.events == (ContactEvent(1.0, 4.0, 1, 2),)
 
     def test_unknown_state(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(TraceError, match="unknown state 'sideways'"):
             parse_contact_trace("5.0 CONN 1 2 sideways\n", fmt="one_events")
 
     @pytest.mark.parametrize("text", ["nan CONN 1 2 down\n",
                                       "1.0 CONN 1 2 up\ninf CONN 1 2 down\n",
                                       "1.0 CONN 1 2 up\nnan CONN 3 4 up\n"])
     def test_non_finite_time_rejected(self, text):
-        with pytest.raises(MalformedLine, match="non-finite") as err:
+        with pytest.raises(TraceError, match="non-finite") as err:
             parse_contact_trace(text, fmt="one_events")
         assert err.value.line_no == text.count("\n")
 
@@ -205,24 +204,27 @@ class TestParseProfiles:
     def test_wrong_arity(self):
         """The first data line fixes the bit count; a later line that
         differs is named."""
-        for text, named in (("7 0 1\n8 0 1 1\n", (2, 2, 3)),
-                            ("# hdr\n7 0 1 1\n\n8 0 1 1\n9 1\n", (5, 3, 1))):
-            with pytest.raises(WrongArity) as err:
+        for text, named in (("7 0 1\n8 0 1 1\n",
+                             "line 2: expected 2 interest bits, got 3"),
+                            ("# hdr\n7 0 1 1\n\n8 0 1 1\n9 1\n",
+                             "line 5: expected 3 interest bits, got 1")):
+            with pytest.raises(TraceError) as err:
                 parse_interest_profiles(text)
-            assert (err.value.line_no, err.value.expected, err.value.got) == named
+            assert str(err.value) == named
 
     def test_only_comments_parse_to_nothing(self):
         assert parse_interest_profiles("# only comments\n\n#7 0 1\n") == []
 
     def test_non_binary(self):
-        with pytest.raises(NonBinaryValue) as err:
+        with pytest.raises(TraceError, match="must be 0 or 1") as err:
             parse_interest_profiles("7 0 2\n")
         assert err.value.line_no == 1
 
     def test_duplicate_node(self):
-        with pytest.raises(DuplicateNode) as err:
-            parse_interest_profiles("7 0 1\n7 1 0\n")
-        assert err.value.node_id == 7
+        with pytest.raises(TraceError) as err:
+            parse_interest_profiles("1 0\n# c\n1 1\n")
+        assert str(err.value) == "line 3: duplicate profile for node 1"
+        assert err.value.line_no == 3
 
     def test_comments_and_sorting(self):
         profiles = parse_interest_profiles("# hdr\n9 1\n7 0\n")
