@@ -172,10 +172,10 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     if config.trace_format not in TRACE_FORMATS:
         raise ConfigError(f"unknown trace_format: {config.trace_format!r}")
     try:
-        config.router_config().validate()
-        config.schedule_config().validate()
+        config.router_config()
+        config.schedule_config()
         if config.synthetic is not None:
-            _synthetic_params(config, min(config.categories)).validate()
+            _synthetic_params(config, min(config.categories))
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
     return config
@@ -185,7 +185,8 @@ def _load_file_inputs(config: RunConfig):
     """Parse the trace and profile files (None for a synthetic config); a
     file that cannot be read or parsed, or a profile file with no profiles
     or with fewer bits than the largest category count, is a config error
-    naming it."""
+    naming it. Every point replays the same files, so a scenario rule the
+    first point breaks is a config error naming the trace file."""
     if config.synthetic is not None:
         return None
     path = config.trace
@@ -204,7 +205,17 @@ def _load_file_inputs(config: RunConfig):
     if profiles and len(profiles[0].interests) < n:
         raise ConfigError(f"{path}: profiles have {len(profiles[0].interests)} bits, "
                           f"fewer than the {n} categories of the sweep")
+    try:
+        build_scenario(config, *_points(config)[0], (trace, profiles))
+    except InvalidParams as exc:
+        raise ConfigError(f"{config.trace}: {exc}") from exc
     return trace, profiles
+
+
+def _points(config: RunConfig) -> list[tuple[int, int]]:
+    """Every (n_categories, seed) sweep point, in run order."""
+    return [(cat, seed) for cat in sorted(set(config.categories))
+            for seed in sorted(set(config.seeds))]
 
 
 def _synthetic_params(config: RunConfig, n_categories: int) -> SyntheticParams:
@@ -269,25 +280,24 @@ def run_sweep(config: RunConfig) -> int:
 
     rows = [summary_header()]
     failures: list[tuple[str, str]] = []
-    for cat in sorted(set(config.categories)):
-        for seed in sorted(set(config.seeds)):
-            run_id = f"n{cat}_s{seed}"
-            try:
-                scenario = build_scenario(config, cat, seed, file_inputs)
-                result = run(scenario)
-                report = build_report(result, run_id)
-            except Exception as exc:  # surface errors with run coordinates
-                print(f"run {run_id} failed: {exc}", file=sys.stderr)
-                failures.append((run_id, str(exc)))
-                continue
-            run_dir = out / "runs.partial" / run_id
-            run_dir.mkdir(parents=True)
-            (run_dir / "per_message.csv").write_text(
-                per_message_csv(result.records), encoding="utf-8")
-            if result.clustering is not None:
-                (run_dir / "clustering.txt").write_text(
-                    dump_clustering(result.clustering), encoding="utf-8")
-            rows.append(summary_row(report))
+    for cat, seed in _points(config):
+        run_id = f"n{cat}_s{seed}"
+        try:
+            scenario = build_scenario(config, cat, seed, file_inputs)
+            result = run(scenario)
+            report = build_report(result, run_id)
+        except Exception as exc:  # surface errors with run coordinates
+            print(f"run {run_id} failed: {exc}", file=sys.stderr)
+            failures.append((run_id, str(exc)))
+            continue
+        run_dir = out / "runs.partial" / run_id
+        run_dir.mkdir(parents=True)
+        (run_dir / "per_message.csv").write_text(
+            per_message_csv(result.records), encoding="utf-8")
+        if result.clustering is not None:
+            (run_dir / "clustering.txt").write_text(
+                dump_clustering(result.clustering), encoding="utf-8")
+        rows.append(summary_row(report))
     if (out / "runs.partial").exists():
         os.replace(out / "runs.partial", out / "runs")
     (out / "config.json").write_text(
@@ -302,13 +312,8 @@ def run_sweep(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _first_point(config: RunConfig) -> tuple[int, int]:
-    return sorted(set(config.categories))[0], sorted(set(config.seeds))[0]
-
-
 def cmd_validate(config: RunConfig) -> int:
-    cat, seed = _first_point(config)
-    scenario = build_scenario(config, cat, seed, _load_file_inputs(config))
+    scenario = build_scenario(config, *_points(config)[0], _load_file_inputs(config))
     report = validate_scenario(scenario.trace, scenario.profiles)
     for line in report.lines():
         print(line)
@@ -318,20 +323,17 @@ def cmd_validate(config: RunConfig) -> int:
 def cmd_gen_trace(config: RunConfig) -> int:
     if config.synthetic is None:
         raise ConfigError("missing required config key: synthetic")
-    points = len(set(config.categories)) * len(set(config.seeds))
-    if points > 1:
+    points = _points(config)
+    if len(points) > 1:
         _output_dir(config, create=False)   # a bad --out is reported as such first
         raise ConfigError(f"gen-trace writes one (categories, seeds) point, the config "
-                          f"has {points}; pick one with --categories and --seed")
+                          f"has {len(points)}; pick one with --categories and --seed")
     out = _output_dir(config)
-    cat, seed = _first_point(config)
-    trace, profiles = generate_synthetic_trace(_synthetic_params(config, cat), seed)
-    trace_path = out / "trace.txt"
-    profile_path = out / "profiles.txt"
-    trace_path.write_text(serialize_contact_trace(trace), encoding="utf-8")
-    profile_path.write_text(serialize_profiles(profiles), encoding="utf-8")
-    print(trace_path)
-    print(profile_path)
+    scenario = build_scenario(config, *points[0], None)
+    for name, text in (("trace.txt", serialize_contact_trace(scenario.trace)),
+                       ("profiles.txt", serialize_profiles(scenario.profiles))):
+        (out / name).write_text(text, encoding="utf-8")
+        print(out / name)
     return 0
 
 

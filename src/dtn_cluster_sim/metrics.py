@@ -99,7 +99,7 @@ def build_report(result: SimResult, run_id: str) -> MetricsReport:
         mode=sc.router.mode,
         strict=sc.router.strict,
         n_categories=sc.n_categories,
-        k_clusters=result.k_effective,
+        k_clusters=None if result.clustering is None else result.clustering.k,
         seed=sc.seed,
         created=len(records),
         delivered=len(_delivered(records)),

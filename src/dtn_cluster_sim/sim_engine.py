@@ -15,7 +15,9 @@ nothing: the receipt log only grows, buffers only lose entries between
 gains, budgets only fall, and the forwarding rules do not depend on the
 time. A queued contact whose budget is spent or whose two buffers are
 empty is passed over; a buffer fills only through a gain, which queues
-the contact again.
+the contact again. A budget falls only at a forward, so it is tested
+after each forward: the exchange ends at the one that spends it. The
+forwarding rule is chosen once per run; each offer asks only that rule.
 
 The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
@@ -45,6 +47,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 
 from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
@@ -72,7 +75,7 @@ class RouterConfig:
     ttl: float | None = None
     max_transfers_per_contact: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ROUTER_KINDS:
             raise InvalidParams("router", f"unknown kind {self.kind!r}")
         if self.mode not in GROUP_MODES:
@@ -100,7 +103,7 @@ class ScheduleConfig:
     explicit: tuple[tuple[float, int, int], ...] | None = None
     track_final: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.count < 0:
             raise InvalidParams("message_count", "must not be negative")
         if self.interval is not None and self.interval <= 0:
@@ -109,12 +112,27 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One replay's inputs, checked when built: at least one category, one
+    bit per category in every profile, a node to create messages at."""
+
     trace: ContactTrace
     profiles: tuple[InterestProfile, ...]
     n_categories: int
     router: RouterConfig = RouterConfig()
     schedule: ScheduleConfig = ScheduleConfig()
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_categories < 1:
+            raise InvalidParams("n_categories", "need at least 1 category")
+        for p in self.profiles:
+            if len(p.interests) != self.n_categories:
+                raise InvalidParams("profiles",
+                                    f"node {p.node} has arity {len(p.interests)}, "
+                                    f"scenario expects {self.n_categories}")
+        if (self.schedule.explicit is None and self.schedule.count
+                and not (self.profiles or self.trace.nodes)):
+            raise InvalidParams("schedule", "no nodes to create messages at")
 
 
 @dataclass
@@ -157,7 +175,6 @@ class SimResult:
     group_fallbacks: dict[int, bool]
     first_receipts: dict[int, dict[int, float]]
     all_nodes: int
-    k_effective: int | None
     scenario: Scenario = field(repr=False)
 
 
@@ -193,9 +210,6 @@ def build_schedule(scenario: Scenario) -> list[tuple[float, int, int]]:
         return []
 
     sources = sorted(p.node for p in scenario.profiles) or universe
-    if not sources:
-        raise InvalidParams("schedule", "no nodes to create messages at")
-
     rng = random.Random(scenario.seed)
     if cfg.interval is not None:
         times = [(i + 1) * cfg.interval for i in range(cfg.count)]
@@ -217,17 +231,16 @@ def _resolve_groups(scenario: Scenario):
     groups: dict[int, tuple[int, ...]] = {}
     fallbacks: dict[int, bool] = {}
     clustering = None
-    k_effective = None
 
     if profiles and rc.mode == "kmeans":
         points = points_of(profiles)
         distinct = len(set(points.values()))
         k_requested = rc.k_clusters if rc.k_clusters is not None else n
         # clamp so sparse desk-scale profiles cannot make clustering impossible
-        k_effective = min(k_requested, distinct)
-        if k_effective != k_requested:
-            log.info("k clamped from %d to %d (distinct vectors)", k_requested, k_effective)
-        clustering = kmeans(points, k_effective, seed=scenario.seed)
+        k = min(k_requested, distinct)
+        if k != k_requested:
+            log.info("k clamped from %d to %d (distinct vectors)", k_requested, k)
+        clustering = kmeans(points, k, seed=scenario.seed)
         for cat in range(1, n + 1):
             res = resolve_group_kmeans(clustering, profiles, cat, rc.threshold)
             groups[cat] = res.members
@@ -236,26 +249,15 @@ def _resolve_groups(scenario: Scenario):
         for cat in range(1, n + 1):
             groups[cat] = tuple(resolve_group_exact(profiles, cat))
             fallbacks[cat] = False
-    return groups, fallbacks, clustering, k_effective
+    return groups, fallbacks, clustering
 
 
 def run(scenario: Scenario) -> SimResult:
     """Replay the trace and return one DeliveryRecord per created message."""
     rc = scenario.router
-    rc.validate()
-    scenario.schedule.validate()
-    n = scenario.n_categories
-    if n < 1:
-        raise InvalidParams("n_categories", "need at least 1 category")
-    for p in scenario.profiles:
-        if len(p.interests) != n:
-            raise InvalidParams("profiles",
-                                f"node {p.node} has arity {len(p.interests)}, "
-                                f"scenario expects {n}")
-
     universe = _scenario_nodes(scenario)
     all_nodes = max(scenario.trace.node_count, len(universe))
-    groups, fallbacks, clustering, k_effective = _resolve_groups(scenario)
+    groups, fallbacks, clustering = _resolve_groups(scenario)
     schedule = build_schedule(scenario)
 
     rng_final = random.Random(scenario.seed + 0x9E3779B1)
@@ -278,6 +280,9 @@ def run(scenario: Scenario) -> SimResult:
     incident: dict[int, set[tuple[int, int]]] = {node: set() for node in universe}
     # transfers left on an open contact; 0 once spent or closed in strict mode
     budget: dict[tuple[int, int], int] = {}
+    # bound per run, not at import, so a rule wrapped after import is used
+    decide = (epidemic_decide if rc.kind == "epidemic"
+              else partial(interest_cluster_transfer, strict=rc.strict))
 
     def purge(node: int, t: float):
         if rc.ttl is not None:
@@ -300,18 +305,15 @@ def run(scenario: Scenario) -> SimResult:
                 msg = entry.message
                 if peer in first_receipts[msg.id]:
                     continue
-                if budget.get(pair, 1) <= 0:
-                    return gainers
-                if rc.kind == "epidemic":
-                    decision = epidemic_decide(msg, peer)
-                else:
-                    decision = interest_cluster_transfer(msg, peer, rc.strict)
+                decision = decide(msg, peer)
                 if decision is ForwardDecision.FORWARD:
                     receive(msg, peer, t, entry.hops + 1)
                     gainers.add(peer)
                     counts.forwards += 1
                     if pair in budget:
                         budget[pair] -= 1
+                        if not budget[pair]:
+                            return gainers
                 elif decision is ForwardDecision.CLOSE_CONNECTION:
                     budget[pair] = 0
                     counts.closes += 1
@@ -389,6 +391,5 @@ def run(scenario: Scenario) -> SimResult:
         group_fallbacks=fallbacks,
         first_receipts=first_receipts,
         all_nodes=all_nodes,
-        k_effective=k_effective,
         scenario=scenario,
     )

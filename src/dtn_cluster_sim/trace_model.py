@@ -295,16 +295,13 @@ def serialize_contact_trace(trace: ContactTrace) -> str:
 def parse_interest_profiles(text: str) -> list[InterestProfile]:
     """Parse `node_id bit_1 ... bit_n` lines into profiles, sorted by node id.
 
-    The first data line fixes n; a later line with another bit count is a
-    TraceError naming that line. Text with no data lines gives [].
+    Blank and `#` lines are skipped, as in traces. The first data line
+    fixes n; a later line with another bit count is a TraceError naming
+    that line. Text with no data lines gives [].
     """
     profiles: dict[int, InterestProfile] = {}
     arity = None
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for line_no, fields in _data_lines(text, {}):
         try:
             node = int(fields[0])
         except ValueError:
@@ -351,7 +348,7 @@ class SyntheticParams:
     mean_contact_duration: float = 10.0
     shared_interest_bias: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.node_count < 2:
             raise InvalidParams("node_count", "need at least 2 nodes")
         if not 0 < self.duration < _INF:
@@ -376,7 +373,6 @@ def generate_synthetic_trace(params: SyntheticParams,
     A pure function of (params, seed): the same inputs always produce
     byte-identical serialized traces and profiles.
     """
-    params.validate()
     rng = random.Random(seed)
 
     profiles = []

@@ -7,20 +7,23 @@ plain left-to-right squared distance), the
 reference k-means is the vectorised numpy implementation the library's
 pure-Python one must reproduce exactly, the reference trace
 normalization merges each pair's intervals and sorts with an explicit key,
-and the reference buffer keeps entries by id and sorts them on every read
+the reference buffer keeps entries by id and sorts them on every read
 (it also rejects a duplicate, which the library's buffer leaves to the
-engine).
+engine), and the reference replay repeats full ascending passes over every
+open contact until one moves nothing, with a seen set per node.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
 from dtn_cluster_sim.clustering import Clustering
 from dtn_cluster_sim.routing import BufferEntry, Message
+from dtn_cluster_sim.sim_engine import DeliveryRecord, _resolve_groups, build_schedule
 
 
 def earliest_arrival(events, source: int, t0: float,
@@ -231,3 +234,112 @@ class ReferenceBuffer:
 
     def in_exchange_order(self) -> list[BufferEntry]:
         return sorted(self._entries.values())
+
+
+def reference_replay(scenario) -> SimpleNamespace:
+    """Replay `scenario` by the rules, without a worklist: after each
+    message creation and each contact start, exchange on every open
+    contact in ascending (a, b) order, and repeat such passes until one
+    forwards nothing.
+
+    With a TTL, a buffer is purged before its node creates a message and
+    at both ends of every exchange. An exchange offers each end's buffer,
+    in exchange order, to the other end, skipping messages the peer has
+    seen. Before each offer it stops if the contact's budget is
+    spent. The epidemic rule forwards every offer; the cluster rule
+    forwards to group members, and a non-member skips the message or, in
+    strict mode, closes the contact for the rest of its interval.
+
+    Returns records, first receipts (in receipt order), forwards, drops
+    and closes. Expired copies are not counted: these passes purge
+    buffers the engine never reads.
+    """
+    rc = scenario.router
+    groups, _, _ = _resolve_groups(scenario)
+    schedule = build_schedule(scenario)
+    nodes = set(scenario.trace.nodes) | {p.node for p in scenario.profiles}
+    buffers = {node: ReferenceBuffer(rc.buffer_capacity) for node in nodes}
+    seen: dict[int, set[int]] = {node: set() for node in nodes}
+
+    rng_final = random.Random(scenario.seed + 0x9E3779B1)
+    messages = []
+    for mid, (t, source, category) in enumerate(schedule):
+        group = groups[category]
+        final = (rng_final.choice(group)
+                 if scenario.schedule.track_final and group else None)
+        messages.append(Message(id=mid, source=source, category=category, created_at=t,
+                                destination_group=frozenset(group),
+                                final_destination=final))
+
+    receipts: list[dict[int, float]] = [{} for _ in messages]
+    delivered: dict[int, tuple[int, float, int]] = {}
+    tally = {"forwards": 0, "drops": 0, "closes": 0}
+    transfers_left: dict[tuple[int, int], int | None] = {}  # open contacts
+
+    def receive(msg: Message, node: int, t: float, hops: int):
+        seen[node].add(msg.id)
+        receipts[msg.id][node] = t
+        if node in msg.destination_group and msg.id not in delivered:
+            delivered[msg.id] = (node, t, hops)
+        tally["drops"] += len(buffers[node].insert(msg, t, hops))
+
+    def exchange(pair: tuple[int, int], t: float) -> bool:
+        moved = False
+        if rc.ttl is not None:
+            for node in pair:
+                buffers[node].purge_expired(t, rc.ttl)
+        a, b = pair
+        for carrier, peer in ((a, b), (b, a)):
+            for entry in buffers[carrier].in_exchange_order():
+                if entry.message_id in seen[peer]:
+                    continue
+                if transfers_left[pair] == 0:
+                    return moved
+                msg = entry.message
+                if rc.kind == "epidemic" or peer in msg.destination_group:
+                    receive(msg, peer, t, entry.hops + 1)
+                    tally["forwards"] += 1
+                    moved = True
+                    if transfers_left[pair] is not None:
+                        transfers_left[pair] -= 1
+                elif rc.strict:
+                    transfers_left[pair] = 0
+                    tally["closes"] += 1
+                    return moved
+        return moved
+
+    def settle(t: float):
+        moved = True
+        while moved:
+            moved = False
+            for pair in sorted(transfers_left):
+                moved = exchange(pair, t) or moved
+
+    events = [(ev.t_end, 0, (ev.a, ev.b)) for ev in scenario.trace.events]
+    events += [(ev.t_start, 2, (ev.a, ev.b)) for ev in scenario.trace.events]
+    events += [(msg.created_at, 1, msg.id) for msg in messages]
+    # at one instant: contacts end, then messages appear, then contacts start
+    for t, kind, what in sorted(events):
+        if kind == 0:
+            del transfers_left[what]
+        elif kind == 1:
+            msg = messages[what]
+            if rc.ttl is not None:
+                buffers[msg.source].purge_expired(t, rc.ttl)
+            receive(msg, msg.source, t, 0)
+            settle(t)
+        else:
+            transfers_left[what] = rc.max_transfers_per_contact
+            settle(t)
+
+    records = []
+    for msg in messages:
+        receiver, at, hops = delivered.get(msg.id, (None, None, None))
+        records.append(DeliveryRecord(
+            message_id=msg.id, source=msg.source, category=msg.category,
+            created_at=msg.created_at, group_size=len(msg.destination_group),
+            group_delivered_at=at, first_receiver=receiver, hops_at_delivery=hops,
+            forwards_total=len(receipts[msg.id]) - 1,
+            final_destination=msg.final_destination,
+            final_delivered_at=receipts[msg.id].get(msg.final_destination)))
+    return SimpleNamespace(records=tuple(records), first_receipts=receipts, **tally)

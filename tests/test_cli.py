@@ -433,6 +433,20 @@ class TestMainEntry:
         assert row["created"] == "0"
         assert row["resource_used"] == ""
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_empty_network_with_messages_exits_2(self, tmp_path, capsys, command):
+        # every point replays the same file, so no point has a node to
+        # create messages at
+        (tmp_path / "empty.txt").write_text("")
+        path = write_config(tmp_path, trace=str(tmp_path / "empty.txt"),
+                            profiles=None, categories=[1, 2])
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (f"config error: {tmp_path / 'empty.txt'}: invalid parameter: schedule "
+                "(no nodes to create messages at)") in err
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_synthetic_duration_is_config_error(self, tmp_path):
         # checked through parse_config only: a run with it never ends
         path = synthetic_config(tmp_path, synthetic={

@@ -14,7 +14,7 @@ from dtn_cluster_sim.trace_model import (InterestProfile, InvalidParams,
                                          SyntheticParams, generate_synthetic_trace,
                                          parse_contact_trace)
 
-from oracles import earliest_arrival
+from oracles import earliest_arrival, reference_replay
 
 
 def scenario(trace_text, vectors, n, schedule, router=None, seed=0):
@@ -87,6 +87,48 @@ class TestBuildSchedule:
         assert any("empty" in r.message for r in caplog.records)
 
 
+def synthetic(**change) -> SyntheticParams:
+    return SyntheticParams(**{"node_count": 4, "duration": 10.0, "contact_rate": 1.0,
+                              "n_categories": 1, "interest_prob": 0.5, **change})
+
+
+def two_node_scenario(**change) -> Scenario:
+    return Scenario(**{"trace": parse_contact_trace("0 10 1 2\n"),
+                       "profiles": (InterestProfile(1, (1, 0)), InterestProfile(2, (0, 1))),
+                       "n_categories": 2, **change})
+
+
+@pytest.mark.parametrize("build, change, named", [
+    (RouterConfig, {"kind": "x"}, "router"),
+    (RouterConfig, {"mode": "x"}, "mode"),
+    (RouterConfig, {"threshold": 0.0}, "threshold"),
+    (RouterConfig, {"threshold": 1.5}, "threshold"),
+    (RouterConfig, {"k_clusters": 0}, "k_clusters"),
+    (RouterConfig, {"buffer_capacity": 0}, "buffer_capacity"),
+    (RouterConfig, {"ttl": 0.0}, "ttl"),
+    (RouterConfig, {"max_transfers_per_contact": 0}, "max_transfers_per_contact"),
+    (ScheduleConfig, {"count": -3}, "message_count"),
+    (ScheduleConfig, {"interval": 0.0}, "message_interval"),
+    (ScheduleConfig, {"count": 3, "interval": -10.0}, "message_interval"),
+    (synthetic, {"node_count": 1}, "node_count"),
+    (synthetic, {"duration": 0.0}, "duration"),
+    (synthetic, {"contact_rate": 0.0}, "contact_rate"),
+    (synthetic, {"n_categories": 0}, "n_categories"),
+    (synthetic, {"interest_prob": 1.5}, "interest_prob"),
+    (synthetic, {"mean_contact_duration": 0.0}, "mean_contact_duration"),
+    (synthetic, {"shared_interest_bias": 0.0}, "shared_interest_bias"),
+    (two_node_scenario, {"n_categories": 0}, "n_categories"),
+    (two_node_scenario, {"profiles": (InterestProfile(1, (1, 0)), InterestProfile(2, (1,)))},
+     "profiles"),
+    (two_node_scenario, {"trace": parse_contact_trace(""), "profiles": (),
+                         "schedule": ScheduleConfig(count=1)}, "schedule"),
+])
+def test_settings_rule_raises_where_built(build, change, named):
+    with pytest.raises(InvalidParams) as err:
+        build(**change)
+    assert err.value.field == named
+
+
 class TestRunBasics:
     def test_mid_interval_creation_delivers_immediately(self):
         sc = scenario("0 10 1 2\n", {1: (0,), 2: (1,)}, 1,
@@ -140,10 +182,8 @@ class TestRunBasics:
         assert res.counts.forwards == 2
 
     def test_profile_arity_mismatch_rejected(self):
-        sc = scenario("0 10 1 2\n", {1: (0, 1), 2: (1, 0)}, 3,
-                      ScheduleConfig(count=0))
         with pytest.raises(InvalidParams):
-            run(sc)
+            scenario("0 10 1 2\n", {1: (0, 1), 2: (1, 0)}, 3, ScheduleConfig(count=0))
 
 
 class TestRelayAndSeenSet:
@@ -318,7 +358,7 @@ class TestKmeansMode:
                       router=RouterConfig(mode="kmeans"))
         res = run(sc)
         assert res.clustering is not None
-        assert res.k_effective == 2
+        assert res.clustering.k == 2
         profiles = sc.profiles
         for cat in (1, 2):
             expect = resolve_group_kmeans(res.clustering, profiles, cat)
@@ -329,7 +369,7 @@ class TestKmeansMode:
         sc = scenario("0 10 1 2\n", vectors, 3, ScheduleConfig(count=0),
                       router=RouterConfig(mode="kmeans"))
         res = run(sc)
-        assert res.k_effective == 2
+        assert res.clustering.k == 2
 
     def test_track_final_destination(self):
         sc = scenario("0 10 1 2\n0 10 2 3\n", {1: (0,), 2: (1,), 3: (1,)}, 1,
@@ -380,6 +420,56 @@ def test_golden_matrix_unchanged():
         digest.update(repr((res.records, sorted(receipts.items()),
                             c.forwards, c.drops, c.closes)).encode())
     assert digest.hexdigest() == GOLDEN_MATRIX_SHA256
+
+
+def seeded_scenario(i: int) -> Scenario:
+    """Scenario i of the reference-replay set: small networks with short
+    and long contacts, every router setting drawn at random, so strict
+    closes, spent budgets, evictions, TTL purges and same-instant relays
+    all occur."""
+    rng = random.Random(10_000 + i)
+    kind = rng.choice(("cluster", "epidemic"))
+    router = RouterConfig(
+        kind=kind,
+        mode=rng.choice(("exact", "kmeans")),
+        strict=kind == "cluster" and rng.random() < 0.4,
+        threshold=rng.choice((0.3, 0.5, 1.0)),
+        buffer_capacity=rng.choice((1, 2, 3, 5, 10, 50, None)),
+        max_transfers_per_contact=rng.choice((None, 1, 2, 3, 4, 5)),
+        ttl=rng.choice((None, 15.0, 60.0, 200.0)),
+    )
+    n = rng.randint(1, 4)
+    nodes = rng.randint(4, 14)
+    contacts = rng.uniform(60, 200)
+    params = SyntheticParams(node_count=nodes, duration=300.0,
+                             contact_rate=contacts / (nodes * (nodes - 1) / 2 * 300.0),
+                             n_categories=n, interest_prob=rng.uniform(0.2, 0.7),
+                             mean_contact_duration=rng.choice((2.0, 20.0, 80.0)))
+    trace, profiles = generate_synthetic_trace(params, i)
+    schedule = ScheduleConfig(count=rng.randint(1, 30),
+                              interval=rng.choice((None, None, 5.0, 9.0)),
+                              track_final=rng.random() < 0.5)
+    return Scenario(trace=trace, profiles=tuple(profiles), n_categories=n,
+                    router=router, schedule=schedule, seed=i)
+
+
+def test_replay_matches_reference_replay():
+    """The worklist replay against the full-pass reference: records,
+    first receipts in receipt order, forwards, drops and closes agree on
+    the golden matrix and on 320 seeded scenarios."""
+    totals = Counter()
+    scenarios = [matrix_scenario(i) for i in range(72)]
+    scenarios += [seeded_scenario(i) for i in range(320)]
+    for i, sc in enumerate(scenarios):
+        res, ref = run(sc), reference_replay(sc)
+        c = res.counts
+        assert res.records == ref.records, i
+        assert [list(res.first_receipts[m].items()) for m in range(len(res.records))] == \
+            [list(r.items()) for r in ref.first_receipts], i
+        assert (c.forwards, c.drops, c.closes) == (ref.forwards, ref.drops, ref.closes), i
+        totals.update(forwards=c.forwards, drops=c.drops, closes=c.closes, expired=c.expired,
+                      finals=sum(r.final_delivered_at is not None for r in res.records))
+    assert min(totals.values()) > 0, totals
 
 
 def test_no_node_receives_a_message_twice(monkeypatch):
