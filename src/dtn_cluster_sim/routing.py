@@ -12,7 +12,8 @@ answers FORWARD, SKIP or CLOSE_CONNECTION:
 The rules never see a peer that already holds or held the message:
 duplicate suppression is the engine's, which offers a message only to
 peers absent from its receipt log. A buffer does not check for
-duplicates.
+duplicates. Nor does the non-strict rule see a peer outside the
+message's group: the engine leaves out what it would only skip.
 
 A buffer is a log of entries in exchange order: by receipt time, ties by
 message id. It holds a bounded number of messages and evicts from the

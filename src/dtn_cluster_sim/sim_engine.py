@@ -13,11 +13,18 @@ queues each other open contact of that node that is not queued yet. A
 contact that no gain has queued since its last exchange would forward
 nothing: the receipt log only grows, buffers only lose entries between
 gains, budgets only fall, and the forwarding rules do not depend on the
-time. A queued contact whose budget is spent or whose two buffers are
-empty is passed over; a buffer fills only through a gain, which queues
-the contact again. A budget falls only at a forward, so it is tested
-after each forward: the exchange ends at the one that spends it. The
-forwarding rule is chosen once per run; each offer asks only that rule.
+time. A contact that starts between two empty buffers is not queued, and
+a queued contact whose budget is spent or whose two buffers are empty is
+passed over; a buffer fills only through a gain, which queues the
+contact again. A budget falls only at a forward, so it is tested after
+each forward: the exchange ends at the one that spends it.
+
+The forwarding rule is chosen once per run, with the categories offered
+to each peer. The non-strict cluster rule is offered only the categories
+whose destination group holds the peer: it would skip any other, and a
+skip changes nothing. The strict rule and the epidemic rule are offered
+every category, since a strict rule closes the contact at its first
+non-member.
 
 The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
@@ -283,6 +290,12 @@ def run(scenario: Scenario) -> SimResult:
     # bound per run, not at import, so a rule wrapped after import is used
     decide = (epidemic_decide if rc.kind == "epidemic"
               else partial(interest_cluster_transfer, strict=rc.strict))
+    # the categories offered to each node (offer sets, module docstring)
+    if rc.kind == "cluster" and not rc.strict:
+        wanted = {node: frozenset(cat for cat, group in member_sets.items() if node in group)
+                  for node in universe}
+    else:
+        wanted = dict.fromkeys(universe, frozenset(member_sets))
 
     def purge(node: int, t: float):
         if rc.ttl is not None:
@@ -301,9 +314,10 @@ def run(scenario: Scenario) -> SimResult:
         purge(a, t)
         purge(b, t)
         for carrier, peer in ((a, b), (b, a)):
+            offered = wanted[peer]
             for entry in buffers[carrier].in_exchange_order():
                 msg = entry.message
-                if peer in first_receipts[msg.id]:
+                if msg.category not in offered or peer in first_receipts[msg.id]:
                     continue
                 decision = decide(msg, peer)
                 if decision is ForwardDecision.FORWARD:
@@ -358,12 +372,15 @@ def run(scenario: Scenario) -> SimResult:
             receive(msg, msg.source, t, 0)
             sweep(t, incident[msg.source])
         else:
-            for node in info:
-                incident[node].add(info)
+            a, b = info
+            incident[a].add(info)
+            incident[b].add(info)
             if rc.max_transfers_per_contact is not None:
                 budget[info] = rc.max_transfers_per_contact
             counts.contacts_processed += 1
-            sweep(t, (info,))
+            # two empty buffers have nothing to offer; a gain queues it later
+            if buffers[a] or buffers[b]:
+                sweep(t, (info,))
 
     records = []
     for m in messages:

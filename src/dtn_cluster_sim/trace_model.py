@@ -380,13 +380,14 @@ def generate_synthetic_trace(params: SyntheticParams,
         bits = tuple(1 if rng.random() < params.interest_prob else 0
                      for _ in range(params.n_categories))
         profiles.append(InterestProfile(node, bits))
+    # one bit per category, so two nodes share an interest iff masks overlap
+    masks = [sum(bit << i for i, bit in enumerate(p.interests)) for p in profiles]
+    shared_rate = params.contact_rate * params.shared_interest_bias
 
     raw = []
     for a in range(params.node_count):
         for b in range(a + 1, params.node_count):
-            shared = any(x and y for x, y in zip(profiles[a].interests,
-                                                 profiles[b].interests))
-            rate = params.contact_rate * (params.shared_interest_bias if shared else 1.0)
+            rate = shared_rate if masks[a] & masks[b] else params.contact_rate
             t = rng.expovariate(rate)
             while t < params.duration:
                 length = rng.expovariate(1.0 / params.mean_contact_duration)

@@ -7,7 +7,7 @@ import pytest
 from dtn_cluster_sim import sim_engine
 from dtn_cluster_sim.clustering import resolve_group_kmeans
 from dtn_cluster_sim.metrics import per_message_csv
-from dtn_cluster_sim.routing import Buffer
+from dtn_cluster_sim.routing import Buffer, ForwardDecision
 from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig,
                                         build_schedule, run)
 from dtn_cluster_sim.trace_model import (InterestProfile, InvalidParams,
@@ -489,3 +489,31 @@ def test_no_node_receives_a_message_twice(monkeypatch):
     for i in range(72):
         res = run(matrix_scenario(i))
         assert res.counts.forwards == sum(r.forwards_total for r in res.records), i
+
+
+def test_cluster_rule_sees_only_wanted_offers(monkeypatch):
+    """Offer sets: the non-strict cluster rule is asked only about peers in
+    the message's group, so each of its answers is FORWARD and its calls
+    equal the forwards; the strict rule still sees the first non-member,
+    and each of its CLOSE answers closes a contact."""
+    rule = sim_engine.interest_cluster_transfer
+    answers = []
+
+    def recorded(message, peer, strict=False):
+        answers.append(rule(message, peer, strict=strict))
+        return answers[-1]
+
+    monkeypatch.setattr(sim_engine, "interest_cluster_transfer", recorded)
+    closes = 0
+    for i in range(72):
+        sc = matrix_scenario(i)
+        if sc.router.kind != "cluster":
+            continue
+        answers.clear()
+        res = run(sc)
+        tally = Counter(answers)
+        assert tally[ForwardDecision.FORWARD] == res.counts.forwards, i
+        assert tally[ForwardDecision.CLOSE_CONNECTION] == res.counts.closes, i
+        assert tally[ForwardDecision.SKIP] == 0, i
+        closes += res.counts.closes
+    assert closes > 0

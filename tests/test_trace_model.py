@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from hashlib import sha256
 
 import pytest
 
@@ -251,28 +253,24 @@ class TestSynthetic:
         t2, _ = generate_synthetic_trace(self.PARAMS, seed=2)
         assert t1.events != t2.events
 
-    def test_single_node_rejected(self):
-        with pytest.raises(InvalidParams) as err:
-            generate_synthetic_trace(
-                SyntheticParams(node_count=1, duration=10.0, contact_rate=1.0,
-                                n_categories=1, interest_prob=0.5), seed=0)
-        assert err.value.field == "node_count"
+    # sha256 of the serialized output of PINNED_PARAMS at seed 5; 32 of its
+    # 66 node pairs share an interest, so a wrong shared-interest test
+    # moves the trace at a bias other than 1
+    PINNED_PARAMS = SyntheticParams(node_count=12, duration=500.0, contact_rate=0.002,
+                                    n_categories=4, interest_prob=0.3,
+                                    mean_contact_duration=20.0)
+    PINNED_PROFILES = "dcfeea2fcceca60ca5fd3ec0dfa2d3da1a2900a1bd653bce717d5324cdc0e91c"
 
-    @pytest.mark.parametrize("field,params", [
-        ("duration", dict(duration=0.0)),
-        ("contact_rate", dict(contact_rate=0.0)),
-        ("n_categories", dict(n_categories=0)),
-        ("interest_prob", dict(interest_prob=1.5)),
-        ("mean_contact_duration", dict(mean_contact_duration=-1.0)),
-        ("shared_interest_bias", dict(shared_interest_bias=0.0)),
+    @pytest.mark.parametrize("bias, trace_sha256", [
+        (1.0, "ff07e63cfd415aba5946c8d5a53091f0a1e41b1c3314ff430999f00cecb59e93"),
+        (3.0, "9ba2b2d4f1443c3cf9509f5637d10720f5fa9caf91ed122e4850f0ded81a4dc8"),
     ])
-    def test_invalid_params_name_the_field(self, field, params):
-        base = dict(node_count=4, duration=10.0, contact_rate=1.0,
-                    n_categories=1, interest_prob=0.5)
-        base.update(params)
-        with pytest.raises(InvalidParams) as err:
-            generate_synthetic_trace(SyntheticParams(**base), seed=0)
-        assert err.value.field == field
+    def test_output_pinned(self, bias, trace_sha256):
+        params = replace(self.PINNED_PARAMS, shared_interest_bias=bias)
+        trace, profiles = generate_synthetic_trace(params, seed=5)
+        assert sha256(serialize_contact_trace(trace).encode()).hexdigest() == trace_sha256
+        assert sha256(serialize_profiles(profiles).encode()).hexdigest() == \
+            self.PINNED_PROFILES
 
     def test_event_count_concentrates_around_expectation(self):
         # expected meetings ~= 50 per seed; Poisson concentration keeps the
