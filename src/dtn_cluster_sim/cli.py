@@ -16,6 +16,15 @@ are written under `runs.partial/`, which becomes `runs/` after the last
 point; `config.json`, `failures.csv` and `summary.csv` follow, so a tree
 without `summary.csv` holds a sweep that did not finish.
 
+The points run side by side in up to one process per usable CPU (so
+`taskset -c 0` runs them one at a time): this one and forked workers,
+each of which writes its own run directories and reports its rows and
+failures back. Rows, failures and `run ... failed` lines are written in
+point order, so the tree and stderr are the same however many processes
+ran; memory grows with their number. A worker stops before its next
+point once the sweep's process is gone, and a point whose worker died
+is a failure naming the worker's exit status.
+
 Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
 file that cannot be read or parsed.
 """
@@ -28,6 +37,7 @@ import json
 import os
 import shutil
 import sys
+import threading
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -272,6 +282,106 @@ def _clear_earlier_sweep(out: Path) -> None:
         raise ConfigError(f"cannot clear an earlier sweep's output: {exc}") from exc
 
 
+def _processes(n_points: int) -> int:
+    """How many processes share a sweep's points: one per usable CPU, at
+    most one per point, and 1 where fork is missing or unsafe (another
+    thread could hold a lock the child would inherit)."""
+    if (n_points < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(n_points, len(os.sched_getaffinity(0)))
+
+
+def _run_point(config: RunConfig, file_inputs, out: Path, run_id: str, cat: int,
+               seed: int) -> list:
+    """[summary row, None] of one sweep point, after writing its run
+    directory, or [None, error] if it failed."""
+    try:
+        scenario = build_scenario(config, cat, seed, file_inputs)
+        result = run(scenario)
+        summary = summary_row(build_report(result, run_id))
+    except Exception as exc:  # surface errors with run coordinates
+        return [None, str(exc)]
+    run_dir = out / "runs.partial" / run_id
+    run_dir.mkdir(parents=True)
+    (run_dir / "per_message.csv").write_text(
+        per_message_csv(result.records), encoding="utf-8")
+    if result.clustering is not None:
+        (run_dir / "clustering.txt").write_text(
+            dump_clustering(result.clustering), encoding="utf-8")
+    return [summary, None]
+
+
+def _run_points(config: RunConfig, file_inputs, out: Path) -> list[list]:
+    """[run_id, summary row, error] of every sweep point, in point order.
+    With W processes, points i::W run in process i: the first share in
+    this one, each other share in a forked worker that sends its entries
+    back as one JSON document over a pipe. A point that a worker did not
+    report fails with the worker's exit status."""
+    points = [(f"n{cat}_s{seed}", cat, seed) for cat, seed in _points(config)]
+    width = _processes(len(points))
+    shares = [range(i, len(points), width) for i in range(width)]
+
+    def run_share(share, report: list, parent: int | None = None) -> None:
+        for index in share:
+            if parent is not None and os.getppid() != parent:
+                break   # orphaned: the sweep is over
+            report.append([index, *_run_point(config, file_inputs, out, *points[index])])
+
+    def worker(share, parent: int, write_fd: int):
+        report, status = [], 1
+        try:
+            try:
+                run_share(share, report, parent)
+            finally:
+                with open(write_fd, "w", encoding="utf-8") as pipe:
+                    json.dump(report, pipe)
+            status = 0
+        except Exception:
+            if os.getppid() == parent:   # an orphan has no one to report to
+                sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(status)   # never the parent's cleanup or exit path
+
+    parent = os.getpid()
+    workers = []   # (pid, read end of its pipe, share)
+    report, sent, statuses = [], [], []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                worker(share, parent, write_fd)
+            os.close(write_fd)
+            workers.append((pid, read_fd, share))
+        run_share(shares[0], report)
+        for _, read_fd, _ in workers:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+    finally:
+        if len(sent) < len(workers):   # interrupted: no worker outlives the sweep
+            import signal
+            for pid, _, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+        for pid, read_fd, _ in workers:
+            os.close(read_fd)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (_, _, share), text, status in zip(workers, sent, statuses):
+        try:
+            entries = json.loads(text)
+        except ValueError:
+            entries = []
+        report += entries
+        reported = {index for index, _, _ in entries}
+        for index in share:
+            if index not in reported:
+                # a dead worker may have left a finished or half-written run directory
+                shutil.rmtree(out / "runs.partial" / points[index][0], ignore_errors=True)
+                report.append([index, None, f"worker exited with status {status}"])
+    return [[points[index][0], row, error] for index, row, error in sorted(report)]
+
+
 def run_sweep(config: RunConfig) -> int:
     """Run every (n_categories, seed) pair and write the output tree."""
     file_inputs = _load_file_inputs(config)
@@ -280,24 +390,12 @@ def run_sweep(config: RunConfig) -> int:
 
     rows = [summary_header()]
     failures: list[tuple[str, str]] = []
-    for cat, seed in _points(config):
-        run_id = f"n{cat}_s{seed}"
-        try:
-            scenario = build_scenario(config, cat, seed, file_inputs)
-            result = run(scenario)
-            report = build_report(result, run_id)
-        except Exception as exc:  # surface errors with run coordinates
-            print(f"run {run_id} failed: {exc}", file=sys.stderr)
-            failures.append((run_id, str(exc)))
-            continue
-        run_dir = out / "runs.partial" / run_id
-        run_dir.mkdir(parents=True)
-        (run_dir / "per_message.csv").write_text(
-            per_message_csv(result.records), encoding="utf-8")
-        if result.clustering is not None:
-            (run_dir / "clustering.txt").write_text(
-                dump_clustering(result.clustering), encoding="utf-8")
-        rows.append(summary_row(report))
+    for run_id, row, error in _run_points(config, file_inputs, out):
+        if error is None:
+            rows.append(row)
+        else:
+            print(f"run {run_id} failed: {error}", file=sys.stderr)
+            failures.append((run_id, error))
     if (out / "runs.partial").exists():
         os.replace(out / "runs.partial", out / "runs")
     (out / "config.json").write_text(

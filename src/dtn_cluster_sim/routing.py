@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from typing import NamedTuple
 
 
@@ -74,6 +75,9 @@ class Buffer:
     capacity counts messages; None means unlimited. The oldest entry is
     the head of the log. In a replay receipt times never decrease, so an
     insert lands at the tail, or among the entries of its instant by id.
+    A lower bound on the log's creation times lets a purge that cannot
+    drop anything return at once; an eviction leaves the bound low, which
+    is safe.
     """
 
     def __init__(self, capacity: int | None = 50):
@@ -81,6 +85,7 @@ class Buffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._log: list[BufferEntry] = []
+        self._created_bound = inf
 
     def __len__(self) -> int:
         return len(self._log)
@@ -90,6 +95,7 @@ class Buffer:
         returns evicted messages in exchange order. The buffer does not
         check that it holds no other copy of the message."""
         insort(self._log, BufferEntry(now, message.id, hops, message))
+        self._created_bound = min(self._created_bound, message.created_at)
         if self.capacity is None or len(self._log) <= self.capacity:
             return []
         evicted = self._log[:-self.capacity]
@@ -99,11 +105,15 @@ class Buffer:
     def purge_expired(self, now: float, ttl: float) -> list[Message]:
         """Drop entries whose message was created more than `ttl` before
         `now`; returns them in exchange order."""
+        if now - self._created_bound <= ttl:
+            return []
         dead = [entry.message for entry in self._log
                 if now - entry.message.created_at > ttl]
         if dead:
             self._log = [entry for entry in self._log
                          if now - entry.message.created_at <= ttl]
+            self._created_bound = min(
+                (entry.message.created_at for entry in self._log), default=inf)
         return dead
 
     def in_exchange_order(self) -> list[BufferEntry]:

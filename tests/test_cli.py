@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dtn_cluster_sim
+from dtn_cluster_sim import cli
 from dtn_cluster_sim.cli import (ConfigError, RunConfig, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
@@ -272,7 +274,9 @@ class TestRunSweep:
         path = synthetic_config(tmp_path, categories=[3], seeds=list(range(1, 13)),
                                 synthetic={"node_count": 100, "duration": 20000.0,
                                            "contact_rate": 2e-4, "interest_prob": 0.3})
-        first = out / "runs.partial" / "n3_s1" / "per_message.csv"
+        partial = out / "runs.partial"
+        first = partial / "n3_s1" / "per_message.csv"
+        started = time.monotonic()
         proc = subprocess.Popen(
             [sys.executable, "-m", "dtn_cluster_sim.cli", "run",
              "--config", str(path), "--out", str(out)],
@@ -286,6 +290,13 @@ class TestRunSweep:
         finally:
             proc.kill()
             proc.wait()
+        # a worker finishes the point it was at, then sees its parent gone
+        # and stops; the time to the first point bounds a point's time
+        point_s = time.monotonic() - started
+        time.sleep(2 * point_s)
+        written = sorted(partial.rglob("*"))
+        time.sleep(2 * point_s)
+        assert sorted(partial.rglob("*")) == written
         assert first.exists()
         assert not (out / "summary.csv").exists()
         assert not (out / "config.json").exists()
@@ -313,6 +324,101 @@ class TestRunSweep:
         config = parse_config(write_config(tmp_path))
         with pytest.raises(ConfigError, match="missing required config key: out"):
             run_sweep(config)
+
+
+@pytest.fixture
+def time_limit():
+    """Fails a test that runs for more than a minute, say a sweep waiting on
+    a worker that never reports."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran for more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def tree_files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestSweepProcesses:
+    """Points i::W of a sweep run in W processes, the first share in the
+    CLI's own process and the others in forked workers."""
+
+    SIX_POINTS = {"categories": [2, 3, 4], "seeds": [1, 2]}
+
+    def sweep(self, tmp_path, monkeypatch, width, out="out"):
+        """run_sweep of the six-point sweep in `width` processes; its exit
+        status and the pids of the workers it forked."""
+        monkeypatch.setattr(cli, "_processes", lambda n_points: min(n_points, width))
+        forked = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        config = parse_config(synthetic_config(tmp_path, **self.SIX_POINTS),
+                              {"out": str(tmp_path / out)})
+        return run_sweep(config), forked
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_tree_is_the_same_in_one_or_four_processes(self, tmp_path, monkeypatch,
+                                                       capsys):
+        # four processes: more than this host has cores, two with one point
+        assert self.sweep(tmp_path, monkeypatch, 1, "one") == (0, [])
+        code, forked = self.sweep(tmp_path, monkeypatch, 4, "four")
+        assert code == 0 and len(forked) == 3
+        self.assert_reaped(forked)
+        assert capsys.readouterr().err == ""
+        one = tree_files(tmp_path / "one")
+        assert len(one) == 2 + 6
+        assert tree_files(tmp_path / "four") == one
+
+    @pytest.mark.parametrize("dies_at", [(2, 2), (4, 2)],
+                             ids=["first_point", "second_point"])
+    def test_dead_worker_fails_its_points(self, tmp_path, monkeypatch, capsys, dies_at):
+        # the worker of points 1 and 5 (n2_s2, n4_s2) dies at one of them
+        assert self.sweep(tmp_path, monkeypatch, 1, "whole") == (0, [])
+        whole = tree_files(tmp_path / "whole")
+
+        def build_or_die(config, n_categories, seed, file_inputs):
+            if (n_categories, seed) == dies_at:
+                os._exit(3)
+            return build_scenario(config, n_categories, seed, file_inputs)
+
+        monkeypatch.setattr(cli, "build_scenario", build_or_die)
+        code, forked = self.sweep(tmp_path, monkeypatch, 4)
+        assert code == 1
+        self.assert_reaped(forked)
+        lost = ["n2_s2", "n4_s2"]
+        assert capsys.readouterr().err == "".join(
+            f"run {run_id} failed: worker exited with status 3\n" for run_id in lost)
+        out = tmp_path / "out"
+        with open(out / "failures.csv", newline="") as f:
+            assert list(csv.reader(f)) == [["run_id", "error"]] + [
+                [run_id, "worker exited with status 3"] for run_id in lost]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary == [row for row in whole["summary.csv"].decode().splitlines()
+                           if row.split(",")[0] not in lost]
+        kept = {name: data for name, data in whole.items()
+                if name.startswith("runs/") and name.split("/")[1] not in lost}
+        assert len(kept) == 4
+        assert {name: data for name, data in tree_files(out).items()
+                if name.startswith("runs/")} == kept
 
 
 class TestMainEntry:
