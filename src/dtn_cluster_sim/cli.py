@@ -38,9 +38,8 @@ import os
 import shutil
 import sys
 import threading
-from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from .clustering import dump_clustering
 from .metrics import build_report, per_message_csv, summary_header, summary_row
@@ -57,29 +56,28 @@ class ConfigError(ValueError):
     names the key, flag or file."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """The config file's schema: each field is one JSON key, with its type
     and its default. Router and schedule defaults come from the engine's
     own config classes."""
 
     categories: list[int]
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seeds: list[int] = [0]   # shared by every config that omits it; never mutated
     trace: str | None = None
     trace_format: str = "tabular"
     profiles: str | None = None
     out: str | None = None
-    router: str = RouterConfig.kind
-    mode: str = RouterConfig.mode
-    strict: bool = RouterConfig.strict
-    threshold: float = RouterConfig.threshold
-    k_clusters: int | None = RouterConfig.k_clusters
-    buffer_capacity: int | None = RouterConfig.buffer_capacity
-    ttl: float | None = RouterConfig.ttl
-    max_transfers_per_contact: int | None = RouterConfig.max_transfers_per_contact
+    router: str = RouterConfig().kind
+    mode: str = RouterConfig().mode
+    strict: bool = RouterConfig().strict
+    threshold: float = RouterConfig().threshold
+    k_clusters: int | None = RouterConfig().k_clusters
+    buffer_capacity: int | None = RouterConfig().buffer_capacity
+    ttl: float | None = RouterConfig().ttl
+    max_transfers_per_contact: int | None = RouterConfig().max_transfers_per_contact
     message_count: int = 20
-    message_interval: float | None = ScheduleConfig.interval
-    track_final: bool = ScheduleConfig.track_final
+    message_interval: float | None = ScheduleConfig().interval
+    track_final: bool = ScheduleConfig().track_final
     synthetic: dict | None = None   # SyntheticParams keys, except n_categories
 
     def router_config(self) -> RouterConfig:
@@ -98,7 +96,7 @@ class RunConfig:
     def effective(self) -> dict:
         """Everything needed to reproduce the sweep (the output directory
         is not part of the results, so it is not echoed)."""
-        echo = asdict(self)
+        echo = self._asdict()
         del echo["out"]
         return echo
 
@@ -135,18 +133,16 @@ def _check_value(name: str, hint, value):
 
 
 def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> dict:
-    """The keys of `data` checked against the fields of dataclass `cls`:
+    """The keys of `data` checked against the fields of NamedTuple `cls`:
     unknown keys, missing required keys and wrong types are config errors."""
     hints = get_type_hints(cls)
-    declared = [f for f in fields(cls) if f.name not in skip]
-    names = {f.name for f in declared}
+    names = [name for name in cls._fields if name not in skip]
     for key in data:
         if key not in names:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-    for f in declared:
-        if (f.name not in data and f.default is MISSING
-                and f.default_factory is MISSING):
-            raise ConfigError(f"missing required config key: {prefix}{f.name}")
+    for name in names:
+        if name not in data and name not in cls._field_defaults:
+            raise ConfigError(f"missing required config key: {prefix}{name}")
     return {key: _check_value(prefix + key, hints[key], value)
             for key, value in data.items()}
 
@@ -171,8 +167,9 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
 
     config = RunConfig(**_checked_keys(RunConfig, data))
     if config.synthetic is not None:
-        config.synthetic = _checked_keys(SyntheticParams, config.synthetic,
-                                         prefix="synthetic.", skip=("n_categories",))
+        config = config._replace(synthetic=_checked_keys(
+            SyntheticParams, config.synthetic, prefix="synthetic.",
+            skip=("n_categories",)))
     if any(c < 1 for c in config.categories):
         raise ConfigError("categories must be >= 1")
     if config.trace is not None and config.synthetic is not None:

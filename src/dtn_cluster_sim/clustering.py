@@ -28,10 +28,9 @@ takes most distances from an estimate); no output file holds it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .trace_model import InterestProfile
 
@@ -39,8 +38,7 @@ InterestVector = tuple[int, ...]
 Centroid = tuple[float, ...]
 
 
-@dataclass
-class Clustering:
+class Clustering(NamedTuple):
     """Result of one k-means run: centroids, node assignments and the
     objective value recorded at every iteration."""
 
@@ -235,8 +233,7 @@ def resolve_group_exact(profiles: Iterable[InterestProfile],
     return sorted(p.node for p in profiles if p.interests[idx] == 1)
 
 
-@dataclass(frozen=True)
-class GroupResolution:
+class GroupResolution(NamedTuple):
     """Destination set for one category, with a flag telling whether the
     cluster route came up empty and the exact filter stood in."""
 

@@ -16,8 +16,7 @@ Conventions, chosen so rows are auditable and byte-stable:
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .sim_engine import DeliveryRecord, SimResult
 
@@ -68,8 +67,7 @@ def resource_used(group: Iterable[int], all_nodes: int) -> float | None:
     return len(set(group)) / all_nodes
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     run_id: str
     router: str
     mode: str
@@ -121,7 +119,7 @@ def _time(value: float | None) -> str:
 
 def summary_header() -> str:
     """`summary.csv` columns: the report's field names, in order."""
-    return ",".join(f.name for f in fields(MetricsReport))
+    return ",".join(MetricsReport._fields)
 
 
 def _cell(value) -> str:
@@ -134,7 +132,7 @@ def _cell(value) -> str:
 
 def summary_row(report: MetricsReport) -> str:
     """One `summary.csv` row: one cell per report field."""
-    return ",".join(map(_cell, astuple(report)))
+    return ",".join(map(_cell, report))
 
 
 def per_message_csv(records: Sequence[DeliveryRecord]) -> str:

@@ -51,26 +51,23 @@ serialized.
 
 from __future__ import annotations
 
-import logging
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
                          resolve_group_kmeans)
-from .routing import (Buffer, ForwardDecision, Message, epidemic_decide,
+from .routing import (Buffer, ForwardDecision, Message, _SlotRecord, epidemic_decide,
                       interest_cluster_transfer)
-from .trace_model import ContactTrace, InterestProfile, InvalidParams
-
-log = logging.getLogger(__name__)
+from .trace_model import ContactTrace, InterestProfile, InvalidParams, _checked
 
 ROUTER_KINDS = ("cluster", "epidemic")
 GROUP_MODES = ("exact", "kmeans")
 
 
-@dataclass(frozen=True)
-class RouterConfig:
+@_checked
+class RouterConfig(NamedTuple):
     """Forwarding rule plus the group-resolution and buffer settings."""
 
     kind: str = "cluster"
@@ -82,7 +79,7 @@ class RouterConfig:
     ttl: float | None = None
     max_transfers_per_contact: int | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in ROUTER_KINDS:
             raise InvalidParams("router", f"unknown kind {self.kind!r}")
         if self.mode not in GROUP_MODES:
@@ -100,8 +97,8 @@ class RouterConfig:
             raise InvalidParams("max_transfers_per_contact", "must be positive or None")
 
 
-@dataclass(frozen=True)
-class ScheduleConfig:
+@_checked
+class ScheduleConfig(NamedTuple):
     """When messages appear: either an explicit (time, source, category)
     list or `count` seeded draws (uniform times unless `interval` is set)."""
 
@@ -110,15 +107,15 @@ class ScheduleConfig:
     explicit: tuple[tuple[float, int, int], ...] | None = None
     track_final: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         if self.count < 0:
             raise InvalidParams("message_count", "must not be negative")
         if self.interval is not None and self.interval <= 0:
             raise InvalidParams("message_interval", "must be positive or None")
 
 
-@dataclass(frozen=True)
-class Scenario:
+@_checked
+class Scenario(NamedTuple):
     """One replay's inputs, checked when built: at least one category, one
     bit per category in every profile, a node to create messages at."""
 
@@ -129,7 +126,7 @@ class Scenario:
     schedule: ScheduleConfig = ScheduleConfig()
     seed: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_categories < 1:
             raise InvalidParams("n_categories", "need at least 1 category")
         for p in self.profiles:
@@ -142,21 +139,20 @@ class Scenario:
             raise InvalidParams("schedule", "no nodes to create messages at")
 
 
-@dataclass
-class EventCounts:
+class EventCounts(_SlotRecord):
     """Run totals. `expired` counts copies purged by TTL when their buffer
     was about to be read; a copy that lapses in a buffer that is never
     read again is not counted."""
 
-    contacts_processed: int = 0
-    forwards: int = 0
-    drops: int = 0
-    expired: int = 0
-    closes: int = 0
+    __slots__ = ("contacts_processed", "forwards", "drops", "expired", "closes")
+
+    def __init__(self, contacts_processed: int = 0, forwards: int = 0, drops: int = 0,
+                 expired: int = 0, closes: int = 0):
+        self.contacts_processed, self.forwards = contacts_processed, forwards
+        self.drops, self.expired, self.closes = drops, expired, closes
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """Per-message outcome; optional fields stay None when the event
     never happened."""
 
@@ -173,8 +169,7 @@ class DeliveryRecord:
     final_delivered_at: float | None = None
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     records: tuple[DeliveryRecord, ...]
     counts: EventCounts
     clustering: Clustering | None
@@ -182,7 +177,7 @@ class SimResult:
     group_fallbacks: dict[int, bool]
     first_receipts: dict[int, dict[int, float]]
     all_nodes: int
-    scenario: Scenario = field(repr=False)
+    scenario: Scenario
 
 
 def _scenario_nodes(scenario: Scenario) -> list[int]:
@@ -213,7 +208,9 @@ def build_schedule(scenario: Scenario) -> list[tuple[float, int, int]]:
         return [(float(t), source, category) for t, source, category in cfg.explicit]
 
     if cfg.count == 0:
-        log.warning("empty message schedule: no messages will be created")
+        import logging   # here, so that starting the CLI does not load it
+        logging.getLogger(__name__).warning(
+            "empty message schedule: no messages will be created")
         return []
 
     sources = sorted(p.node for p in scenario.profiles) or universe
@@ -242,11 +239,9 @@ def _resolve_groups(scenario: Scenario):
     if profiles and rc.mode == "kmeans":
         points = points_of(profiles)
         distinct = len(set(points.values()))
-        k_requested = rc.k_clusters if rc.k_clusters is not None else n
-        # clamp so sparse desk-scale profiles cannot make clustering impossible
-        k = min(k_requested, distinct)
-        if k != k_requested:
-            log.info("k clamped from %d to %d (distinct vectors)", k_requested, k)
+        # clamp so sparse desk-scale profiles cannot make clustering
+        # impossible; summary.csv reports the k used
+        k = min(rc.k_clusters if rc.k_clusters is not None else n, distinct)
         clustering = kmeans(points, k, seed=scenario.seed)
         for cat in range(1, n + 1):
             res = resolve_group_kmeans(clustering, profiles, cat, rc.threshold)

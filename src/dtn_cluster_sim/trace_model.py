@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 TRACE_FORMATS = ("tabular", "one_events")
@@ -42,6 +41,26 @@ class InvalidParams(ValueError):
         super().__init__(msg + (f" ({detail})" if detail else ""))
 
 
+def _checked(record: type) -> type:
+    """Class decorator: wrap `__new__` and `_make` of NamedTuple `record`, which
+    its body may not define, so that building one runs `_check`, by `_replace` too."""
+    new, make = record.__new__, record._make.__func__
+
+    def checked_new(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def checked_make(cls, iterable):
+        self = make(cls, iterable)
+        self._check()
+        return self
+
+    checked_new.__wrapped__ = new   # so that inspect.signature shows the fields
+    record.__new__, record._make = staticmethod(checked_new), classmethod(checked_make)
+    return record
+
+
 class ContactEvent(NamedTuple):
     """One pairwise connectivity interval: nodes a and b can exchange
     messages at any instant in [t_start, t_end). Tuple order is the
@@ -53,30 +72,28 @@ class ContactEvent(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
-class ContactTrace:
+class ContactTrace(NamedTuple):
     events: tuple[ContactEvent, ...]
     duration: float
     node_count: int
     nodes: tuple[int, ...]  # distinct ids appearing in the events, ascending
 
 
-@dataclass(frozen=True)
-class InterestProfile:
+@_checked
+class InterestProfile(NamedTuple):
     """A node's declared interests: one bit per category."""
 
     node: int
     interests: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.node < 0:
             raise ValueError("node ids must be non-negative")
         if any(bit not in (0, 1) for bit in self.interests):
             raise ValueError(f"non-binary interest vector for node {self.node}")
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     """Consistency report: node ids present on one side of the scenario only."""
 
     missing_profile: tuple[int, ...]
@@ -331,8 +348,8 @@ def serialize_profiles(profiles: Iterable[InterestProfile]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class SyntheticParams:
+@_checked
+class SyntheticParams(NamedTuple):
     """Knobs for the synthetic scenario generator.
 
     contact_rate is the mean number of meetings per node pair per second;
@@ -348,7 +365,7 @@ class SyntheticParams:
     mean_contact_duration: float = 10.0
     shared_interest_bias: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.node_count < 2:
             raise InvalidParams("node_count", "need at least 2 nodes")
         if not 0 < self.duration < _INF:

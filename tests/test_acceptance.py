@@ -7,7 +7,6 @@ randomized family reproducible.
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from scipy.stats import spearmanr
@@ -188,7 +187,7 @@ def test_epidemic_records_match_oracle():
     final_deliveries = 0
     for i in range(100):
         sc = oracle_scenario(i, "epidemic")
-        sc = replace(sc, schedule=replace(sc.schedule, track_final=True))
+        sc = sc._replace(schedule=sc.schedule._replace(track_final=True))
         res = run(sc)
         for rec in res.records:
             want = earliest_arrival(sc.trace.events, rec.source, rec.created_at)

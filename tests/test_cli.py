@@ -553,6 +553,25 @@ class TestMainEntry:
                 "(no nodes to create messages at)") in err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_schedule_warns_once_per_point(self, tmp_path):
+        # run as its own process: in-process, pytest's log capture stands
+        # in for the handler that writes the warning to stderr
+        path = write_config(tmp_path, categories=[1, 2], message_count=0)
+        proc = subprocess.run([sys.executable, "-m", "dtn_cluster_sim.cli", "run",
+                               "--config", str(path), "--out", str(tmp_path / "out")],
+                              env={**os.environ, "PYTHONPATH": _src_dir()},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == "empty message schedule: no messages will be created\n" * 2
+
+    def test_k_clusters_clamped_in_summary(self, tmp_path):
+        # PROFILE_TEXT cut to 1 and 2 bits holds 2 and 3 distinct vectors
+        path = write_config(tmp_path, categories=[1, 2], mode="kmeans", k_clusters=5)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            k_used = {row["run_id"]: row["k_clusters"] for row in csv.DictReader(f)}
+        assert k_used == {"n1_s1": "2", "n2_s1": "3"}
+
     def test_infinite_synthetic_duration_is_config_error(self, tmp_path):
         # checked through parse_config only: a run with it never ends
         path = synthetic_config(tmp_path, synthetic={
@@ -632,10 +651,22 @@ def _src_dir() -> str:
     return str(Path(dtn_cluster_sim.__file__).resolve().parent.parent)
 
 
+def _loaded_by_cli_import(modules: set[str]) -> str:
+    """The `modules` that a fresh interpreter holds after importing the
+    CLI, as a sorted list; a fresh one, since pytest loads many itself."""
+    env = {**os.environ, "PYTHONPATH": _src_dir()}
+    code = f"import sys, dtn_cluster_sim.cli; print(sorted({modules!r} & set(sys.modules)))"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_cli_import_leaves_numpy_out():
     """The CLI has no runtime dependency: importing it loads no numpy."""
-    env = {**os.environ, "PYTHONPATH": _src_dir()}
-    code = "import sys, dtn_cluster_sim.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _loaded_by_cli_import({"numpy"}) == "[]"
+
+
+def test_cli_import_leaves_dataclasses_and_logging_out():
+    """Records are NamedTuples or slot classes and `logging` loads only to
+    warn, so starting the CLI imports none of `dataclasses`, the `inspect`
+    it pulls in, and `logging`."""
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "logging"}) == "[]"

@@ -7,7 +7,7 @@ import pytest
 from dtn_cluster_sim import sim_engine
 from dtn_cluster_sim.clustering import resolve_group_kmeans
 from dtn_cluster_sim.metrics import per_message_csv
-from dtn_cluster_sim.routing import Buffer, ForwardDecision
+from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
 from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig,
                                         build_schedule, run)
 from dtn_cluster_sim.trace_model import (InterestProfile, InvalidParams,
@@ -98,6 +98,28 @@ def two_node_scenario(**change) -> Scenario:
                        "n_categories": 2, **change})
 
 
+def profile(**change) -> InterestProfile:
+    return InterestProfile(**{"node": 1, "interests": (1, 0), **change})
+
+
+def message(**change) -> Message:
+    return Message(**{"id": 0, "source": 1, "category": 1, "created_at": 0.0,
+                      "destination_group": frozenset({1, 2}), **change})
+
+
+def every_build(build, change: dict):
+    """Builders of the record that `build(**change)` builds by keywords,
+    one per path: keywords, positions and, on a NamedTuple, `_replace` on
+    the valid record `build()`."""
+    valid = build()
+    cls = type(valid)
+    names = getattr(cls, "_fields", None) or cls.__slots__
+    yield lambda: build(**change)
+    yield lambda: cls(*[change.get(name, getattr(valid, name)) for name in names])
+    if hasattr(cls, "_replace"):
+        yield lambda: valid._replace(**change)
+
+
 @pytest.mark.parametrize("build, change, named", [
     (RouterConfig, {"kind": "x"}, "router"),
     (RouterConfig, {"mode": "x"}, "mode"),
@@ -122,11 +144,23 @@ def two_node_scenario(**change) -> Scenario:
      "profiles"),
     (two_node_scenario, {"trace": parse_contact_trace(""), "profiles": (),
                          "schedule": ScheduleConfig(count=1)}, "schedule"),
+    # these rules raise a plain ValueError that names no field
+    (profile, {"node": -1}, None),
+    (profile, {"interests": (1, 2)}, None),
+    (message, {"category": 0}, None),
+    (message, {"final_destination": 3}, None),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
-    with pytest.raises(InvalidParams) as err:
-        build(**change)
-    assert err.value.field == named
+    """Each path that builds a record raises the same error, naming the
+    same field."""
+    raised = []
+    for path in every_build(build, change):
+        with pytest.raises(ValueError) as err:
+            path()
+        raised.append((type(err.value), str(err.value), getattr(err.value, "field", None)))
+    error = InvalidParams if named else ValueError
+    assert len(raised) == (2 if build is message else 3)
+    assert raised == [(error, raised[0][1], named)] * len(raised)
 
 
 class TestRunBasics:
@@ -346,6 +380,7 @@ class TestInvariants:
     def test_determinism_byte_identical(self):
         sc = self.epidemic_scenario(4)
         a, b = run(sc), run(sc)
+        assert a.records == b.records
         assert per_message_csv(a.records) == per_message_csv(b.records)
         assert a.counts == b.counts
         assert a.first_receipts == b.first_receipts

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from hashlib import sha256
 
 import pytest
@@ -228,6 +227,10 @@ class TestParseProfiles:
         assert str(err.value) == "line 3: duplicate profile for node 1"
         assert err.value.line_no == 3
 
+    def test_profiles_compare_by_value(self):
+        assert InterestProfile(1, (1, 0)) == InterestProfile(1, (1, 0))
+        assert InterestProfile(1, (1, 0)) != InterestProfile(1, (0, 1))
+
     def test_comments_and_sorting(self):
         profiles = parse_interest_profiles("# hdr\n9 1\n7 0\n")
         assert [p.node for p in profiles] == [7, 9]
@@ -266,7 +269,7 @@ class TestSynthetic:
         (3.0, "9ba2b2d4f1443c3cf9509f5637d10720f5fa9caf91ed122e4850f0ded81a4dc8"),
     ])
     def test_output_pinned(self, bias, trace_sha256):
-        params = replace(self.PINNED_PARAMS, shared_interest_bias=bias)
+        params = self.PINNED_PARAMS._replace(shared_interest_bias=bias)
         trace, profiles = generate_synthetic_trace(params, seed=5)
         assert sha256(serialize_contact_trace(trace).encode()).hexdigest() == trace_sha256
         assert sha256(serialize_profiles(profiles).encode()).hexdigest() == \
