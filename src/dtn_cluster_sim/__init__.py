@@ -16,18 +16,18 @@ from .routing import (Buffer, ForwardDecision, Message, epidemic_decide,
                       interest_cluster_transfer)
 from .sim_engine import (DeliveryRecord, EventCounts, RouterConfig, Scenario,
                          ScheduleConfig, SimResult, build_schedule, run)
-from .trace_model import (ContactEvent, ContactTrace, InterestProfile,
-                          ScenarioReport, SyntheticParams, build_trace,
-                          generate_synthetic_trace, parse_contact_trace,
-                          parse_interest_profiles, serialize_contact_trace,
-                          serialize_profiles, validate_scenario)
+from .trace_model import (ContactTrace, InterestProfile, ScenarioReport,
+                          SyntheticParams, build_trace, generate_synthetic_trace,
+                          parse_contact_trace, parse_interest_profiles,
+                          serialize_contact_trace, serialize_profiles,
+                          validate_scenario)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Buffer", "Clustering", "ContactEvent", "ContactTrace", "DeliveryRecord",
-    "EventCounts", "ForwardDecision", "GroupResolution", "InterestProfile",
-    "Message", "MetricsReport", "RouterConfig", "Scenario", "ScenarioReport",
+    "Buffer", "Clustering", "ContactTrace", "DeliveryRecord", "EventCounts",
+    "ForwardDecision", "GroupResolution", "InterestProfile", "Message",
+    "MetricsReport", "RouterConfig", "Scenario", "ScenarioReport",
     "ScheduleConfig", "SimResult", "SyntheticParams", "avg_cost", "avg_delay",
     "avg_hops", "build_report", "build_schedule", "build_trace",
     "delivery_ratio", "dump_clustering", "epidemic_decide",
@@ -35,6 +35,5 @@ __all__ = [
     "parse_contact_trace", "parse_interest_profiles", "per_message_csv",
     "points_of", "resolve_group_exact", "resolve_group_kmeans",
     "resource_used", "run", "serialize_contact_trace", "serialize_profiles",
-    "summary_header", "summary_row",
-    "validate_scenario",
+    "summary_header", "summary_row", "validate_scenario",
 ]

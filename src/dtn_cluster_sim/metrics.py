@@ -87,18 +87,17 @@ class MetricsReport(NamedTuple):
 def build_report(result: SimResult, run_id: str) -> MetricsReport:
     """Fold one simulation result into the summary metrics."""
     records = result.records
-    sc = result.scenario
     union: set[int] = set()
     for members in result.groups_by_category.values():
         union.update(members)
     return MetricsReport(
         run_id=run_id,
-        router=sc.router.kind,
-        mode=sc.router.mode,
-        strict=sc.router.strict,
-        n_categories=sc.n_categories,
+        router=result.router.kind,
+        mode=result.router.mode,
+        strict=result.router.strict,
+        n_categories=result.n_categories,
         k_clusters=None if result.clustering is None else result.clustering.k,
-        seed=sc.seed,
+        seed=result.seed,
         created=len(records),
         delivered=len(_delivered(records)),
         delivery_ratio=delivery_ratio(records),

@@ -177,7 +177,9 @@ class SimResult(NamedTuple):
     group_fallbacks: dict[int, bool]
     first_receipts: dict[int, dict[int, float]]
     all_nodes: int
-    scenario: Scenario
+    router: RouterConfig   # the settings of the scenario that metrics report
+    n_categories: int
+    seed: int
 
 
 def _scenario_nodes(scenario: Scenario) -> list[int]:
@@ -403,5 +405,7 @@ def run(scenario: Scenario) -> SimResult:
         group_fallbacks=fallbacks,
         first_receipts=first_receipts,
         all_nodes=all_nodes,
-        scenario=scenario,
+        router=rc,
+        n_categories=scenario.n_categories,
+        seed=scenario.seed,
     )

@@ -13,8 +13,7 @@ known: ids and times non-negative, times finite, two distinct nodes,
 t_start < t_end. They then share one assembly path:
   * contacts are symmetric, endpoints stored with a < b;
   * overlapping or touching intervals of the same pair are merged;
-  * events are `ContactEvent` named tuples in their natural order,
-    (t_start, t_end, a, b).
+  * events are plain (t_start, t_end, a, b) tuples in their natural order.
 """
 
 from __future__ import annotations
@@ -61,19 +60,10 @@ def _checked(record: type) -> type:
     return record
 
 
-class ContactEvent(NamedTuple):
-    """One pairwise connectivity interval: nodes a and b can exchange
-    messages at any instant in [t_start, t_end). Tuple order is the
-    canonical event order."""
-
-    t_start: float
-    t_end: float
-    a: int
-    b: int
-
-
 class ContactTrace(NamedTuple):
-    events: tuple[ContactEvent, ...]
+    # (t_start, t_end, a, b), a < b, ascending: nodes a and b can exchange
+    # messages at any instant in [t_start, t_end)
+    events: tuple[tuple[float, float, int, int], ...]
     duration: float
     node_count: int
     nodes: tuple[int, ...]  # distinct ids appearing in the events, ascending
@@ -174,9 +164,8 @@ def _assemble(by_pair: dict[tuple[int, int], list[tuple[float, float]]],
     elif node_count < len(nodes):
         raise InvalidParams("node_count", f"{node_count} < {len(nodes)} distinct ids")
 
-    return ContactTrace(events=tuple(map(ContactEvent._make, events)),
-                        duration=float(duration), node_count=node_count,
-                        nodes=nodes)
+    return ContactTrace(events=tuple(events), duration=float(duration),
+                        node_count=node_count, nodes=nodes)
 
 
 def build_trace(raw_events: Iterable[tuple[float, float, int, int]],
@@ -304,8 +293,8 @@ def parse_contact_trace(text: str, fmt: str = "tabular") -> ContactTrace:
 def serialize_contact_trace(trace: ContactTrace) -> str:
     """Canonical tabular text; parsing it back recovers the trace exactly."""
     lines = [f"# duration: {trace.duration!r}", f"# nodes: {trace.node_count}"]
-    for e in trace.events:
-        lines.append(f"{e.t_start!r} {e.t_end!r} {e.a} {e.b}")
+    for t_start, t_end, a, b in trace.events:
+        lines.append(f"{t_start!r} {t_end!r} {a} {b}")
     return "\n".join(lines) + "\n"
 
 

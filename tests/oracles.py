@@ -40,13 +40,13 @@ def earliest_arrival(events, source: int, t0: float,
     changed = True
     while changed:
         changed = False
-        for ev in events:
-            for u, v in ((ev.a, ev.b), (ev.b, ev.a)):
-                if u not in arrival or arrival[u] >= ev.t_end:
+        for t_start, t_end, a, b in events:
+            for u, v in ((a, b), (b, a)):
+                if u not in arrival or arrival[u] >= t_end:
                     continue
                 if receivers is not None and v not in receivers:
                     continue
-                t = max(ev.t_start, arrival[u])
+                t = max(t_start, arrival[u])
                 if t < arrival.get(v, float("inf")):
                     arrival[v] = t
                     changed = True
@@ -315,8 +315,8 @@ def reference_replay(scenario) -> SimpleNamespace:
             for pair in sorted(transfers_left):
                 moved = exchange(pair, t) or moved
 
-    events = [(ev.t_end, 0, (ev.a, ev.b)) for ev in scenario.trace.events]
-    events += [(ev.t_start, 2, (ev.a, ev.b)) for ev in scenario.trace.events]
+    events = [(t_end, 0, (a, b)) for _, t_end, a, b in scenario.trace.events]
+    events += [(t_start, 2, (a, b)) for t_start, _, a, b in scenario.trace.events]
     events += [(msg.created_at, 1, msg.id) for msg in messages]
     # at one instant: contacts end, then messages appear, then contacts start
     for t, kind, what in sorted(events):

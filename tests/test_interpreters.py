@@ -1,11 +1,13 @@
-"""Output trees are byte-identical across Python versions.
+"""Output trees are byte-identical across Python versions and hash seeds.
 
 The package claims `requires-python >= 3.10`, and k-means sums floats in
 numpy's order with explicit folds because the builtin `sum()` of floats
 changed (it is compensated from 3.12 on). So one small mixed sweep runs
 through `python -m dtn_cluster_sim.cli run` under the current interpreter
-and under every `python3.10` ... `python3.13` on PATH that starts and
-reports 3.10 or newer; an interpreter that does not start is skipped.
+with `PYTHONHASHSEED` 0 and 1, so that no output depends on the order of a
+set or dict of strings, and under every `python3.10` ... `python3.13` on
+PATH that starts and reports 3.10 or newer; an interpreter that does not
+start is left out.
 """
 
 import json
@@ -14,8 +16,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CANDIDATES = [f"python3.{minor}" for minor in range(10, 14)]
@@ -63,17 +63,20 @@ def test_output_tree_identical_across_interpreters(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SWEEP))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    current, *others = interpreters().values()
+    runs = [(current, {"PYTHONHASHSEED": "0"}), (current, {"PYTHONHASHSEED": "1"})]
+    runs += [(python, {}) for python in others]
     trees = {}
-    for key, python in interpreters().items():
+    for python, extra in runs:
+        label = f"{python} {extra}"
         out = tmp_path / f"out{len(trees)}"
         proc = subprocess.run([python, "-m", "dtn_cluster_sim.cli", "run",
                                "--config", str(config), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, (python, proc.stderr)
-        trees[python] = tree(out)
-    if len(trees) < 2:
-        pytest.skip("no second interpreter of 3.10 or newer on PATH")
-    (first, reference), *others = trees.items()
+                              env={**env, **extra}, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, (label, proc.stderr)
+        trees[label] = tree(out)
+    (first, reference), *rest = trees.items()
     assert len(reference) > 4  # summary, config and per-run files
-    for python, files in others:
-        assert files == reference, f"{python} differs from {first}"
+    for label, files in rest:
+        assert files == reference, f"{label} differs from {first}"

@@ -385,6 +385,12 @@ class TestInvariants:
         assert a.counts == b.counts
         assert a.first_receipts == b.first_receipts
 
+    def test_result_carries_settings_not_scenario(self):
+        sc = self.epidemic_scenario(4)
+        res = run(sc)
+        assert "ContactTrace(" not in repr(res)
+        assert (res.router, res.n_categories, res.seed) == (sc.router, 1, 4)
+
 
 class TestKmeansMode:
     def test_clustering_snapshot_and_groups(self):

@@ -3,9 +3,8 @@ from hashlib import sha256
 
 import pytest
 
-from dtn_cluster_sim.trace_model import (ContactEvent, InvalidParams,
-                                         InterestProfile, SyntheticParams,
-                                         TraceError, build_trace,
+from dtn_cluster_sim.trace_model import (InvalidParams, InterestProfile,
+                                         SyntheticParams, TraceError, build_trace,
                                          generate_synthetic_trace,
                                          parse_contact_trace, parse_interest_profiles,
                                          serialize_contact_trace,
@@ -20,8 +19,8 @@ class TestParseTabular:
         assert trace.duration == 12.0
         assert trace.node_count == 3
         assert trace.nodes == (1, 2, 3)
-        assert trace.events[0] == ContactEvent(0.0, 10.0, 1, 2)
-        assert trace.events[1] == ContactEvent(5.0, 12.0, 2, 3)
+        assert trace.events[0] == (0.0, 10.0, 1, 2)
+        assert trace.events[1] == (5.0, 12.0, 2, 3)
 
     def test_empty_input(self):
         trace = parse_contact_trace("")
@@ -47,21 +46,20 @@ class TestParseTabular:
 
     def test_unsorted_input_resorted(self):
         trace = parse_contact_trace("5 12 2 3\n0 10 1 2\n")
-        starts = [e.t_start for e in trace.events]
+        starts = [t_start for t_start, _, _, _ in trace.events]
         assert starts == sorted(starts)
 
     def test_sort_tiebreak_lexicographic(self):
         trace = parse_contact_trace("0 10 4 5\n0 10 1 2\n0 8 2 3\n")
-        keys = [(e.t_start, e.t_end, e.a, e.b) for e in trace.events]
-        assert keys == sorted(keys)
+        assert list(trace.events) == sorted(trace.events)
 
     def test_pair_normalized_and_overlaps_merged(self):
         trace = parse_contact_trace("0 10 2 1\n5 12 1 2\n")
-        assert trace.events == (ContactEvent(0.0, 12.0, 1, 2),)
+        assert trace.events == ((0.0, 12.0, 1, 2),)
 
     def test_touching_intervals_merge(self):
         trace = parse_contact_trace("0 5 1 2\n5 10 1 2\n")
-        assert trace.events == (ContactEvent(0.0, 10.0, 1, 2),)
+        assert trace.events == ((0.0, 10.0, 1, 2),)
 
     def test_disjoint_intervals_kept(self):
         trace = parse_contact_trace("0 5 1 2\n6 10 1 2\n")
@@ -128,7 +126,7 @@ class TestParseOneEvents:
     def test_pairing_up_down(self):
         trace = parse_contact_trace("3.0 CONN 1 2 up\n9.0 CONN 1 2 down\n",
                                     fmt="one_events")
-        assert trace.events == (ContactEvent(3.0, 9.0, 1, 2),)
+        assert trace.events == ((3.0, 9.0, 1, 2),)
         assert trace.duration == 9.0
 
     def test_interleaved_pairs_pair_in_file_order(self):
@@ -137,18 +135,18 @@ class TestParseOneEvents:
                 "4.0 CONN 1 2 down\n"
                 "6.0 CONN 2 3 down\n")
         trace = parse_contact_trace(text, fmt="one_events")
-        assert trace.events == (ContactEvent(1.0, 4.0, 1, 2),
-                                ContactEvent(2.0, 6.0, 2, 3))
+        assert trace.events == ((1.0, 4.0, 1, 2),
+                                (2.0, 6.0, 2, 3))
 
     def test_unclosed_up_ends_at_trace_duration(self):
         text = "1.0 CONN 1 2 up\n8.0 CONN 3 4 up\n9.0 CONN 3 4 down\n"
         trace = parse_contact_trace(text, fmt="one_events")
-        assert ContactEvent(1.0, 9.0, 1, 2) in trace.events
+        assert (1.0, 9.0, 1, 2) in trace.events
 
     def test_stray_down_ignored(self):
         trace = parse_contact_trace("5.0 CONN 1 2 down\n7.0 CONN 1 2 up\n9.0 CONN 1 2 down\n",
                                     fmt="one_events")
-        assert trace.events == (ContactEvent(7.0, 9.0, 1, 2),)
+        assert trace.events == ((7.0, 9.0, 1, 2),)
 
     def test_down_before_up_time_is_inverted(self):
         with pytest.raises(TraceError, match="t_start >= t_end"):
@@ -165,7 +163,7 @@ class TestParseOneEvents:
         # the trailing up at the last timestamp closes into an empty
         # interval and is dropped, but the duration still covers it
         assert trace.duration == 9.0
-        assert trace.events == (ContactEvent(1.0, 4.0, 1, 2),)
+        assert trace.events == ((1.0, 4.0, 1, 2),)
 
     def test_unknown_state(self):
         with pytest.raises(TraceError, match="unknown state 'sideways'"):
@@ -284,11 +282,10 @@ class TestSynthetic:
 
     def test_invariants_hold(self):
         trace, profiles = generate_synthetic_trace(self.PARAMS, seed=3)
-        for e in trace.events:
-            assert 0.0 <= e.t_start < e.t_end <= trace.duration
-            assert e.a != e.b
-        keys = [(e.t_start, e.t_end, e.a, e.b) for e in trace.events]
-        assert keys == sorted(keys)
+        for t_start, t_end, a, b in trace.events:
+            assert 0.0 <= t_start < t_end <= trace.duration
+            assert a < b
+        assert list(trace.events) == sorted(trace.events)
         assert len(profiles) == 10
         assert all(len(p.interests) == 2 for p in profiles)
 
@@ -341,7 +338,7 @@ class TestBuildTrace:
         raw = [(t, t + rng.uniform(0.5, 5.0), rng.randint(0, 4), rng.randint(5, 9))
                for t in [rng.uniform(0, 50) for _ in range(40)]]
         once = build_trace(raw)
-        twice = build_trace([(e.t_start, e.t_end, e.a, e.b) for e in once.events])
+        twice = build_trace(once.events)
         assert once.events == twice.events
 
 
@@ -382,8 +379,8 @@ def test_build_and_parse_match_reference_normalization():
         events, duration, node_count = normalize_contacts(raw)
         text = "".join(f"{s!r} {e!r} {a} {b}\n" for s, e, a, b in raw)
         for trace in (build_trace(raw), parse_contact_trace(text)):
-            assert all(type(e) is ContactEvent for e in trace.events)
-            assert [tuple(e) for e in trace.events] == events
+            assert all(type(e) is tuple for e in trace.events)
+            assert list(trace.events) == events
             assert trace.duration == duration
             assert trace.node_count == node_count
             assert trace.nodes == tuple(sorted({n for ev in events for n in ev[2:]}))
