@@ -13,7 +13,8 @@ The rules never see a peer that already holds or held the message:
 duplicate suppression is the engine's, which offers a message only to
 peers absent from its receipt log. A buffer does not check for
 duplicates. Nor does the non-strict rule see a peer outside the
-message's group: the engine leaves out what it would only skip.
+message's group: the engine leaves out what it would only skip. It
+reads a buffer only when the peer needs an id in the buffer's `held`.
 
 A buffer is a log of entries in exchange order: by receipt time, ties by
 message id. It holds a bounded number of messages and evicts from the
@@ -93,7 +94,8 @@ class Buffer:
     insert lands at the tail, or among the entries of its instant by id.
     A lower bound on the log's creation times lets a purge that cannot
     drop anything return at once; an eviction leaves the bound low, which
-    is safe.
+    is safe. `held`, the set of ids in the log, lets an offer be tested
+    without reading the log; insert, eviction and purge keep it in step.
     """
 
     def __init__(self, capacity: int | None = 50):
@@ -101,22 +103,22 @@ class Buffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._log: list[BufferEntry] = []
+        self.held: set[int] = set()   # the message ids in the log
         self._created_bound = inf
-
-    def __len__(self) -> int:
-        return len(self._log)
 
     def insert(self, message: Message, now: float, hops: int = 0) -> list[Message]:
         """Store a copy received at `now`, `hops` hops from its source;
-        returns evicted messages in exchange order. The buffer does not
-        check that it holds no other copy of the message."""
+        returns the evicted messages: the head of a full log, or none. The
+        buffer does not check that it holds no other copy of the message."""
         insort(self._log, BufferEntry(now, message.id, hops, message))
-        self._created_bound = min(self._created_bound, message.created_at)
+        self.held.add(message.id)
+        if message.created_at < self._created_bound:
+            self._created_bound = message.created_at
         if self.capacity is None or len(self._log) <= self.capacity:
             return []
-        evicted = self._log[:-self.capacity]
-        del self._log[:-self.capacity]
-        return [entry.message for entry in evicted]
+        evicted = self._log.pop(0)   # the log was full, so one entry goes
+        self.held.remove(evicted.message_id)
+        return [evicted.message]
 
     def purge_expired(self, now: float, ttl: float) -> list[Message]:
         """Drop entries whose message was created more than `ttl` before
@@ -128,6 +130,7 @@ class Buffer:
         if dead:
             self._log = [entry for entry in self._log
                          if now - entry.message.created_at <= ttl]
+            self.held.difference_update(message.id for message in dead)
             self._created_bound = min(
                 (entry.message.created_at for entry in self._log), default=inf)
         return dead

@@ -7,24 +7,31 @@ both endpoints the chance to hand over buffered messages. Transfers are
 instantaneous, so a message can cross several hops at one instant.
 
 After each contact start or message creation the engine sweeps to a
-fixpoint at that instant. It queues the contact that just opened, or the
-open contacts of the creating node; whenever a node gains a message, it
-queues each other open contact of that node that is not queued yet. A
-contact that no gain has queued since its last exchange would forward
-nothing: the receipt log only grows, buffers only lose entries between
-gains, budgets only fall, and the forwarding rules do not depend on the
-time. A contact that starts between two empty buffers is not queued, and
-a queued contact whose budget is spent or whose two buffers are empty is
-passed over; a buffer fills only through a gain, which queues the
-contact again. A budget falls only at a forward, so it is tested after
-each forward: the exchange ends at the one that spends it.
+fixpoint at that instant. It exchanges on the contact that just opened,
+or queues the creating node's open contacts; a node that gains a message
+queues each of its other open contacts not queued yet. A contact that no
+gain has queued since its last exchange would forward nothing: the
+receipt log only grows, buffers only lose entries between gains, budgets
+only fall, and the rules do not depend on the time. A contact that
+starts between two empty buffers is not exchanged on, and a queued
+contact whose budget is spent or whose two buffers are empty is passed
+over; a buffer fills only through a gain, which queues the contact
+again. A budget falls only at a forward, so it is tested after each
+forward: the exchange ends at the one that spends it.
 
-The forwarding rule is chosen once per run, with the categories offered
-to each peer. The non-strict cluster rule is offered only the categories
-whose destination group holds the peer: it would skip any other, and a
+The forwarding rule is chosen once per run, with the nodes each category
+is offered to. The non-strict cluster rule is offered a category only at
+the nodes of its destination group: it would skip any other peer, and a
 skip changes nothing. The strict rule and the epidemic rule are offered
-every category, since a strict rule closes the contact at its first
-non-member.
+every category at every node, since a strict rule closes the contact at
+its first non-member.
+
+Offers use summary vectors (Vahdat and Becker, Duke CS-2000-06):
+`need[node]` holds the ids of created messages offered to the node and
+absent from the receipt log, and a buffer's `held` the ids in its log.
+An exchange purges both buffers, then walks a direction only when the
+carrier holds an id the peer needs; a contact start where neither does
+sweeps nothing.
 
 The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
@@ -140,9 +147,9 @@ class Scenario(NamedTuple):
 
 
 class EventCounts(_SlotRecord):
-    """Run totals. `expired` counts copies purged by TTL when their buffer
-    was about to be read; a copy that lapses in a buffer that is never
-    read again is not counted."""
+    """Run totals. `expired` counts copies purged by TTL at a creation or
+    an exchange, before the offer test; a copy that lapses in a buffer that
+    is never purged again is not counted."""
 
     __slots__ = ("contacts_processed", "forwards", "drops", "expired", "closes")
 
@@ -287,12 +294,12 @@ def run(scenario: Scenario) -> SimResult:
     # bound per run, not at import, so a rule wrapped after import is used
     decide = (epidemic_decide if rc.kind == "epidemic"
               else partial(interest_cluster_transfer, strict=rc.strict))
-    # the categories offered to each node (offer sets, module docstring)
-    if rc.kind == "cluster" and not rc.strict:
-        wanted = {node: frozenset(cat for cat, group in member_sets.items() if node in group)
-                  for node in universe}
-    else:
-        wanted = dict.fromkeys(universe, frozenset(member_sets))
+    FORWARD = ForwardDecision.FORWARD
+    # the nodes each category is offered to (module docstring)
+    offered_to = (member_sets if rc.kind == "cluster" and not rc.strict
+                  else dict.fromkeys(member_sets, universe))
+    # the ids each node is offered and has not received (summary vectors)
+    need: dict[int, set[int]] = {node: set() for node in universe}
 
     def purge(node: int, t: float):
         if rc.ttl is not None:
@@ -300,6 +307,7 @@ def run(scenario: Scenario) -> SimResult:
 
     def receive(msg: Message, node: int, t: float, hops: int):
         first_receipts[msg.id][node] = t
+        need[node].discard(msg.id)
         if node in msg.destination_group and msg.id not in delivered:
             delivered[msg.id] = (node, t, hops)
         counts.drops += len(buffers[node].insert(msg, t, hops))
@@ -311,14 +319,15 @@ def run(scenario: Scenario) -> SimResult:
         purge(a, t)
         purge(b, t)
         for carrier, peer in ((a, b), (b, a)):
-            offered = wanted[peer]
+            needed = need[peer]
+            if needed.isdisjoint(buffers[carrier].held):
+                continue
             for entry in buffers[carrier].in_exchange_order():
-                msg = entry.message
-                if msg.category not in offered or peer in first_receipts[msg.id]:
+                if entry.message_id not in needed:
                     continue
-                decision = decide(msg, peer)
-                if decision is ForwardDecision.FORWARD:
-                    receive(msg, peer, t, entry.hops + 1)
+                decision = decide(entry.message, peer)
+                if decision is FORWARD:
+                    receive(entry.message, peer, t, entry.hops + 1)
                     gainers.add(peer)
                     counts.forwards += 1
                     if pair in budget:
@@ -331,24 +340,25 @@ def run(scenario: Scenario) -> SimResult:
                     return gainers
         return gainers
 
-    def sweep(t: float, pairs):
-        """Exchange on `pairs`, and on the contacts that each gain queues,
-        until the queue is empty; the queue rule and the pass order are
-        those of the module docstring."""
-        heap = [(0, pair) for pair in sorted(pairs)]
-        queued = set(pairs)
-        while heap:
-            sweep_pass, pair = heappop(heap)
-            queued.discard(pair)
-            a, b = pair
-            if budget.get(pair, 1) <= 0 or not (buffers[a] or buffers[b]):
-                continue
-            for gainer in exchange(a, b, t):
+    def sweep(t: float, pair, gainers):
+        """Exchange on the other open contacts of each node in `gainers`,
+        which gained at `pair` (None at a creation), and on those each later
+        gain queues; the queue rule and pass order are the module docstring's."""
+        heap, queued, sweep_pass = [], set(), 0
+        while True:
+            for gainer in gainers:
                 for other in incident[gainer]:
                     if other != pair and other not in queued:
                         queued.add(other)
-                        heappush(heap, (sweep_pass if other > pair else sweep_pass + 1,
-                                        other))
+                        heappush(heap, (sweep_pass if pair is None or other > pair
+                                        else sweep_pass + 1, other))
+            if not heap:
+                return
+            sweep_pass, pair = heappop(heap)
+            queued.discard(pair)
+            a, b = pair
+            gainers = (exchange(a, b, t) if budget.get(pair, 1) > 0
+                       and (buffers[a].held or buffers[b].held) else ())
 
     events: list[tuple[float, int, tuple[int, ...]]] = []
     for t_start, t_end, a, b in scenario.trace.events:
@@ -365,9 +375,11 @@ def run(scenario: Scenario) -> SimResult:
             budget.pop(info, None)
         elif rank == 1:
             msg = messages[info[0]]
+            for node in offered_to[msg.category]:
+                need[node].add(msg.id)
             purge(msg.source, t)
             receive(msg, msg.source, t, 0)
-            sweep(t, incident[msg.source])
+            sweep(t, None, (msg.source,))
         else:
             a, b = info
             incident[a].add(info)
@@ -376,8 +388,10 @@ def run(scenario: Scenario) -> SimResult:
                 budget[info] = rc.max_transfers_per_contact
             counts.contacts_processed += 1
             # two empty buffers have nothing to offer; a gain queues it later
-            if buffers[a] or buffers[b]:
-                sweep(t, (info,))
+            if buffers[a].held or buffers[b].held:
+                gainers = exchange(a, b, t)
+                if gainers:
+                    sweep(t, info, gainers)
 
     records = []
     for m in messages:
