@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import shutil
@@ -462,11 +463,18 @@ def main(argv=None) -> int:
         p.set_defaults(handler=handler)
 
     args = parser.parse_args(argv)
+    # a command makes no reference cycles, so the cyclic collector would only
+    # rescan its records; forked workers inherit it off, callers get it back
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(parse_config(args.config, _overrides(args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Deterministic replay of a contact trace under a forwarding rule.
 
-The engine consumes one time-ordered stream of contact starts, contact
-ends and message creations. Messages are classified at creation, their
-destination group is resolved once per category, and every contact gives
-both endpoints the chance to hand over buffered messages. Transfers are
-instantaneous, so a message can cross several hops at one instant.
+The engine consumes one time-ordered stream of contact starts, each
+with its contact's end, and message creations. At one instant, contacts
+end, then messages appear, then contacts start. Messages are classified
+at creation, their destination group is resolved once per category, and
+every contact gives both endpoints the chance to hand over buffered
+messages. Transfers are instantaneous, so a message can cross several
+hops at one instant.
 
 After each contact start or message creation the engine sweeps to a
 fixpoint at that instant. It exchanges on the contact that just opened,
@@ -288,8 +290,9 @@ def run(scenario: Scenario) -> SimResult:
     # (first receiver, time, hops) of each message's first group receipt
     delivered: dict[int, tuple[int, float, int]] = {}
     counts = EventCounts()
-    incident: dict[int, set[tuple[int, int]]] = {node: set() for node in universe}
-    # transfers left on an open contact; 0 once spent or closed in strict mode
+    # pair -> end of its latest contact, open while t < end; a sweep drops ended ones
+    incident: dict[int, dict[tuple[int, int], float]] = {node: {} for node in universe}
+    # transfers left on a pair's latest contact; 0 once spent or closed in strict mode
     budget: dict[tuple[int, int], int] = {}
     # bound per run, not at import, so a rule wrapped after import is used
     decide = (epidemic_decide if rc.kind == "epidemic"
@@ -344,15 +347,20 @@ def run(scenario: Scenario) -> SimResult:
         """Exchange on the other open contacts of each node in `gainers`,
         which gained at `pair` (None at a creation), and on those each later
         gain queues; the queue rule and pass order are the module docstring's."""
-        heap, queued, sweep_pass = [], set(), 0
+        heap, queued, ended, sweep_pass = [], set(), [], 0
         while True:
             for gainer in gainers:
-                for other in incident[gainer]:
-                    if other != pair and other not in queued:
+                contacts = incident[gainer]
+                for other, end in contacts.items():
+                    if end <= t:
+                        ended.append((contacts, other))
+                    elif other != pair and other not in queued:
                         queued.add(other)
                         heappush(heap, (sweep_pass if pair is None or other > pair
                                         else sweep_pass + 1, other))
             if not heap:
+                for contacts, other in ended:
+                    contacts.pop(other, None)
                 return
             sweep_pass, pair = heappop(heap)
             queued.discard(pair)
@@ -360,21 +368,13 @@ def run(scenario: Scenario) -> SimResult:
             gainers = (exchange(a, b, t) if budget.get(pair, 1) > 0
                        and (buffers[a].held or buffers[b].held) else ())
 
-    events: list[tuple[float, int, tuple[int, ...]]] = []
-    for t_start, t_end, a, b in scenario.trace.events:
-        pair = (a, b)
-        events += ((t_end, 0, pair), (t_start, 2, pair))
-    for m in messages:
-        events.append((m.created_at, 1, (m.id,)))
+    events = [(t_start, 2, (a, b), t_end) for t_start, t_end, a, b in scenario.trace.events]
+    events += [(m.created_at, 1, m.id, None) for m in messages]
     events.sort()
 
-    for t, rank, info in events:
-        if rank == 0:
-            for node in info:
-                incident[node].discard(info)
-            budget.pop(info, None)
-        elif rank == 1:
-            msg = messages[info[0]]
+    for t, rank, info, t_end in events:
+        if rank == 1:
+            msg = messages[info]
             for node in offered_to[msg.category]:
                 need[node].add(msg.id)
             purge(msg.source, t)
@@ -382,10 +382,12 @@ def run(scenario: Scenario) -> SimResult:
             sweep(t, None, (msg.source,))
         else:
             a, b = info
-            incident[a].add(info)
-            incident[b].add(info)
+            incident[a][info] = incident[b][info] = t_end
+            # a fresh budget, and no strict close left by the pair's last contact
             if rc.max_transfers_per_contact is not None:
                 budget[info] = rc.max_transfers_per_contact
+            else:
+                budget.pop(info, None)
             counts.contacts_processed += 1
             # two empty buffers have nothing to offer; a gain queues it later
             if buffers[a].held or buffers[b].held:

@@ -12,7 +12,8 @@ contact once, by one rule set, where its line number (or position) is
 known: ids and times non-negative, times finite, two distinct nodes,
 t_start < t_end. They then share one assembly path:
   * contacts are symmetric, endpoints stored with a < b;
-  * overlapping or touching intervals of the same pair are merged;
+  * one sort of all contacts orders each pair's intervals, and overlapping
+    or touching intervals of the same pair are merged;
   * events are plain (t_start, t_end, a, b) tuples in their natural order.
 """
 
@@ -122,34 +123,36 @@ def _check_meeting(line_no: int, t: float, a: int, b: int) -> None:
         raise TraceError(line_no, "node in contact with itself")
 
 
-def _add_contact(by_pair: dict, line_no: int, t_start: float, t_end: float,
+def _add_contact(contacts: list, line_no: int, t_start: float, t_end: float,
                  a: int, b: int) -> None:
-    """Check the contact [t_start, t_end) of a and b and file it under its
-    pair (low, high). Every constructor path files its contacts here."""
+    """Check the contact [t_start, t_end) of a and b and append it to
+    `contacts` with a < b. Every constructor path adds its contacts here."""
     if not (0.0 <= t_start < t_end < _INF and a != b and a >= 0 and b >= 0):
         _check_meeting(line_no, t_start, a, b)  # names the rule broken
         if not t_end < _INF:
             raise TraceError(line_no, "malformed line (non-finite time)")
         raise TraceError(line_no, "contact interval has t_start >= t_end")
-    by_pair.setdefault((a, b) if a < b else (b, a), []).append((t_start, t_end))
+    contacts.append((t_start, t_end, a, b) if a < b else (t_start, t_end, b, a))
 
 
-def _assemble(by_pair: dict[tuple[int, int], list[tuple[float, float]]],
+def _assemble(contacts: list[tuple[float, float, int, int]],
               duration: float | None, node_count: int | None) -> ContactTrace:
-    """The trace of checked intervals filed by pair, normalized as
-    `build_trace` describes."""
+    """The trace of checked contacts, normalized as `build_trace` describes:
+    in sorted order each contact extends its pair's latest interval or
+    starts one. An extended end can pass intervals that start with it, so
+    a last sort runs on nearly sorted events."""
+    contacts.sort()
     events = []
-    for (a, b), intervals in by_pair.items():
-        if len(intervals) > 1:
-            intervals.sort()
-        start, end = intervals[0]
-        for s, e in intervals:
-            if s > end:
-                events.append((start, end, a, b))
-                start, end = s, e
-            elif e > end:
-                end = e
-        events.append((start, end, a, b))
+    latest: dict[tuple[int, int], int] = {}   # pair -> its last interval in events
+    for contact in contacts:
+        s, e, a, b = contact
+        i = latest.get((a, b))
+        if i is not None and s <= events[i][1]:
+            if e > events[i][1]:
+                events[i] = (events[i][0], e, a, b)
+        else:
+            latest[a, b] = len(events)
+            events.append(contact)
     events.sort()
 
     max_end = max((e[1] for e in events), default=0.0)
@@ -158,7 +161,7 @@ def _assemble(by_pair: dict[tuple[int, int], list[tuple[float, float]]],
     elif duration < max_end:
         raise InvalidParams("duration", f"{duration} < last contact end {max_end}")
 
-    nodes = tuple(sorted({n for pair in by_pair for n in pair}))
+    nodes = tuple(sorted({n for pair in latest for n in pair}))
     if node_count is None:
         node_count = len(nodes)
     elif node_count < len(nodes):
@@ -178,10 +181,10 @@ def build_trace(raw_events: Iterable[tuple[float, float, int, int]],
     the latest t_end and node_count to the number of distinct ids; both
     may only be overridden upward.
     """
-    by_pair: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    contacts: list[tuple[float, float, int, int]] = []
     for position, (t_start, t_end, a, b) in enumerate(raw_events, start=1):
-        _add_contact(by_pair, position, t_start, t_end, a, b)
-    return _assemble(by_pair, duration, node_count)
+        _add_contact(contacts, position, t_start, t_end, a, b)
+    return _assemble(contacts, duration, node_count)
 
 
 def _data_lines(text: str, headers: dict[str, tuple[int, str]]):
@@ -219,7 +222,7 @@ def _parse_headers(headers: dict[str, tuple[int, str]]) -> tuple[float | None, i
     return duration, node_count
 
 
-def _tabular(lines, by_pair: dict) -> None:
+def _tabular(lines, contacts: list) -> None:
     for line_no, fields in lines:
         if len(fields) != 4:
             raise TraceError(line_no, "malformed line "
@@ -229,10 +232,10 @@ def _tabular(lines, by_pair: dict) -> None:
             a, b = int(fields[2]), int(fields[3])
         except ValueError:
             raise TraceError(line_no, "malformed line (unparsable field)") from None
-        _add_contact(by_pair, line_no, t_start, t_end, a, b)
+        _add_contact(contacts, line_no, t_start, t_end, a, b)
 
 
-def _one_events(lines, by_pair: dict) -> float:
+def _one_events(lines, contacts: list) -> float:
     """Pair CONN up/down lines per unordered node pair, in file order, and
     return the last timestamp seen (0.0 for no lines).
 
@@ -259,10 +262,10 @@ def _one_events(lines, by_pair: dict) -> float:
         if state == "up":
             open_since.setdefault(pair, time)
         elif pair in open_since:
-            _add_contact(by_pair, line_no, open_since.pop(pair), time, *pair)
+            _add_contact(contacts, line_no, open_since.pop(pair), time, *pair)
     for (a, b), start in open_since.items():
         if start < last_time:  # checked on its up line, so this cannot fail
-            _add_contact(by_pair, 0, start, last_time, a, b)
+            _add_contact(contacts, 0, start, last_time, a, b)
     return last_time
 
 
@@ -278,15 +281,15 @@ def parse_contact_trace(text: str, fmt: str = "tabular") -> ContactTrace:
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format: {fmt!r}")
     headers: dict[str, tuple[int, str]] = {}
-    by_pair: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    contacts: list[tuple[float, float, int, int]] = []
     lines = _data_lines(text, headers)
     last_time = None
     if fmt == "tabular":
-        _tabular(lines, by_pair)
+        _tabular(lines, contacts)
     else:
-        last_time = _one_events(lines, by_pair)
+        last_time = _one_events(lines, contacts)
     duration, node_count = _parse_headers(headers)
-    return _assemble(by_pair, last_time if duration is None else duration,
+    return _assemble(contacts, last_time if duration is None else duration,
                      node_count)
 
 

@@ -3,14 +3,14 @@
 These deliberately share no code with the library paths they check:
 earliest arrival is a fixpoint relaxation directly over contact
 intervals, the clustering optimum enumerates every set partition (by a
-plain left-to-right squared distance), the
-reference k-means is the vectorised numpy implementation the library's
-pure-Python one must reproduce exactly, the reference trace
-normalization merges each pair's intervals and sorts with an explicit key,
-the reference buffer keeps entries by id and sorts them on every read
-(it also rejects a duplicate, which the library's buffer leaves to the
-engine), and the reference replay repeats full ascending passes over every
-open contact until one moves nothing, with a seen set per node.
+plain left-to-right squared distance), the reference k-means is the
+vectorised numpy implementation the library's pure-Python one must
+reproduce exactly, the reference trace assembly merges each pair's
+intervals on their own and sorts with an explicit key, the reference
+buffer keeps entries by id and sorts them on every read (it also rejects
+a duplicate, which the library's buffer leaves to the engine), and the
+reference replay repeats full ascending passes over every open contact
+until one moves nothing, with a seen set per node.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from dtn_cluster_sim.clustering import Clustering
 from dtn_cluster_sim.routing import BufferEntry, Message
 from dtn_cluster_sim.sim_engine import DeliveryRecord, _resolve_groups, build_schedule
+from dtn_cluster_sim.trace_model import ContactTrace
 
 
 def earliest_arrival(events, source: int, t0: float,
@@ -165,31 +166,35 @@ def numpy_kmeans(points, k: int, seed: int, max_iter: int = 100) -> Clustering:
     )
 
 
-def merge_pair_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of intervals for one node pair; overlapping or touching runs collapse."""
-    merged: list[list[float]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return [(s, e) for s, e in merged]
-
-
-def normalize_contacts(raw) -> tuple[list[tuple[float, float, int, int]], float, int]:
-    """Reference normalization of valid (t_start, t_end, a, b) tuples:
-    (events, duration, node_count) with pairs stored a < b, each pair's
-    intervals merged, events sorted by (t_start, t_end, a, b), duration the
-    latest end and node_count the number of distinct ids."""
+def reference_assemble(raw, duration: float | None = None,
+                       node_count: int | None = None) -> ContactTrace:
+    """Reference assembly of valid (t_start, t_end, a, b) tuples: contacts
+    filed by pair (a < b), each pair's intervals sorted and merged on
+    their own (a start at or before the running end extends it), then all
+    events sorted. duration and node_count default to the latest end and
+    the number of distinct ids; given ones are kept as they are."""
     by_pair: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for t_start, t_end, a, b in raw:
         by_pair.setdefault((min(a, b), max(a, b)), []).append((t_start, t_end))
-    events = [(s, e, a, b) for (a, b), intervals in by_pair.items()
-              for s, e in merge_pair_intervals(intervals)]
+    events = []
+    for (a, b), intervals in by_pair.items():
+        intervals.sort()
+        start, end = intervals[0]
+        for s, e in intervals[1:]:
+            if s > end:
+                events.append((start, end, a, b))
+                start, end = s, e
+            elif e > end:
+                end = e
+        events.append((start, end, a, b))
     events.sort(key=lambda ev: (ev[0], ev[1], ev[2], ev[3]))
-    duration = max((ev[1] for ev in events), default=0.0)
-    node_count = len({n for ev in events for n in ev[2:]})
-    return events, duration, node_count
+    nodes = tuple(sorted({n for pair in by_pair for n in pair}))
+    return ContactTrace(
+        events=tuple(events),
+        duration=float(max((ev[1] for ev in events), default=0.0)
+                       if duration is None else duration),
+        node_count=len(nodes) if node_count is None else node_count,
+        nodes=nodes)
 
 
 class DuplicateMessage(ValueError):

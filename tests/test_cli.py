@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import signal
@@ -437,6 +438,35 @@ class TestMainEntry:
         path = synthetic_config(tmp_path)
         assert main(["validate", "--config", str(path)]) == 0
         assert "consistent" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    def test_commands_run_without_the_collector(self, tmp_path, monkeypatch, capsys,
+                                                collecting):
+        """main runs a command with the cyclic collector off and leaves it
+        as it found it: after a run, a validate and a config error."""
+        during = []
+
+        def recording(*args):
+            during.append(gc.isenabled())
+            return parse_config(*args)
+
+        parse_config = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config", recording)
+        config = str(write_config(tmp_path))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"categories": [1]}))
+        calls = [(["run", "--config", config, "--out", str(tmp_path / "out")], 0),
+                 (["validate", "--config", config], 0),
+                 (["run", "--config", str(bad)], 2)]
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            for argv, code in calls:
+                assert main(argv) == code
+                assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False] * 3
 
     def test_validate_flags_gaps(self, tmp_path, capsys):
         (tmp_path / "trace.txt").write_text("0 5 0 1\n2 9 1 5\n")

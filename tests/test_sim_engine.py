@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -11,8 +12,10 @@ from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
 from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig,
                                         build_schedule, run)
 from dtn_cluster_sim.trace_model import (InterestProfile, InvalidParams,
-                                         SyntheticParams, generate_synthetic_trace,
-                                         parse_contact_trace)
+                                         SyntheticParams, build_trace,
+                                         generate_synthetic_trace, parse_contact_trace,
+                                         parse_interest_profiles, serialize_contact_trace,
+                                         serialize_profiles)
 
 from oracles import earliest_arrival, reference_replay
 
@@ -299,6 +302,18 @@ class TestStrictMode:
         assert res.counts.closes == 2
         assert res.records[1].group_delivered_at is None
 
+    def test_next_contact_after_a_close_exchanges_again(self):
+        sc = scenario("5 6 1 2\n8 12 1 2\n", self.VECTORS, 2,
+                      ScheduleConfig(explicit=((1.0, 1, 1), (9.0, 1, 2))),
+                      router=RouterConfig(kind="cluster", mode="exact", strict=True,
+                                          ttl=5.0))
+        res = run(sc)
+        # message 0 closes the first interval and has expired by the second,
+        # which opens with nothing to offer; message 1, created during it,
+        # queues it, and the close left by the first interval must not hold
+        assert (res.counts.closes, res.counts.expired, res.counts.forwards) == (1, 1, 1)
+        assert res.records[1].group_delivered_at == 9.0
+
 
 class TestBufferComposition:
     def test_forward_into_full_buffer_evicts_oldest(self):
@@ -319,6 +334,18 @@ class TestBufferComposition:
         assert res.counts.forwards == 1
         assert res.records[0].group_delivered_at == 4.0
         assert res.records[1].group_delivered_at is None
+
+    def test_transfer_budget_is_whole_again_at_next_contact(self):
+        sc = scenario("4 5 1 2\n6 7 1 2\n8 9 1 2\n", {1: (0,), 2: (1,)}, 1,
+                      ScheduleConfig(explicit=((1.0, 1, 1), (2.0, 1, 1), (3.0, 1, 1),
+                                               (6.5, 1, 1))),
+                      router=RouterConfig(max_transfers_per_contact=2))
+        res = run(sc)
+        # two forwards per interval: the third message waits for the second,
+        # which spends its budget on it and on the fourth, created during it
+        assert [r.group_delivered_at for r in res.records] == [4.0, 4.0, 6.0, 6.5]
+        sc = sc._replace(router=RouterConfig(max_transfers_per_contact=1))
+        assert [r.group_delivered_at for r in run(sc).records] == [4.0, 6.0, 8.0, None]
 
     def test_ttl_expiry_purges_before_exchange(self):
         sc = scenario("8 9 1 2\n", {1: (0,), 2: (1,)}, 1,
@@ -505,13 +532,32 @@ def seeded_scenario(i: int) -> Scenario:
                     router=router, schedule=schedule, seed=i)
 
 
+def whole_second_scenario(i: int) -> Scenario:
+    """Scenario i of the tie set: seeded scenario 320 + i with contact times
+    rounded to whole seconds and a whole-second message interval, so that
+    contact ends, creations and contact starts often share an instant."""
+    sc = seeded_scenario(320 + i)
+    rounded = [(float(round(s)), float(round(e)), a, b) for s, e, a, b in sc.trace.events]
+    trace = build_trace([c for c in rounded if c[0] < c[1]], duration=sc.trace.duration,
+                        node_count=sc.trace.node_count)
+    interval = random.Random(20_000 + i).choice((1.0, 2.0, 3.0, 5.0, 7.0))
+    return sc._replace(trace=trace, schedule=sc.schedule._replace(interval=interval))
+
+
 def test_replay_matches_reference_replay():
     """The worklist replay against the full-pass reference: records,
     first receipts in receipt order, forwards, drops and closes agree on
-    the golden matrix and on 320 seeded scenarios."""
+    the golden matrix, on 320 seeded scenarios and on 100 with whole-second
+    times, where contacts end at the instant others start or messages
+    appear."""
     totals = Counter()
+    tied = [whole_second_scenario(i) for i in range(100)]
+    for sc in tied:
+        ends = {e for _, e, _, _ in sc.trace.events}
+        totals.update(end_meets_start=len(ends & {s for s, _, _, _ in sc.trace.events}),
+                      end_meets_creation=len(ends & {t for t, _, _ in build_schedule(sc)}))
     scenarios = [matrix_scenario(i) for i in range(72)]
-    scenarios += [seeded_scenario(i) for i in range(320)]
+    scenarios += [seeded_scenario(i) for i in range(320)] + tied
     for i, sc in enumerate(scenarios):
         res, ref = run(sc), reference_replay(sc)
         c = res.counts
@@ -522,6 +568,26 @@ def test_replay_matches_reference_replay():
         totals.update(forwards=c.forwards, drops=c.drops, closes=c.closes, expired=c.expired,
                       finals=sum(r.final_delivered_at is not None for r in res.records))
     assert min(totals.values()) > 0, totals
+    assert min(totals["end_meets_start"], totals["end_meets_creation"]) >= 100, totals
+
+
+def test_collector_finds_no_cycles_in_a_replay():
+    """The CLI runs with the cyclic collector off: parsing, generating and
+    replaying the golden matrix must leave no reference cycle behind, or
+    memory would grow with every sweep point."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(72):
+            sc = matrix_scenario(i)
+            trace = parse_contact_trace(serialize_contact_trace(sc.trace))
+            profiles = parse_interest_profiles(serialize_profiles(sc.profiles))
+            run(sc._replace(trace=trace, profiles=tuple(profiles)))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_no_node_receives_a_message_twice(monkeypatch):

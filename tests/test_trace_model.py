@@ -9,7 +9,7 @@ from dtn_cluster_sim.trace_model import (InvalidParams, InterestProfile,
                                          parse_contact_trace, parse_interest_profiles,
                                          serialize_contact_trace,
                                          serialize_profiles, validate_scenario)
-from oracles import normalize_contacts
+from oracles import reference_assemble
 
 
 class TestParseTabular:
@@ -376,14 +376,12 @@ def test_build_and_parse_match_reference_normalization():
     rng = random.Random(2024)
     for _ in range(300):
         raw = _random_raw_contacts(rng)
-        events, duration, node_count = normalize_contacts(raw)
+        expected = reference_assemble(raw)
         text = "".join(f"{s!r} {e!r} {a} {b}\n" for s, e, a, b in raw)
         for trace in (build_trace(raw), parse_contact_trace(text)):
             assert all(type(e) is tuple for e in trace.events)
-            assert list(trace.events) == events
-            assert trace.duration == duration
-            assert trace.node_count == node_count
-            assert trace.nodes == tuple(sorted({n for ev in events for n in ev[2:]}))
+            assert trace == expected
+            assert trace.nodes == tuple(sorted({n for ev in trace.events for n in ev[2:]}))
 
         by_pair: dict = {}
         for s, e, a, b in raw:
@@ -395,4 +393,77 @@ def test_build_and_parse_match_reference_normalization():
             shapes["touching"] += any(e == s2 for _, e in intervals for s2, _ in intervals)
             shapes["nested"] += any(s1 < s2 and e2 < e1 for s1, e1 in intervals
                                     for s2, e2 in intervals)
+    assert min(shapes.values()) >= 50, shapes
+
+
+def _tied_raw_contacts(rng: random.Random) -> list[tuple[float, float, int, int]]:
+    """Valid raw contacts on a grid of whole seconds, as ints or as floats:
+    starts shared across pairs are common, and so are duplicates,
+    overlapping and touching intervals of one pair, in either endpoint
+    order."""
+    nodes = rng.randint(2, 6)
+    raw = []
+    for _ in range(rng.randint(1, 30)):
+        a, b = rng.sample(range(nodes), 2)
+        start = rng.randint(0, 12)
+        end = start + rng.randint(1, 4)
+        raw.append((start, end, a, b))
+        shape = rng.random()
+        if shape < 0.15:
+            raw.append((start, end, b, a))                                 # duplicate
+        elif shape < 0.3:
+            raw.append((end, end + rng.randint(1, 3), b, a))               # touching
+        elif shape < 0.45:
+            raw.append((start + rng.randint(0, end - start - 1), end + 2, a, b))  # overlap
+        elif shape < 0.6:
+            c, d = rng.sample(range(nodes), 2)
+            raw.append((start, start + rng.randint(1, 4), c, d))           # same start
+    if rng.random() < 0.5:
+        raw = [(float(s), float(e), a, b) for s, e, a, b in raw]
+    rng.shuffle(raw)
+    return raw
+
+
+def _one_events_text(trace, rng: random.Random) -> str:
+    """The trace's intervals as `time CONN a b up|down` lines in time
+    order, the endpoints of each line in a random order."""
+    lines = []
+    for s, e, a, b in trace.events:
+        for time, state in ((s, "up"), (e, "down")):
+            x, y = (a, b) if rng.random() < 0.5 else (b, a)
+            lines.append((time, f"{time!r} CONN {x} {y} {state}\n"))
+    lines.sort(key=lambda line: line[0])
+    return "".join(line for _, line in lines)
+
+
+def test_assembly_matches_reference_assemble():
+    """build_trace against the per-pair sort-and-merge of tests/oracles.py
+    on seeded raw lists with whole-second times: one pair's duplicates,
+    overlaps and touching intervals, starts shared across pairs, both
+    endpoint orders and int times, which must come out as given. Both
+    parsers read the reference's serialized text back to it."""
+    shapes = dict.fromkeys(("duplicate", "overlap", "touching", "shared start",
+                            "reversed", "int times"), 0)
+    rng = random.Random(18)
+    for _ in range(300):
+        raw = _tied_raw_contacts(rng)
+        expected = reference_assemble(raw)
+        assert repr(build_trace(raw)) == repr(expected)
+        duration, nodes = expected.duration + rng.randint(0, 5), expected.node_count + 1
+        assert build_trace(raw, duration, nodes) == reference_assemble(raw, duration, nodes)
+        assert parse_contact_trace(serialize_contact_trace(expected)) == expected
+        assert parse_contact_trace(_one_events_text(expected, rng), "one_events") == expected
+
+        by_pair: dict = {}
+        for s, e, a, b in raw:
+            shapes["reversed"] += a > b
+            shapes["int times"] += type(s) is int
+            by_pair.setdefault((min(a, b), max(a, b)), []).append((s, e))
+        for intervals in by_pair.values():
+            shapes["duplicate"] += len(set(intervals)) < len(intervals)
+            shapes["overlap"] += any(s1 < s2 < e1 < e2 for s1, e1 in intervals
+                                     for s2, e2 in intervals)
+            shapes["touching"] += any(e == s2 for _, e in intervals for s2, _ in intervals)
+        starts = [s for s, _, _, _ in expected.events]
+        shapes["shared start"] += len(set(starts)) < len(starts)
     assert min(shapes.values()) >= 50, shapes
