@@ -32,7 +32,6 @@ file that cannot be read or parsed.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import os
@@ -400,6 +399,7 @@ def run_sweep(config: RunConfig) -> int:
         json.dumps(config.effective(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
     if failures:
+        import csv   # here, so that starting the CLI does not load it
         with open(out / "failures.csv", "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(("run_id", "error"))

@@ -14,10 +14,10 @@ or queues the creating node's open contacts; a node that gains a message
 queues each of its other open contacts not queued yet. A contact that no
 gain has queued since its last exchange would forward nothing: the
 receipt log only grows, buffers only lose entries between gains, budgets
-only fall, and the rules do not depend on the time. A contact that
-starts between two empty buffers is not exchanged on, and a queued
-contact whose budget is spent or whose two buffers are empty is passed
-over; a buffer fills only through a gain, which queues the contact
+only fall, and the rules do not depend on the time. A contact, at its
+start or when queued, is exchanged on only if one end holds an id the
+other needs, and a queued contact whose budget is spent is passed over;
+a buffer takes in ids only through a gain, which queues the contact
 again. A budget falls only at a forward, so it is tested after each
 forward: the exchange ends at the one that spends it.
 
@@ -31,9 +31,21 @@ its first non-member.
 Offers use summary vectors (Vahdat and Becker, Duke CS-2000-06):
 `need[node]` holds the ids of created messages offered to the node and
 absent from the receipt log, and a buffer's `held` the ids in its log.
-An exchange purges both buffers, then walks a direction only when the
-carrier holds an id the peer needs; a contact start where neither does
-sweeps nothing.
+An exchange walks a direction only when the carrier holds an id the
+peer needs.
+
+With a TTL, buffers are purged lazily. `held` may still name lapsed
+copies, so a direction that passes the offer test purges its carrier
+and tests again, and an insert into a full buffer purges it first. An
+unpurged lapsed copy is never read and never evicted, so it changes no
+outcome. `EventCounts.expired` keeps the count of eager
+purges: both ends at every exchange attempted (at a contact start with
+a buffer that is not empty, or on a queued contact with budget left)
+and the source at every creation. `touched[node]` notes the latest such
+instant, and the run ends with one purge of each buffer at it. Where a
+stale `held` notes an instant at which an eager purge would have found
+both buffers empty, every copy they still hold had lapsed at an earlier
+eager purge, so the count is the same.
 
 The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
@@ -149,9 +161,11 @@ class Scenario(NamedTuple):
 
 
 class EventCounts(_SlotRecord):
-    """Run totals. `expired` counts copies purged by TTL at a creation or
-    an exchange, before the offer test; a copy that lapses in a buffer that
-    is never purged again is not counted."""
+    """Run totals. `expired` counts the copies that a TTL purge of the
+    source at each creation and of both ends at each exchange attempted
+    would drop, before the offer test; the replay purges lazily and counts
+    the rest at the end of the run (module docstring). A copy that lapses
+    after its node's last creation or exchange is not counted."""
 
     __slots__ = ("contacts_processed", "forwards", "drops", "expired", "closes")
 
@@ -289,11 +303,12 @@ def run(scenario: Scenario) -> SimResult:
     first_receipts: dict[int, dict[int, float]] = {m.id: {} for m in messages}
     # (first receiver, time, hops) of each message's first group receipt
     delivered: dict[int, tuple[int, float, int]] = {}
-    counts = EventCounts()
+    counts = EventCounts(contacts_processed=len(scenario.trace.events))
     # pair -> end of its latest contact, open while t < end; a sweep drops ended ones
     incident: dict[int, dict[tuple[int, int], float]] = {node: {} for node in universe}
     # transfers left on a pair's latest contact; 0 once spent or closed in strict mode
     budget: dict[tuple[int, int], int] = {}
+    cap = rc.max_transfers_per_contact
     # bound per run, not at import, so a rule wrapped after import is used
     decide = (epidemic_decide if rc.kind == "epidemic"
               else partial(interest_cluster_transfer, strict=rc.strict))
@@ -304,28 +319,35 @@ def run(scenario: Scenario) -> SimResult:
     # the ids each node is offered and has not received (summary vectors)
     need: dict[int, set[int]] = {node: set() for node in universe}
 
-    def purge(node: int, t: float):
-        if rc.ttl is not None:
-            counts.expired += len(buffers[node].purge_expired(t, rc.ttl))
+    ttl = rc.ttl
+    # each node's latest instant of an eager purge (module docstring)
+    touched: dict[int, float] = {}
 
     def receive(msg: Message, node: int, t: float, hops: int):
         first_receipts[msg.id][node] = t
         need[node].discard(msg.id)
         if node in msg.destination_group and msg.id not in delivered:
             delivered[msg.id] = (node, t, hops)
-        counts.drops += len(buffers[node].insert(msg, t, hops))
+        buffer = buffers[node]
+        # only a full buffer evicts, and it evicts from what a purge leaves
+        if ttl is not None and len(buffer.held) == buffer.capacity:
+            counts.expired += len(buffer.purge_expired(t, ttl))
+        counts.drops += len(buffer.insert(msg, t, hops))
 
     def exchange(a: int, b: int, t: float) -> set[int]:
         """Both directions of one contact; returns the ends that gained."""
         pair = (a, b)
         gainers = set()
-        purge(a, t)
-        purge(b, t)
         for carrier, peer in ((a, b), (b, a)):
             needed = need[peer]
-            if needed.isdisjoint(buffers[carrier].held):
+            buffer = buffers[carrier]
+            if needed.isdisjoint(buffer.held):
                 continue
-            for entry in buffers[carrier].in_exchange_order():
+            if ttl is not None:
+                counts.expired += len(buffer.purge_expired(t, ttl))
+                if needed.isdisjoint(buffer.held):
+                    continue
+            for entry in buffer.in_exchange_order():
                 if entry.message_id not in needed:
                     continue
                 decision = decide(entry.message, peer)
@@ -365,8 +387,12 @@ def run(scenario: Scenario) -> SimResult:
             sweep_pass, pair = heappop(heap)
             queued.discard(pair)
             a, b = pair
-            gainers = (exchange(a, b, t) if budget.get(pair, 1) > 0
-                       and (buffers[a].held or buffers[b].held) else ())
+            gainers = ()
+            if budget.get(pair, 1) > 0:
+                touched[a] = touched[b] = t
+                if not (need[b].isdisjoint(buffers[a].held)
+                        and need[a].isdisjoint(buffers[b].held)):
+                    gainers = exchange(a, b, t)
 
     events = [(t_start, 2, (a, b), t_end) for t_start, t_end, a, b in scenario.trace.events]
     events += [(m.created_at, 1, m.id, None) for m in messages]
@@ -377,23 +403,29 @@ def run(scenario: Scenario) -> SimResult:
             msg = messages[info]
             for node in offered_to[msg.category]:
                 need[node].add(msg.id)
-            purge(msg.source, t)
+            touched[msg.source] = t
             receive(msg, msg.source, t, 0)
             sweep(t, None, (msg.source,))
         else:
             a, b = info
             incident[a][info] = incident[b][info] = t_end
             # a fresh budget, and no strict close left by the pair's last contact
-            if rc.max_transfers_per_contact is not None:
-                budget[info] = rc.max_transfers_per_contact
+            if cap is not None:
+                budget[info] = cap
             else:
                 budget.pop(info, None)
-            counts.contacts_processed += 1
-            # two empty buffers have nothing to offer; a gain queues it later
-            if buffers[a].held or buffers[b].held:
-                gainers = exchange(a, b, t)
-                if gainers:
-                    sweep(t, info, gainers)
+            held_a, held_b = buffers[a].held, buffers[b].held
+            if held_a or held_b:
+                touched[a] = touched[b] = t
+                # neither end holds an id the other needs: a gain queues it later
+                if not (need[b].isdisjoint(held_a) and need[a].isdisjoint(held_b)):
+                    gainers = exchange(a, b, t)
+                    if gainers:
+                        sweep(t, info, gainers)
+
+    if ttl is not None:
+        for node, t in touched.items():
+            counts.expired += len(buffers[node].purge_expired(t, ttl))
 
     records = []
     for m in messages:

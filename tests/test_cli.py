@@ -695,8 +695,8 @@ def test_cli_import_leaves_numpy_out():
     assert _loaded_by_cli_import({"numpy"}) == "[]"
 
 
-def test_cli_import_leaves_dataclasses_and_logging_out():
-    """Records are NamedTuples or slot classes and `logging` loads only to
-    warn, so starting the CLI imports none of `dataclasses`, the `inspect`
-    it pulls in, and `logging`."""
-    assert _loaded_by_cli_import({"dataclasses", "inspect", "logging"}) == "[]"
+def test_cli_import_leaves_dataclasses_logging_and_csv_out():
+    """Records are NamedTuples or slot classes, `logging` loads only to
+    warn and `csv` only to write `failures.csv`, so starting the CLI imports
+    none of `dataclasses`, the `inspect` it pulls in, `logging` and `csv`."""
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "logging", "csv"}) == "[]"

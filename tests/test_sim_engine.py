@@ -355,6 +355,31 @@ class TestBufferComposition:
         assert res.records[0].group_delivered_at is None
         assert res.counts.expired == 1
 
+    def test_ttl_copy_lapsed_where_nothing_is_offered_counts_at_the_end(self, monkeypatch):
+        """Node 2 is outside message 0's group, so the contact at t=8 has
+        nothing to offer either way and purges no buffer; the copy that
+        lapsed at node 1 by then still counts, when the run ends."""
+        log = []
+        insert, purge_expired = Buffer.insert, Buffer.purge_expired
+
+        def logged_insert(self, message, now, hops=0):
+            log.append(("insert", now))
+            return insert(self, message, now, hops)
+
+        def logged_purge(self, now, ttl):
+            log.append(("purge", now))
+            return purge_expired(self, now, ttl)
+        monkeypatch.setattr(Buffer, "insert", logged_insert)
+        monkeypatch.setattr(Buffer, "purge_expired", logged_purge)
+        sc = scenario("# duration: 30\n8 9 1 2\n", {1: (1,), 2: (0,), 3: (1,)}, 1,
+                      ScheduleConfig(explicit=((1.0, 1, 1), (20.0, 3, 1))),
+                      router=RouterConfig(ttl=5.0))
+        res = run(sc)
+        assert log[:2] == [("insert", 1.0), ("insert", 20.0)]   # no purge before the end
+        assert ("purge", 8.0) in log[2:]
+        assert res.counts.expired == 1
+        assert res.counts.forwards == 0
+
     def test_ttl_alive_messages_still_flow(self):
         sc = scenario("4 5 1 2\n", {1: (0,), 2: (1,)}, 1,
                       ScheduleConfig(explicit=((1.0, 1, 1),)),
@@ -546,10 +571,10 @@ def whole_second_scenario(i: int) -> Scenario:
 
 def test_replay_matches_reference_replay():
     """The worklist replay against the full-pass reference: records,
-    first receipts in receipt order, forwards, drops and closes agree on
-    the golden matrix, on 320 seeded scenarios and on 100 with whole-second
-    times, where contacts end at the instant others start or messages
-    appear."""
+    first receipts in receipt order, forwards, drops, closes and expired
+    copies agree on the golden matrix, on 320 seeded scenarios and on 100
+    with whole-second times, where contacts end at the instant others
+    start or messages appear."""
     totals = Counter()
     tied = [whole_second_scenario(i) for i in range(100)]
     for sc in tied:
@@ -564,7 +589,8 @@ def test_replay_matches_reference_replay():
         assert res.records == ref.records, i
         assert [list(res.first_receipts[m].items()) for m in range(len(res.records))] == \
             [list(r.items()) for r in ref.first_receipts], i
-        assert (c.forwards, c.drops, c.closes) == (ref.forwards, ref.drops, ref.closes), i
+        assert (c.forwards, c.drops, c.closes, c.expired) == \
+            (ref.forwards, ref.drops, ref.closes, ref.expired), i
         totals.update(forwards=c.forwards, drops=c.drops, closes=c.closes, expired=c.expired,
                       finals=sum(r.final_delivered_at is not None for r in res.records))
     assert min(totals.values()) > 0, totals

@@ -273,6 +273,27 @@ class TestSynthetic:
         assert sha256(serialize_profiles(profiles).encode()).hexdigest() == \
             self.PINNED_PROFILES
 
+    # sha256 of the serialized trace of the benchmark's flood-100 (5
+    # categories) and bounded-sweep (2 categories) networks at seeds 1 and 2,
+    # as `Random.expovariate` drew them
+    @pytest.mark.parametrize("duration, n, seed, trace_sha256", [
+        (2000.0, 5, 1, "0025f1ffa42b5df32c21b316d67436d50406349564bcd7fe040fa14c2eab2ecb"),
+        (2000.0, 5, 2, "5a53d85609a6d195441a7d47ce20c62222c66c37dd5d88bf429ea5b68c08a5da"),
+        (600.0, 2, 1, "96e8c579483b70b77ca064459f882b850a9003a95b96d4c725721c257a8615b7"),
+        (600.0, 2, 2, "aefbe7b67900948eea7e858fd9419f63c89a65a689199c03717cdbee82148ced"),
+    ], ids=["flood-100-s1", "flood-100-s2", "bounded-sweep-s1", "bounded-sweep-s2"])
+    def test_draws_rest_on_random_alone(self, monkeypatch, duration, n, seed, trace_sha256):
+        """Exponential draws are written out from `Random.random`, whose
+        sequence Python keeps across versions, and give the floats that
+        `expovariate` gave."""
+        def refuse(self, lambd=1.0):
+            raise AssertionError("expovariate called")
+        monkeypatch.setattr(random.Random, "expovariate", refuse)
+        params = SyntheticParams(node_count=100, duration=duration, contact_rate=5.1e-4,
+                                 n_categories=n, interest_prob=0.3)
+        trace, _ = generate_synthetic_trace(params, seed)
+        assert sha256(serialize_contact_trace(trace).encode()).hexdigest() == trace_sha256
+
     def test_event_count_concentrates_around_expectation(self):
         # expected meetings ~= 50 per seed; Poisson concentration keeps the
         # count well inside [25, 100]
