@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from bisect import insort
 from enum import Enum
-from math import inf
 from typing import NamedTuple
 
 
@@ -92,10 +91,8 @@ class Buffer:
     capacity counts messages; None means unlimited. The oldest entry is
     the head of the log. In a replay receipt times never decrease, so an
     insert lands at the tail, or among the entries of its instant by id.
-    A lower bound on the log's creation times lets a purge that cannot
-    drop anything return at once; an eviction leaves the bound low, which
-    is safe. `held`, the set of ids in the log, lets an offer be tested
-    without reading the log; insert, eviction and purge keep it in step.
+    `held`, the set of ids in the log, lets an offer be tested without
+    reading the log; insert, eviction and purge keep it in step.
     """
 
     def __init__(self, capacity: int | None = 50):
@@ -104,7 +101,6 @@ class Buffer:
         self.capacity = capacity
         self._log: list[BufferEntry] = []
         self.held: set[int] = set()   # the message ids in the log
-        self._created_bound = inf
 
     def insert(self, message: Message, now: float, hops: int = 0) -> list[Message]:
         """Store a copy received at `now`, `hops` hops from its source;
@@ -112,8 +108,6 @@ class Buffer:
         buffer does not check that it holds no other copy of the message."""
         insort(self._log, BufferEntry(now, message.id, hops, message))
         self.held.add(message.id)
-        if message.created_at < self._created_bound:
-            self._created_bound = message.created_at
         if self.capacity is None or len(self._log) <= self.capacity:
             return []
         evicted = self._log.pop(0)   # the log was full, so one entry goes
@@ -123,16 +117,12 @@ class Buffer:
     def purge_expired(self, now: float, ttl: float) -> list[Message]:
         """Drop entries whose message was created more than `ttl` before
         `now`; returns them in exchange order."""
-        if now - self._created_bound <= ttl:
-            return []
         dead = [entry.message for entry in self._log
                 if now - entry.message.created_at > ttl]
         if dead:
             self._log = [entry for entry in self._log
                          if now - entry.message.created_at <= ttl]
             self.held.difference_update(message.id for message in dead)
-            self._created_bound = min(
-                (entry.message.created_at for entry in self._log), default=inf)
         return dead
 
     def in_exchange_order(self) -> list[BufferEntry]:

@@ -7,10 +7,12 @@ node. This module holds the data model, parsers for the two supported
 on-disk formats, a seeded synthetic generator for desk-scale experiments,
 and a scenario consistency check.
 
-Both parsers and `build_trace` (which the generator uses) check each
-contact once, by one rule set, where its line number (or position) is
-known: ids and times non-negative, times finite, two distinct nodes,
-t_start < t_end. They then share one assembly path:
+Both parsers and `build_trace`, the entry point for contact tuples from
+outside the program, check each contact once, by one rule set, where its
+line number (or position) is known: ids and times non-negative, times
+finite, two distinct nodes, t_start < t_end. The generator builds each
+contact by these rules, so it skips the check. All of them share one
+assembly path:
   * contacts are symmetric, endpoints stored with a < b;
   * one sort of all contacts orders each pair's intervals, and overlapping
     or touching intervals of the same pair are merged;
@@ -127,7 +129,7 @@ def _check_meeting(line_no: int, t: float, a: int, b: int) -> None:
 def _add_contact(contacts: list, line_no: int, t_start: float, t_end: float,
                  a: int, b: int) -> None:
     """Check the contact [t_start, t_end) of a and b and append it to
-    `contacts` with a < b. Every constructor path adds its contacts here."""
+    `contacts` with a < b. Both parsers and `build_trace` add theirs here."""
     if not (0.0 <= t_start < t_end < _INF and a != b and a >= 0 and b >= 0):
         _check_meeting(line_no, t_start, a, b)  # names the rule broken
         if not t_end < _INF:
@@ -181,7 +183,8 @@ def _assemble(contacts: list[tuple[float, float, int, int]],
 def build_trace(raw_events: Iterable[tuple[float, float, int, int]],
                 duration: float | None = None,
                 node_count: int | None = None) -> ContactTrace:
-    """Assemble a normalized ContactTrace from (t_start, t_end, a, b) tuples.
+    """Assemble a normalized ContactTrace from (t_start, t_end, a, b) tuples
+    made outside the program, checking each.
 
     A tuple breaking the parsers' rules raises their TraceError (a
     ValueError), numbered by its 1-based position. duration defaults to
@@ -353,7 +356,8 @@ class SyntheticParams(NamedTuple):
 
     contact_rate is the mean number of meetings per node pair per second;
     pairs sharing at least one interest meet shared_interest_bias times as
-    often. Meeting lengths are exponential with mean_contact_duration.
+    often, and that product must be positive and finite as a float.
+    Meeting lengths are exponential with mean_contact_duration.
     """
 
     node_count: int
@@ -379,6 +383,9 @@ class SyntheticParams(NamedTuple):
             raise InvalidParams("mean_contact_duration", "must be positive")
         if self.shared_interest_bias <= 0:
             raise InvalidParams("shared_interest_bias", "must be positive")
+        if not 0 < self.contact_rate * self.shared_interest_bias < _INF:
+            raise InvalidParams("shared_interest_bias", "contact_rate times it "
+                                "must be positive and finite")
 
 
 def generate_synthetic_trace(params: SyntheticParams,
@@ -387,7 +394,8 @@ def generate_synthetic_trace(params: SyntheticParams,
     memoryless (Poisson) meeting process per node pair.
 
     A pure function of (params, seed): the same inputs always produce
-    byte-identical serialized traces and profiles.
+    byte-identical serialized traces and profiles. Each contact is built
+    valid (0 <= t_start < t_end <= duration, a < b), so none is checked.
     """
     rng = random.Random(seed)
 
@@ -419,8 +427,7 @@ def generate_synthetic_trace(params: SyntheticParams,
                     raw.append((t, end, a, b))
                 t += -log(1.0 - draw()) / rate
 
-    trace = build_trace(raw, duration=params.duration, node_count=params.node_count)
-    return trace, profiles
+    return _assemble(raw, params.duration, params.node_count), profiles
 
 
 def validate_scenario(trace: ContactTrace,

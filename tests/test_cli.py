@@ -545,6 +545,10 @@ class TestMainEntry:
         bad_line("profiles", "arity.txt", "line 2: expected 3 interest bits, got 2"),
         bad_line("profiles", "non_binary.txt", "line 2: interest values must be 0 or 1"),
         bad_line("profiles", "duplicate_node.txt", "line 3: duplicate profile for node 0"),
+        ({"trace": None, "profiles": None,
+          "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 1e-200,
+                        "shared_interest_bias": 1e-200, "interest_prob": 0.5}},
+         "shared_interest_bias"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
@@ -609,6 +613,12 @@ class TestMainEntry:
             "contact_rate": 0.002, "interest_prob": 0.5})
         assert "Infinity" in path.read_text()
         with pytest.raises(ConfigError, match="synthetic.duration"):
+            parse_config(path)
+        # an infinite rate never ends either: every draw is 0
+        path = synthetic_config(tmp_path, synthetic={
+            "node_count": 8, "duration": 300.0, "contact_rate": 1e200,
+            "shared_interest_bias": 1e200, "interest_prob": 0.5})
+        with pytest.raises(ConfigError, match="shared_interest_bias"):
             parse_config(path)
 
     def test_int_floats_echo_as_floats(self, tmp_path):

@@ -49,13 +49,13 @@ class TestEpidemic:
 
 
 class TestMessage:
-    def test_path_defaults_to_source(self):
+    def test_copy_starts_at_zero_hops(self):
         # a copy stored without a hop count is the source's own: 0 hops
         b = Buffer(capacity=None)
         b.insert(msg(source=4), now=0.0)
         assert [e.hops for e in b.in_exchange_order()] == [0]
 
-    def test_hand_to_extends_path(self):
+    def test_copy_handed_on_adds_a_hop(self):
         # handing a copy on stores the carrier's hop count plus one, on the
         # one shared Message
         m = msg(source=4)
@@ -71,15 +71,15 @@ class TestMessage:
         with pytest.raises(ValueError):
             msg(group=(5, 8), final_destination=9)
 
-    def test_expiry(self):
+
+class TestBuffer:
+    def test_copy_lapses_just_after_ttl(self):
         # a copy lives through created_at + ttl and lapses just after it
         b = Buffer(capacity=None)
         b.insert(msg(created_at=10.0), now=10.0)
         assert b.purge_expired(now=15.0, ttl=5.0) == []
         assert [m.id for m in b.purge_expired(now=15.1, ttl=5.0)] == [0]
 
-
-class TestBuffer:
     def test_oldest_received_evicted(self):
         b = Buffer(capacity=2)
         b.insert(msg(mid=1), now=5.0)
@@ -101,7 +101,7 @@ class TestBuffer:
         evicted = b.insert(msg(mid=7), now=6.0)
         assert [m.id for m in evicted] == [4]
 
-    def test_duplicate_rejected(self):
+    def test_reference_buffer_rejects_duplicate(self):
         # only the reference checks: the engine never offers a message to a
         # node that held it, so a Buffer is never handed a duplicate
         # (tests/test_sim_engine.py::test_no_node_receives_a_message_twice)

@@ -152,6 +152,12 @@ def every_build(build, change: dict):
     (profile, {"interests": (1, 2)}, None),
     (message, {"category": 0}, None),
     (message, {"final_destination": 3}, None),
+    # the generator draws at contact_rate * shared_interest_bias, which must
+    # be a positive, finite float: at inf every draw is 0, at 0 it divides by 0
+    (synthetic, {"contact_rate": 1e200, "shared_interest_bias": 1e200},
+     "shared_interest_bias"),
+    (synthetic, {"contact_rate": 1e-200, "shared_interest_bias": 1e-200},
+     "shared_interest_bias"),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
     """Each path that builds a record raises the same error, naming the

@@ -309,6 +309,16 @@ class TestSynthetic:
         assert list(trace.events) == sorted(trace.events)
         assert len(profiles) == 10
         assert all(len(p.interests) == 2 for p in profiles)
+        # the generator skips build_trace's check of each contact: every
+        # trace it makes passes that check and comes out of it unchanged
+        flood_100 = SyntheticParams(node_count=100, duration=2000.0, contact_rate=5.1e-4,
+                                    n_categories=5, interest_prob=0.3)
+        cases = [(self.PARAMS, seed) for seed in range(20)]
+        cases += [(self.PINNED_PARAMS._replace(shared_interest_bias=3.0), 5), (flood_100, 1)]
+        for params, seed in cases:
+            trace, _ = generate_synthetic_trace(params, seed)
+            assert build_trace(trace.events, duration=trace.duration,
+                               node_count=trace.node_count) == trace
 
 
 class TestValidateScenario:
