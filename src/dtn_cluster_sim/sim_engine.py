@@ -38,14 +38,9 @@ With a TTL, buffers are purged lazily. `held` may still name lapsed
 copies, so a direction that passes the offer test purges its carrier
 and tests again, and an insert into a full buffer purges it first. An
 unpurged lapsed copy is never read and never evicted, so it changes no
-outcome. `EventCounts.expired` keeps the count of eager
-purges: both ends at every exchange attempted (at a contact start with
-a buffer that is not empty, or on a queued contact with budget left)
-and the source at every creation. `touched[node]` notes the latest such
-instant, and the run ends with one purge of each buffer at it. Where a
-stale `held` notes an instant at which an eager purge would have found
-both buffers empty, every copy they still hold had lapsed at an earlier
-eager purge, so the count is the same.
+outcome, and the run ends with one purge of every buffer at the trace's
+duration. So `EventCounts.expired` counts every copy that lapses by then
+while stored, however often its node was visited.
 
 The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
@@ -81,7 +76,7 @@ from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
                          resolve_group_kmeans)
 from .routing import (Buffer, ForwardDecision, Message, _SlotRecord, epidemic_decide,
                       interest_cluster_transfer)
-from .trace_model import ContactTrace, InterestProfile, InvalidParams, _checked
+from .trace_model import _INF, ContactTrace, InterestProfile, InvalidParams, _checked
 
 ROUTER_KINDS = ("cluster", "epidemic")
 GROUP_MODES = ("exact", "kmeans")
@@ -111,8 +106,8 @@ class RouterConfig(NamedTuple):
             raise InvalidParams("k_clusters", "must be positive or None")
         if self.buffer_capacity is not None and self.buffer_capacity < 1:
             raise InvalidParams("buffer_capacity", "must be positive or None")
-        if self.ttl is not None and self.ttl <= 0:
-            raise InvalidParams("ttl", "must be positive or None")
+        if self.ttl is not None and not 0 < self.ttl < _INF:
+            raise InvalidParams("ttl", "must be positive and finite, or None")
         budget = self.max_transfers_per_contact
         if budget is not None and budget < 1:
             raise InvalidParams("max_transfers_per_contact", "must be positive or None")
@@ -131,8 +126,8 @@ class ScheduleConfig(NamedTuple):
     def _check(self):
         if self.count < 0:
             raise InvalidParams("message_count", "must not be negative")
-        if self.interval is not None and self.interval <= 0:
-            raise InvalidParams("message_interval", "must be positive or None")
+        if self.interval is not None and not 0 < self.interval < _INF:
+            raise InvalidParams("message_interval", "must be positive and finite, or None")
 
 
 @_checked
@@ -161,11 +156,9 @@ class Scenario(NamedTuple):
 
 
 class EventCounts(_SlotRecord):
-    """Run totals. `expired` counts the copies that a TTL purge of the
-    source at each creation and of both ends at each exchange attempted
-    would drop, before the offer test; the replay purges lazily and counts
-    the rest at the end of the run (module docstring). A copy that lapses
-    after its node's last creation or exchange is not counted."""
+    """Run totals. `expired` counts the copies that lapse while stored, by
+    the trace's duration: created more than the TTL before it, and not
+    evicted first (module docstring)."""
 
     __slots__ = ("contacts_processed", "forwards", "drops", "expired", "closes")
 
@@ -320,8 +313,6 @@ def run(scenario: Scenario) -> SimResult:
     need: dict[int, set[int]] = {node: set() for node in universe}
 
     ttl = rc.ttl
-    # each node's latest instant of an eager purge (module docstring)
-    touched: dict[int, float] = {}
 
     def receive(msg: Message, node: int, t: float, hops: int):
         first_receipts[msg.id][node] = t
@@ -388,11 +379,9 @@ def run(scenario: Scenario) -> SimResult:
             queued.discard(pair)
             a, b = pair
             gainers = ()
-            if budget.get(pair, 1) > 0:
-                touched[a] = touched[b] = t
-                if not (need[b].isdisjoint(buffers[a].held)
-                        and need[a].isdisjoint(buffers[b].held)):
-                    gainers = exchange(a, b, t)
+            if budget.get(pair, 1) > 0 and not (need[b].isdisjoint(buffers[a].held)
+                                                and need[a].isdisjoint(buffers[b].held)):
+                gainers = exchange(a, b, t)
 
     events = [(t_start, 2, (a, b), t_end) for t_start, t_end, a, b in scenario.trace.events]
     events += [(m.created_at, 1, m.id, None) for m in messages]
@@ -403,7 +392,6 @@ def run(scenario: Scenario) -> SimResult:
             msg = messages[info]
             for node in offered_to[msg.category]:
                 need[node].add(msg.id)
-            touched[msg.source] = t
             receive(msg, msg.source, t, 0)
             sweep(t, None, (msg.source,))
         else:
@@ -415,17 +403,16 @@ def run(scenario: Scenario) -> SimResult:
             else:
                 budget.pop(info, None)
             held_a, held_b = buffers[a].held, buffers[b].held
-            if held_a or held_b:
-                touched[a] = touched[b] = t
-                # neither end holds an id the other needs: a gain queues it later
-                if not (need[b].isdisjoint(held_a) and need[a].isdisjoint(held_b)):
-                    gainers = exchange(a, b, t)
-                    if gainers:
-                        sweep(t, info, gainers)
+            # neither end holds an id the other needs: a gain queues it later
+            if (held_a or held_b) and not (need[b].isdisjoint(held_a)
+                                           and need[a].isdisjoint(held_b)):
+                gainers = exchange(a, b, t)
+                if gainers:
+                    sweep(t, info, gainers)
 
     if ttl is not None:
-        for node, t in touched.items():
-            counts.expired += len(buffers[node].purge_expired(t, ttl))
+        for buffer in buffers.values():
+            counts.expired += len(buffer.purge_expired(scenario.trace.duration, ttl))
 
     records = []
     for m in messages:

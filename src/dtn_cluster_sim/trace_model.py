@@ -373,16 +373,16 @@ class SyntheticParams(NamedTuple):
             raise InvalidParams("node_count", "need at least 2 nodes")
         if not 0 < self.duration < _INF:
             raise InvalidParams("duration", "must be positive and finite")
-        if self.contact_rate <= 0:
-            raise InvalidParams("contact_rate", "must be positive")
+        if not 0 < self.contact_rate < _INF:
+            raise InvalidParams("contact_rate", "must be positive and finite")
         if self.n_categories < 1:
             raise InvalidParams("n_categories", "need at least 1 category")
         if not 0.0 <= self.interest_prob <= 1.0:
             raise InvalidParams("interest_prob", "must lie in [0, 1]")
-        if self.mean_contact_duration <= 0:
-            raise InvalidParams("mean_contact_duration", "must be positive")
-        if self.shared_interest_bias <= 0:
-            raise InvalidParams("shared_interest_bias", "must be positive")
+        if not 0 < self.mean_contact_duration < _INF:
+            raise InvalidParams("mean_contact_duration", "must be positive and finite")
+        if not 0 < self.shared_interest_bias < _INF:
+            raise InvalidParams("shared_interest_bias", "must be positive and finite")
         if not 0 < self.contact_rate * self.shared_interest_bias < _INF:
             raise InvalidParams("shared_interest_bias", "contact_rate times it "
                                 "must be positive and finite")

@@ -10,8 +10,7 @@ intervals on their own and sorts with an explicit key, the reference
 buffer keeps entries by id and sorts them on every read (it also rejects
 a duplicate, which the library's buffer leaves to the engine), and the
 reference replay repeats full ascending passes over every open contact
-until one moves nothing, with a seen set per node, and counts expired
-copies against the instant each node was last touched.
+until one moves nothing, with a seen set per node, purging eagerly.
 """
 
 from __future__ import annotations
@@ -257,12 +256,8 @@ def reference_replay(scenario) -> SimpleNamespace:
     strict mode, closes the contact for the rest of its interval.
 
     Returns records, first receipts (in receipt order), forwards, drops,
-    closes and expired copies. These passes purge buffers the engine
-    leaves alone, so a copy counts as expired only if it lapsed before its
-    node was last touched: a node is touched at an instant when it creates
-    or receives a message, when one of its contacts starts, and when the
-    other end of one of its open contacts, not spent or closed before that
-    event, receives a message.
+    closes and expired copies: every copy that a purge drops, the last
+    purge being one of every buffer at the trace's duration.
     """
     rc = scenario.router
     groups, _, _ = _resolve_groups(scenario)
@@ -283,19 +278,13 @@ def reference_replay(scenario) -> SimpleNamespace:
 
     receipts: list[dict[int, float]] = [{} for _ in messages]
     delivered: dict[int, tuple[int, float, int]] = {}
-    tally = {"forwards": 0, "drops": 0, "closes": 0}
+    tally = {"forwards": 0, "drops": 0, "closes": 0, "expired": 0}
     transfers_left: dict[tuple[int, int], int | None] = {}  # open contacts
-    touched: dict[int, float] = {}
-    received: set[int] = set()   # the nodes that received during one event
-    # creation times of the copies each node's purges dropped
-    lapsed: dict[int, list[float]] = {node: [] for node in nodes}
 
     def purge(node: int, t: float):
-        for msg in buffers[node].purge_expired(t, rc.ttl):
-            lapsed[node].append(msg.created_at)
+        tally["expired"] += len(buffers[node].purge_expired(t, rc.ttl))
 
     def receive(msg: Message, node: int, t: float, hops: int):
-        received.add(node)
         seen[node].add(msg.id)
         receipts[msg.id][node] = t
         if node in msg.destination_group and msg.id not in delivered:
@@ -342,8 +331,6 @@ def reference_replay(scenario) -> SimpleNamespace:
         if kind == 0:
             del transfers_left[what]
             continue
-        live = [pair for pair, left in transfers_left.items() if left != 0]
-        received.clear()
         if kind == 1:
             msg = messages[what]
             if rc.ttl is not None:
@@ -352,19 +339,9 @@ def reference_replay(scenario) -> SimpleNamespace:
         else:
             transfers_left[what] = rc.max_transfers_per_contact
         settle(t)
-        now = set(received)
-        if kind == 2:
-            now.update(what)
-        for pair in live:
-            if not received.isdisjoint(pair):
-                now.update(pair)
-        touched.update(dict.fromkeys(now, t))
-
-    expired = 0
     if rc.ttl is not None:
-        for node, last in touched.items():
-            purge(node, last)
-            expired += sum(last - created > rc.ttl for created in lapsed[node])
+        for node in nodes:
+            purge(node, scenario.trace.duration)
 
     records = []
     for msg in messages:
@@ -376,5 +353,4 @@ def reference_replay(scenario) -> SimpleNamespace:
             forwards_total=len(receipts[msg.id]) - 1,
             final_destination=msg.final_destination,
             final_delivered_at=receipts[msg.id].get(msg.final_destination)))
-    return SimpleNamespace(records=tuple(records), first_receipts=receipts,
-                           expired=expired, **tally)
+    return SimpleNamespace(records=tuple(records), first_receipts=receipts, **tally)

@@ -90,6 +90,9 @@ class TestBuildSchedule:
         assert any("empty" in r.message for r in caplog.records)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 def synthetic(**change) -> SyntheticParams:
     return SyntheticParams(**{"node_count": 4, "duration": 10.0, "contact_rate": 1.0,
                               "n_categories": 1, "interest_prob": 0.5, **change})
@@ -158,6 +161,15 @@ def every_build(build, change: dict):
      "shared_interest_bias"),
     (synthetic, {"contact_rate": 1e-200, "shared_interest_bias": 1e-200},
      "shared_interest_bias"),
+    # a range rule written `not 0 < x < inf` fails NaN and infinity too
+    (RouterConfig, {"ttl": NAN}, "ttl"),
+    (RouterConfig, {"ttl": INF}, "ttl"),
+    (ScheduleConfig, {"count": 3, "interval": NAN}, "message_interval"),
+    (ScheduleConfig, {"count": 3, "interval": INF}, "message_interval"),
+    (synthetic, {"mean_contact_duration": INF}, "mean_contact_duration"),
+    (synthetic, {"mean_contact_duration": NAN}, "mean_contact_duration"),
+    (synthetic, {"contact_rate": NAN}, "contact_rate"),
+    (synthetic, {"contact_rate": INF}, "contact_rate"),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
     """Each path that builds a record raises the same error, naming the
@@ -229,7 +241,7 @@ class TestRunBasics:
             scenario("0 10 1 2\n", {1: (0, 1), 2: (1, 0)}, 3, ScheduleConfig(count=0))
 
 
-class TestRelayAndSeenSet:
+class TestRelay:
     def test_same_instant_multi_hop_relay(self):
         sc = scenario("0 10 1 2\n0 10 2 3\n", {1: (0,), 2: (0,), 3: (0,)}, 1,
                       ScheduleConfig(explicit=((5.0, 1, 1),)),
@@ -363,8 +375,9 @@ class TestBufferComposition:
 
     def test_ttl_copy_lapsed_where_nothing_is_offered_counts_at_the_end(self, monkeypatch):
         """Node 2 is outside message 0's group, so the contact at t=8 has
-        nothing to offer either way and purges no buffer; the copy that
-        lapsed at node 1 by then still counts, when the run ends."""
+        nothing to offer and purges no buffer. Both copies lapse while
+        stored, at node 1 (t=6) and node 3 (t=25), and both count when the
+        run ends with a purge of every buffer at the duration, t=30."""
         log = []
         insert, purge_expired = Buffer.insert, Buffer.purge_expired
 
@@ -381,9 +394,8 @@ class TestBufferComposition:
                       ScheduleConfig(explicit=((1.0, 1, 1), (20.0, 3, 1))),
                       router=RouterConfig(ttl=5.0))
         res = run(sc)
-        assert log[:2] == [("insert", 1.0), ("insert", 20.0)]   # no purge before the end
-        assert ("purge", 8.0) in log[2:]
-        assert res.counts.expired == 1
+        assert log == [("insert", 1.0), ("insert", 20.0)] + [("purge", 30.0)] * 3
+        assert res.counts.expired == 2
         assert res.counts.forwards == 0
 
     def test_ttl_alive_messages_still_flow(self):
@@ -523,12 +535,12 @@ def test_golden_matrix_unchanged():
 
 # sha256 of the golden matrix's `counts.expired`, scenario by scenario: the
 # digest above leaves it out, so a purge that moved would go unseen there
-GOLDEN_MATRIX_EXPIRED_SHA256 = "425b54126f646dc528dc0511587d6d11407b486e30d02d446136b7aa2524a2cf"
+GOLDEN_MATRIX_EXPIRED_SHA256 = "c2a96688c851a9aa1cfb31df3b398e539c1b53bff239b9ba000b65b69eaba9d4"
 
 
 def test_golden_matrix_expired_unchanged():
     expired = [run(matrix_scenario(i)).counts.expired for i in range(72)]
-    assert sum(expired) == 2470
+    assert sum(expired) == 2633
     assert hashlib.sha256(repr(expired).encode()).hexdigest() == GOLDEN_MATRIX_EXPIRED_SHA256
 
 
@@ -601,6 +613,23 @@ def test_replay_matches_reference_replay():
                       finals=sum(r.final_delivered_at is not None for r in res.records))
     assert min(totals.values()) > 0, totals
     assert min(totals["end_meets_start"], totals["end_meets_creation"]) >= 100, totals
+
+
+def test_expired_with_unlimited_buffers_counts_every_copy_of_a_lapsed_message():
+    """Unlimited buffers evict nothing, so every copy stays stored until a
+    purge: `expired` is the number of receipts of the messages created
+    more than the TTL before the trace's duration, whatever the router,
+    strictness and budgets that the seeded scenarios draw."""
+    lapsed_total = 0
+    for i in range(60):
+        sc = seeded_scenario(i)
+        ttl = (15.0, 60.0, 200.0)[i % 3]
+        res = run(sc._replace(router=sc.router._replace(buffer_capacity=None, ttl=ttl)))
+        lapsed = sum(len(res.first_receipts[r.message_id]) for r in res.records
+                     if sc.trace.duration - r.created_at > ttl)
+        assert res.counts.expired == lapsed, i
+        lapsed_total += lapsed
+    assert lapsed_total > 0
 
 
 def test_collector_finds_no_cycles_in_a_replay():
