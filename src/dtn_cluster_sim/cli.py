@@ -45,10 +45,10 @@ from .clustering import dump_clustering
 from .metrics import build_report, per_message_csv, summary_header, summary_row
 from .sim_engine import RouterConfig, Scenario, ScheduleConfig, run
 from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
-                          SyntheticParams, TraceError, generate_synthetic_trace,
-                          parse_contact_trace, parse_interest_profiles,
-                          serialize_contact_trace, serialize_profiles,
-                          validate_scenario)
+                          SyntheticParams, TraceError, _is_int,
+                          generate_synthetic_trace, parse_contact_trace,
+                          parse_interest_profiles, serialize_contact_trace,
+                          serialize_profiles, validate_scenario)
 
 
 class ConfigError(ValueError):
@@ -99,10 +99,6 @@ class RunConfig(NamedTuple):
         echo = self._asdict()
         del echo["out"]
         return echo
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # declared field type -> (accepts a JSON value, what the error asks for)
@@ -464,7 +460,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     # a command makes no reference cycles, so the cyclic collector would only
-    # rescan its records; forked workers inherit it off, callers get it back
+    # rescan its records; forked workers inherit it off, callers get it back.
+    # main never freezes: a freeze that is never undone would pin the caller's heap
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -477,5 +474,14 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The process entry: `python -m dtn_cluster_sim.cli` and the installed
+    `dtn-cluster-sim` script. It moves what imports and `site` made into
+    the collector's permanent generation, so the collections that the
+    interpreter runs at exit skip them, then exits with main's status."""
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

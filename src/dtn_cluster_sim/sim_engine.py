@@ -76,7 +76,8 @@ from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
                          resolve_group_kmeans)
 from .routing import (Buffer, ForwardDecision, Message, _SlotRecord, epidemic_decide,
                       interest_cluster_transfer)
-from .trace_model import _INF, ContactTrace, InterestProfile, InvalidParams, _checked
+from .trace_model import (_INF, ContactTrace, InterestProfile, InvalidParams, _checked,
+                          _is_int)
 
 ROUTER_KINDS = ("cluster", "epidemic")
 GROUP_MODES = ("exact", "kmeans")
@@ -100,17 +101,16 @@ class RouterConfig(NamedTuple):
             raise InvalidParams("router", f"unknown kind {self.kind!r}")
         if self.mode not in GROUP_MODES:
             raise InvalidParams("mode", f"unknown mode {self.mode!r}")
+        if not isinstance(self.strict, bool):
+            raise InvalidParams("strict", "must be True or False")
         if not 0.0 < self.threshold <= 1.0:
             raise InvalidParams("threshold", "must lie in (0, 1]")
-        if self.k_clusters is not None and self.k_clusters < 1:
-            raise InvalidParams("k_clusters", "must be positive or None")
-        if self.buffer_capacity is not None and self.buffer_capacity < 1:
-            raise InvalidParams("buffer_capacity", "must be positive or None")
+        for name in ("k_clusters", "buffer_capacity", "max_transfers_per_contact"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= 1):
+                raise InvalidParams(name, "must be a positive integer or None")
         if self.ttl is not None and not 0 < self.ttl < _INF:
             raise InvalidParams("ttl", "must be positive and finite, or None")
-        budget = self.max_transfers_per_contact
-        if budget is not None and budget < 1:
-            raise InvalidParams("max_transfers_per_contact", "must be positive or None")
 
 
 @_checked
@@ -124,10 +124,15 @@ class ScheduleConfig(NamedTuple):
     track_final: bool = False
 
     def _check(self):
-        if self.count < 0:
-            raise InvalidParams("message_count", "must not be negative")
+        if not (_is_int(self.count) and self.count >= 0):
+            raise InvalidParams("message_count", "must be a non-negative integer")
         if self.interval is not None and not 0 < self.interval < _INF:
             raise InvalidParams("message_interval", "must be positive and finite, or None")
+        if self.explicit is not None and not isinstance(self.explicit, tuple):
+            raise InvalidParams("explicit", "must be a tuple of (time, source, category) "
+                                "or None")
+        if not isinstance(self.track_final, bool):
+            raise InvalidParams("track_final", "must be True or False")
 
 
 @_checked
@@ -143,8 +148,14 @@ class Scenario(NamedTuple):
     seed: int = 0
 
     def _check(self):
-        if self.n_categories < 1:
-            raise InvalidParams("n_categories", "need at least 1 category")
+        for name, kind in (("trace", ContactTrace), ("profiles", tuple),
+                           ("router", RouterConfig), ("schedule", ScheduleConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidParams(name, f"must be a {kind.__name__}")
+        if not (_is_int(self.n_categories) and self.n_categories >= 1):
+            raise InvalidParams("n_categories", "need an integer of at least 1 category")
+        if not _is_int(self.seed):
+            raise InvalidParams("seed", "must be an integer")
         for p in self.profiles:
             if len(p.interests) != self.n_categories:
                 raise InvalidParams("profiles",

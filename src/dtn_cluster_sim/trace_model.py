@@ -44,6 +44,11 @@ class InvalidParams(ValueError):
         super().__init__(msg + (f" ({detail})" if detail else ""))
 
 
+def _is_int(value) -> bool:
+    """An integer setting takes an `int`, never a `bool`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _checked(record: type) -> type:
     """Class decorator: wrap `__new__` and `_make` of NamedTuple `record`, which
     its body may not define, so that building one runs `_check`, by `_replace` too."""
@@ -81,10 +86,12 @@ class InterestProfile(NamedTuple):
     interests: tuple[int, ...]
 
     def _check(self):
-        if self.node < 0:
-            raise ValueError("node ids must be non-negative")
-        if any(bit not in (0, 1) for bit in self.interests):
-            raise ValueError(f"non-binary interest vector for node {self.node}")
+        if not (_is_int(self.node) and self.node >= 0):
+            raise InvalidParams("node", "must be a non-negative integer")
+        if not (isinstance(self.interests, tuple)
+                and all(bit in (0, 1) for bit in self.interests)):
+            raise InvalidParams("interests", f"node {self.node}: must be a tuple "
+                                "of 0/1 bits")
 
 
 class ScenarioReport(NamedTuple):
@@ -350,6 +357,11 @@ def serialize_profiles(profiles: Iterable[InterestProfile]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# the most node pairs, and the most expected contacts, the generator takes on:
+# 40 times the 238,678 contacts of a four-day, 100-node trace
+MAX_GENERATOR_WORK = 10**7
+
+
 @_checked
 class SyntheticParams(NamedTuple):
     """Knobs for the synthetic scenario generator.
@@ -357,7 +369,10 @@ class SyntheticParams(NamedTuple):
     contact_rate is the mean number of meetings per node pair per second;
     pairs sharing at least one interest meet shared_interest_bias times as
     often, and that product must be positive and finite as a float.
-    Meeting lengths are exponential with mean_contact_duration.
+    Meeting lengths are exponential with mean_contact_duration. The
+    generator's work is bounded: at most MAX_GENERATOR_WORK node pairs
+    and as many expected contacts, node pairs x duration x the larger of
+    the two rates.
     """
 
     node_count: int
@@ -369,14 +384,14 @@ class SyntheticParams(NamedTuple):
     shared_interest_bias: float = 1.0
 
     def _check(self):
-        if self.node_count < 2:
-            raise InvalidParams("node_count", "need at least 2 nodes")
+        if not (_is_int(self.node_count) and self.node_count >= 2):
+            raise InvalidParams("node_count", "need an integer of at least 2 nodes")
         if not 0 < self.duration < _INF:
             raise InvalidParams("duration", "must be positive and finite")
         if not 0 < self.contact_rate < _INF:
             raise InvalidParams("contact_rate", "must be positive and finite")
-        if self.n_categories < 1:
-            raise InvalidParams("n_categories", "need at least 1 category")
+        if not (_is_int(self.n_categories) and self.n_categories >= 1):
+            raise InvalidParams("n_categories", "need an integer of at least 1 category")
         if not 0.0 <= self.interest_prob <= 1.0:
             raise InvalidParams("interest_prob", "must lie in [0, 1]")
         if not 0 < self.mean_contact_duration < _INF:
@@ -386,6 +401,16 @@ class SyntheticParams(NamedTuple):
         if not 0 < self.contact_rate * self.shared_interest_bias < _INF:
             raise InvalidParams("shared_interest_bias", "contact_rate times it "
                                 "must be positive and finite")
+        pairs = self.node_count * (self.node_count - 1) // 2
+        if pairs > MAX_GENERATOR_WORK:   # the generator draws once per pair at least
+            raise InvalidParams("node_count", f"more than the limit of "
+                                f"{MAX_GENERATOR_WORK:,} node pairs")
+        rate = max(self.contact_rate, self.contact_rate * self.shared_interest_bias)
+        expected = pairs * self.duration * rate
+        if expected > MAX_GENERATOR_WORK:
+            raise InvalidParams("contact_rate", f"{expected:.3g} expected contacts "
+                                f"({pairs} pairs x duration x rate), more than "
+                                f"the limit of {MAX_GENERATOR_WORK:,}")
 
 
 def generate_synthetic_trace(params: SyntheticParams,

@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -157,13 +158,13 @@ class TestProfileAdaptation:
     def test_truncate(self, tmp_path):
         config = parse_config(write_config(tmp_path))
         profiles = [InterestProfile(1, (1, 0, 1))]
-        scenario = build_scenario(config, 2, 1, (None, profiles))
+        scenario = build_scenario(config, 2, 1, (parse_contact_trace(TRACE_TEXT), profiles))
         assert scenario.profiles[0].interests == (1, 0)
 
     def test_exact_fit_untouched(self, tmp_path):
         config = parse_config(write_config(tmp_path))
         profiles = [InterestProfile(1, (1, 0))]
-        scenario = build_scenario(config, 2, 1, (None, profiles))
+        scenario = build_scenario(config, 2, 1, (parse_contact_trace(TRACE_TEXT), profiles))
         assert list(scenario.profiles) == profiles
 
     @pytest.mark.parametrize("profiles, bits", [("0 1 0 1\n1 0 1 1\n", 3),
@@ -443,7 +444,8 @@ class TestMainEntry:
     def test_commands_run_without_the_collector(self, tmp_path, monkeypatch, capsys,
                                                 collecting):
         """main runs a command with the cyclic collector off and leaves it
-        as it found it: after a run, a validate and a config error."""
+        as it found it, frozen generation included (main never freezes): after
+        a run, a validate and a config error."""
         during = []
 
         def recording(*args):
@@ -459,11 +461,13 @@ class TestMainEntry:
                  (["validate", "--config", config], 0),
                  (["run", "--config", str(bad)], 2)]
         was = gc.isenabled()
+        frozen = gc.get_freeze_count()
         try:
             (gc.enable if collecting else gc.disable)()
             for argv, code in calls:
                 assert main(argv) == code
                 assert gc.isenabled() is collecting
+                assert gc.get_freeze_count() == frozen
         finally:
             (gc.enable if was else gc.disable)()
         assert during == [False] * 3
@@ -698,6 +702,45 @@ def _loaded_by_cli_import(modules: set[str]) -> str:
     code = f"import sys, dtn_cluster_sim.cli; print(sorted({modules!r} & set(sys.modules)))"
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+# an atexit hook runs after SystemExit leaves the entry, before the
+# interpreter's own exit-time collections
+FREEZE_HOOK = ("import atexit, gc, sys\n"
+               "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n")
+
+
+def _entry_code(path: str) -> str:
+    """What `python -m dtn_cluster_sim.cli` runs, or what the installed
+    script that `pyproject.toml` declares runs, as `python -c` code."""
+    if path == "module":
+        return "import runpy; runpy.run_module('dtn_cluster_sim.cli', run_name='__main__')"
+    text = (Path(_src_dir()).parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^dtn-cluster-sim = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"from {module} import {name}; sys.exit({name}())"
+
+
+@pytest.mark.parametrize("path", ["module", "script"])
+def test_entry_freezes_and_exits_with_main_status(tmp_path, path):
+    """Both ways into the CLI freeze the heap before `main` runs and exit
+    with its status: 0, 1 (a scenario with a node that has no profile) and
+    2 (a config error)."""
+    (tmp_path / "gaps.txt").write_text("0 5 0 1\n2 9 1 5\n")
+    (tmp_path / "gap_profiles.txt").write_text("0 1\n1 0\n")
+    gaps = tmp_path / "gaps.json"
+    gaps.write_text(json.dumps({"trace": str(tmp_path / "gaps.txt"),
+                                "profiles": str(tmp_path / "gap_profiles.txt"),
+                                "categories": [1]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"categories": [1]}))
+    env = {**os.environ, "PYTHONPATH": _src_dir()}
+    for config, status in ((write_config(tmp_path), 0), (gaps, 1), (bad, 2)):
+        proc = subprocess.run(
+            [sys.executable, "-c", FREEZE_HOOK + _entry_code(path),
+             "validate", "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == status, proc.stderr
+        assert int(re.search(r"^frozen (\d+)$", proc.stderr, re.M)[1]) > 0
 
 
 def test_cli_import_leaves_numpy_out():

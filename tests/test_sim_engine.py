@@ -1,13 +1,16 @@
 import gc
 import hashlib
+import math
 import random
+import signal
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
 from dtn_cluster_sim import sim_engine
 from dtn_cluster_sim.clustering import resolve_group_kmeans
-from dtn_cluster_sim.metrics import per_message_csv
+from dtn_cluster_sim.metrics import build_report, per_message_csv
 from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
 from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig,
                                         build_schedule, run)
@@ -150,9 +153,9 @@ def every_build(build, change: dict):
      "profiles"),
     (two_node_scenario, {"trace": parse_contact_trace(""), "profiles": (),
                          "schedule": ScheduleConfig(count=1)}, "schedule"),
+    (profile, {"node": -1}, "node"),
+    (profile, {"interests": (1, 2)}, "interests"),
     # these rules raise a plain ValueError that names no field
-    (profile, {"node": -1}, None),
-    (profile, {"interests": (1, 2)}, None),
     (message, {"category": 0}, None),
     (message, {"final_destination": 3}, None),
     # the generator draws at contact_rate * shared_interest_bias, which must
@@ -170,6 +173,32 @@ def every_build(build, change: dict):
     (synthetic, {"mean_contact_duration": NAN}, "mean_contact_duration"),
     (synthetic, {"contact_rate": NAN}, "contact_rate"),
     (synthetic, {"contact_rate": INF}, "contact_rate"),
+    # an integer setting takes an int, never a bool
+    (RouterConfig, {"buffer_capacity": 2.5}, "buffer_capacity"),
+    (RouterConfig, {"k_clusters": 2.5}, "k_clusters"),
+    (RouterConfig, {"max_transfers_per_contact": True}, "max_transfers_per_contact"),
+    (ScheduleConfig, {"count": 2.5}, "message_count"),
+    (ScheduleConfig, {"count": True}, "message_count"),
+    (synthetic, {"node_count": 4.5}, "node_count"),
+    (synthetic, {"n_categories": True}, "n_categories"),
+    (two_node_scenario, {"n_categories": 2.0}, "n_categories"),
+    (two_node_scenario, {"seed": 1.5}, "seed"),
+    (profile, {"node": 1.0}, "node"),
+    # true and false are bools only; records and profiles hold the types they name
+    (RouterConfig, {"strict": 1}, "strict"),
+    (ScheduleConfig, {"track_final": None}, "track_final"),
+    (ScheduleConfig, {"explicit": 5}, "explicit"),
+    (profile, {"interests": 1}, "interests"),
+    (two_node_scenario, {"trace": None}, "trace"),
+    (two_node_scenario, {"router": "epidemic"}, "router"),
+    (two_node_scenario, {"schedule": None}, "schedule"),
+    # the generator's work is bounded by its expected contact count: 6 pairs
+    # x 10 s x 1e300 per second would append contacts until memory runs out
+    (synthetic, {"contact_rate": 1e300}, "contact_rate"),
+    (synthetic, {"node_count": 1500, "duration": 1e3, "contact_rate": 1e-2},
+     "contact_rate"),
+    # and by its pair count, since each pair draws at least once: 10,001,628 pairs
+    (synthetic, {"node_count": 4473, "contact_rate": 1e-12}, "node_count"),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
     """Each path that builds a record raises the same error, naming the
@@ -182,6 +211,99 @@ def test_settings_rule_raises_where_built(build, change, named):
     error = InvalidParams if named else ValueError
     assert len(raised) == (2 if build is message else 3)
     assert raised == [(error, raised[0][1], named)] * len(raised)
+
+
+FUZZ_VALUES = (NAN, INF, -INF, 0, -1, 2.5, True, 1e300)
+FUZZ_TRACE = parse_contact_trace("0 6 0 1\n2 9 1 2\n4 12 2 3\n7 15 0 3\n10 18 1 3\n"
+                                 "# duration: 20\n")
+FUZZ_PROFILE = InterestProfile(3, (1, 1))   # node 3's profile in the scenario
+FUZZ_RECORDS = {
+    "RouterConfig": RouterConfig(mode="kmeans", k_clusters=2, buffer_capacity=2,
+                                 ttl=12.0, max_transfers_per_contact=3),
+    "ScheduleConfig": ScheduleConfig(count=3, track_final=True),
+    "SyntheticParams": SyntheticParams(node_count=4, duration=20.0, contact_rate=0.05,
+                                       n_categories=2, interest_prob=0.5),
+    "InterestProfile": FUZZ_PROFILE,
+}
+FUZZ_RECORDS["Scenario"] = Scenario(
+    trace=FUZZ_TRACE, n_categories=2, seed=1,
+    profiles=(InterestProfile(0, (1, 0)), InterestProfile(1, (0, 1)),
+              InterestProfile(2, (1, 0)), FUZZ_PROFILE),
+    router=FUZZ_RECORDS["RouterConfig"], schedule=FUZZ_RECORDS["ScheduleConfig"])
+# the name an error gives a field, where it is not the field's own
+RULE_NAMES = {"kind": "router", "count": "message_count", "interval": "message_interval"}
+# the fields in the generator's expected contact count, whose bound names contact_rate
+WORK_FIELDS = {"node_count", "duration", "contact_rate", "shared_interest_bias"}
+
+
+@contextmanager
+def time_limit(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fuzz_outcome(record: str, change: dict):
+    """Build record `record` of the 4-node fuzz scenario with `change`, then
+    the scenario, and run it: the field an InvalidParams names, None for a
+    run whose outputs are finite, or what else happened."""
+    scenario = FUZZ_RECORDS["Scenario"]
+    try:
+        with time_limit(5.0):
+            fuzzed = FUZZ_RECORDS[record]._replace(**change)
+            if record == "Scenario":
+                scenario = fuzzed
+            elif record == "InterestProfile":
+                scenario = scenario._replace(profiles=scenario.profiles[:3] + (fuzzed,))
+            elif record == "SyntheticParams":
+                trace, profiles = generate_synthetic_trace(fuzzed, seed=1)
+                scenario = scenario._replace(trace=trace, profiles=tuple(profiles),
+                                             n_categories=fuzzed.n_categories)
+            else:
+                key = "router" if record == "RouterConfig" else "schedule"
+                scenario = scenario._replace(**{key: fuzzed})
+            result = run(scenario)
+    except InvalidParams as exc:
+        return exc.field
+    except Exception as exc:   # reported, not raised, so that every case is listed
+        return repr(exc)
+    numbers = [value for value in build_report(result, "fuzz") if isinstance(value, float)]
+    numbers += [t for r in result.records
+                for t in (r.created_at, r.group_delivered_at, r.final_delivered_at)
+                if t is not None]
+    return None if all(map(math.isfinite, numbers)) else f"not finite: {numbers}"
+
+
+@pytest.mark.parametrize("record", sorted(FUZZ_RECORDS))
+def test_fuzzed_record_is_named_or_runs(record):
+    """Every field of each self-checking record set to NaN, +-inf, 0, -1,
+    2.5, True and 1e300, one at a time and then two or three at once by a
+    seeded draw: building it raises InvalidParams naming a field it set, or
+    the 4-node scenario runs within the time limit to finite outputs."""
+    fields = FUZZ_RECORDS[record]._fields
+    rng = random.Random(22)
+    changes = [{field: value} for field in fields for value in FUZZ_VALUES]
+    changes += [{field: rng.choice(FUZZ_VALUES)
+                 for field in rng.sample(fields, rng.randint(2, min(3, len(fields))))}
+                for _ in range(60)]
+    wrong = []
+    for change in changes:
+        named = {RULE_NAMES.get(field, field) for field in change}
+        if record == "ScheduleConfig":
+            named.add("schedule")   # entries or an interval that outlast the trace
+        if record == "SyntheticParams" and WORK_FIELDS & set(change):
+            named.add("contact_rate")
+        outcome = fuzz_outcome(record, change)
+        if outcome is not None and outcome not in named:
+            wrong.append((change, outcome))
+    assert wrong == []
 
 
 class TestRunBasics:
