@@ -45,7 +45,7 @@ from .clustering import dump_clustering
 from .metrics import build_report, per_message_csv, summary_header, summary_row
 from .sim_engine import RouterConfig, Scenario, ScheduleConfig, run
 from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
-                          SyntheticParams, TraceError, _is_int,
+                          SyntheticParams, TraceError, _check_categories, _is_int,
                           generate_synthetic_trace, parse_contact_trace,
                           parse_interest_profiles, serialize_contact_trace,
                           serialize_profiles, validate_scenario)
@@ -101,12 +101,9 @@ class RunConfig(NamedTuple):
         return echo
 
 
-# declared field type -> (accepts a JSON value, what the error asks for)
+# declared field type -> (accepts a JSON value, what the error asks for); a
+# key of another type is held by a record, which checks it when built
 _TYPE_RULES = {
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (_is_int, "an integer"),
-    float: (lambda v: (_is_int(v) or isinstance(v, float))
-            and abs(v) <= sys.float_info.max, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
     dict: (lambda v: isinstance(v, dict), "an object"),
     list[int]: (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
@@ -114,23 +111,10 @@ _TYPE_RULES = {
 }
 
 
-def _check_value(name: str, hint, value):
-    """`value` of config key `name` if it has the declared type `hint`;
-    ints are accepted for floats and stored as floats."""
-    optional = type(None) in get_args(hint)
-    if value is None and optional:
-        return None
-    base = get_args(hint)[0] if optional else hint
-    accepts, expected = _TYPE_RULES[base]
-    if not accepts(value):
-        raise ConfigError(f"{name} must be {expected}{' or null' if optional else ''}, "
-                          f"got {value!r}")
-    return float(value) if base is float else value
-
-
-def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> dict:
-    """The keys of `data` checked against the fields of NamedTuple `cls`:
-    unknown keys, missing required keys and wrong types are config errors."""
+def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> None:
+    """Check the keys of `data` against the fields of NamedTuple `cls`:
+    unknown keys, missing required keys and values that break the rule
+    of their type in _TYPE_RULES are config errors."""
     hints = get_type_hints(cls)
     names = [name for name in cls._fields if name not in skip]
     for key in data:
@@ -139,7 +123,20 @@ def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> dict:
     for name in names:
         if name not in data and name not in cls._field_defaults:
             raise ConfigError(f"missing required config key: {prefix}{name}")
-    return {key: _check_value(prefix + key, hints[key], value)
+    for key, value in data.items():
+        optional = type(None) in get_args(hints[key])
+        rule = _TYPE_RULES.get(get_args(hints[key])[0] if optional else hints[key])
+        if rule and not (value is None and optional or rule[0](value)):
+            raise ConfigError(f"{prefix}{key} must be {rule[1]}"
+                              f"{' or null' if optional else ''}, got {value!r}")
+
+
+def _floats(cls, data: dict) -> dict:
+    """`data` with the values of NamedTuple `cls`'s float keys as floats; their
+    records have accepted them, so each is a finite number or None."""
+    floats = {key for key, hint in get_type_hints(cls).items()
+              if float in (hint, *get_args(hint))}
+    return {key: float(value) if key in floats and value is not None else value
             for key, value in data.items()}
 
 
@@ -161,27 +158,30 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         if overrides.get(key) is not None:
             data[key] = overrides[key]
 
-    config = RunConfig(**_checked_keys(RunConfig, data))
+    _checked_keys(RunConfig, data)
+    config = RunConfig(**data)
     if config.synthetic is not None:
-        config = config._replace(synthetic=_checked_keys(
-            SyntheticParams, config.synthetic, prefix="synthetic.",
-            skip=("n_categories",)))
-    if any(c < 1 for c in config.categories):
-        raise ConfigError("categories must be >= 1")
+        _checked_keys(SyntheticParams, config.synthetic, "synthetic.", ("n_categories",))
     if config.trace is not None and config.synthetic is not None:
         raise ConfigError("config sets both a trace file and synthetic parameters")
     if config.trace is None and config.synthetic is None:
         raise ConfigError("missing required config key: trace or synthetic")
     if config.trace_format not in TRACE_FORMATS:
         raise ConfigError(f"unknown trace_format: {config.trace_format!r}")
+    prefix = ""   # the synthetic block's keys are named as in the config
     try:
+        for n in config.categories:
+            _check_categories(n, "categories")
         config.router_config()
         config.schedule_config()
         if config.synthetic is not None:
+            prefix = "synthetic."
             _synthetic_params(config, min(config.categories))
     except InvalidParams as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+        raise ConfigError(str(InvalidParams(prefix + exc.field, exc.detail))) from exc
+    if config.synthetic is not None:
+        config = config._replace(synthetic=_floats(SyntheticParams, config.synthetic))
+    return RunConfig(**_floats(RunConfig, config._asdict()))
 
 
 def _load_file_inputs(config: RunConfig):
@@ -420,8 +420,8 @@ def cmd_gen_trace(config: RunConfig) -> int:
         _output_dir(config, create=False)   # a bad --out is reported as such first
         raise ConfigError(f"gen-trace writes one (categories, seeds) point, the config "
                           f"has {len(points)}; pick one with --categories and --seed")
-    out = _output_dir(config)
     scenario = build_scenario(config, *points[0], None)
+    out = _output_dir(config)
     for name, text in (("trace.txt", serialize_contact_trace(scenario.trace)),
                        ("profiles.txt", serialize_profiles(scenario.profiles))):
         (out / name).write_text(text, encoding="utf-8")
@@ -466,7 +466,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.handler(parse_config(args.config, _overrides(args)))
-    except ConfigError as exc:
+    except (ConfigError, InvalidParams) as exc:   # the latter from a synthetic scenario
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     finally:

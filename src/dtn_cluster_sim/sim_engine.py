@@ -76,8 +76,8 @@ from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
                          resolve_group_kmeans)
 from .routing import (Buffer, ForwardDecision, Message, _SlotRecord, epidemic_decide,
                       interest_cluster_transfer)
-from .trace_model import (_INF, ContactTrace, InterestProfile, InvalidParams, _checked,
-                          _is_int)
+from .trace_model import (ContactTrace, InterestProfile, InvalidParams, _check_categories,
+                          _checked, _is_int, _is_real)
 
 ROUTER_KINDS = ("cluster", "epidemic")
 GROUP_MODES = ("exact", "kmeans")
@@ -103,13 +103,13 @@ class RouterConfig(NamedTuple):
             raise InvalidParams("mode", f"unknown mode {self.mode!r}")
         if not isinstance(self.strict, bool):
             raise InvalidParams("strict", "must be True or False")
-        if not 0.0 < self.threshold <= 1.0:
+        if not (_is_real(self.threshold) and 0.0 < self.threshold <= 1.0):
             raise InvalidParams("threshold", "must lie in (0, 1]")
         for name in ("k_clusters", "buffer_capacity", "max_transfers_per_contact"):
             value = getattr(self, name)
             if value is not None and not (_is_int(value) and value >= 1):
                 raise InvalidParams(name, "must be a positive integer or None")
-        if self.ttl is not None and not 0 < self.ttl < _INF:
+        if self.ttl is not None and not (_is_real(self.ttl) and self.ttl > 0):
             raise InvalidParams("ttl", "must be positive and finite, or None")
 
 
@@ -126,7 +126,7 @@ class ScheduleConfig(NamedTuple):
     def _check(self):
         if not (_is_int(self.count) and self.count >= 0):
             raise InvalidParams("message_count", "must be a non-negative integer")
-        if self.interval is not None and not 0 < self.interval < _INF:
+        if self.interval is not None and not (_is_real(self.interval) and self.interval > 0):
             raise InvalidParams("message_interval", "must be positive and finite, or None")
         if self.explicit is not None and not isinstance(self.explicit, tuple):
             raise InvalidParams("explicit", "must be a tuple of (time, source, category) "
@@ -137,8 +137,11 @@ class ScheduleConfig(NamedTuple):
 
 @_checked
 class Scenario(NamedTuple):
-    """One replay's inputs, checked when built: at least one category, one
-    bit per category in every profile, a node to create messages at."""
+    """One replay's inputs, checked when built: from 1 to MAX_CATEGORIES
+    categories, one profile per node with one bit per category, and a
+    schedule that fits the scenario: explicit entries within the trace's
+    duration, its categories and its nodes, and for drawn messages a node
+    to create them at and an interval schedule that ends within the trace."""
 
     trace: ContactTrace
     profiles: tuple[InterestProfile, ...]
@@ -152,18 +155,30 @@ class Scenario(NamedTuple):
                            ("router", RouterConfig), ("schedule", ScheduleConfig)):
             if not isinstance(getattr(self, name), kind):
                 raise InvalidParams(name, f"must be a {kind.__name__}")
-        if not (_is_int(self.n_categories) and self.n_categories >= 1):
-            raise InvalidParams("n_categories", "need an integer of at least 1 category")
+        _check_categories(self.n_categories)
         if not _is_int(self.seed):
             raise InvalidParams("seed", "must be an integer")
+        n, nodes = self.n_categories, {p.node for p in self.profiles}
+        if len(nodes) < len(self.profiles):
+            raise InvalidParams("profiles", "two profiles for one node")
         for p in self.profiles:
-            if len(p.interests) != self.n_categories:
-                raise InvalidParams("profiles",
-                                    f"node {p.node} has arity {len(p.interests)}, "
-                                    f"scenario expects {self.n_categories}")
-        if (self.schedule.explicit is None and self.schedule.count
-                and not (self.profiles or self.trace.nodes)):
-            raise InvalidParams("schedule", "no nodes to create messages at")
+            if len(p.interests) != n:
+                raise InvalidParams("profiles", f"node {p.node} has arity "
+                                    f"{len(p.interests)}, scenario expects {n}")
+        cfg, duration = self.schedule, self.trace.duration
+        for t, source, category in cfg.explicit or ():
+            if not (_is_real(t) and 0.0 <= t <= duration):
+                raise InvalidParams("schedule", f"creation time {t} outside [0, {duration}]")
+            if not (_is_int(category) and 1 <= category <= n):
+                raise InvalidParams("schedule", f"category {category} outside [1, {n}]")
+            if not (_is_int(source) and (source in nodes or source in self.trace.nodes)):
+                raise InvalidParams("schedule", f"unknown source node {source}")
+        if cfg.explicit is None and cfg.count:
+            if not (nodes or self.trace.nodes):
+                raise InvalidParams("schedule", "no nodes to create messages at")
+            if cfg.interval is not None and cfg.count * cfg.interval > duration:
+                raise InvalidParams("schedule", f"interval schedule ends at "
+                                    f"{cfg.count * cfg.interval}, past {duration}")
 
 
 class EventCounts(_SlotRecord):
@@ -209,31 +224,18 @@ class SimResult(NamedTuple):
     seed: int
 
 
-def _scenario_nodes(scenario: Scenario) -> list[int]:
-    return sorted(set(scenario.trace.nodes) | {p.node for p in scenario.profiles})
-
-
 def build_schedule(scenario: Scenario) -> list[tuple[float, int, int]]:
     """Fix every message's creation as a `(time, source, category)` triple;
     a message's id is its position in the list.
 
     Explicit entries are taken as given; generated schedules draw sources
-    uniformly from profile-bearing nodes and categories uniformly over
-    [1, n], all from a generator seeded with the scenario seed.
+    uniformly from profile-bearing nodes (the trace's nodes if there are
+    none) and categories uniformly over [1, n], all from a generator seeded
+    with the scenario seed. The scenario checked its schedule when it was
+    built, so this raises nothing.
     """
-    duration = scenario.trace.duration
-    n = scenario.n_categories
-    universe = _scenario_nodes(scenario)
     cfg = scenario.schedule
-
     if cfg.explicit is not None:
-        for t, source, category in cfg.explicit:
-            if not 0.0 <= t <= duration:
-                raise InvalidParams("schedule", f"creation time {t} outside [0, {duration}]")
-            if not 1 <= category <= n:
-                raise InvalidParams("schedule", f"category {category} outside [1, {n}]")
-            if source not in universe:
-                raise InvalidParams("schedule", f"unknown source node {source}")
         return [(float(t), source, category) for t, source, category in cfg.explicit]
 
     if cfg.count == 0:
@@ -242,17 +244,14 @@ def build_schedule(scenario: Scenario) -> list[tuple[float, int, int]]:
             "empty message schedule: no messages will be created")
         return []
 
-    sources = sorted(p.node for p in scenario.profiles) or universe
+    sources = sorted(p.node for p in scenario.profiles) or scenario.trace.nodes
     rng = random.Random(scenario.seed)
     if cfg.interval is not None:
         times = [(i + 1) * cfg.interval for i in range(cfg.count)]
-        if times and times[-1] > duration:
-            raise InvalidParams("schedule",
-                                f"interval schedule ends at {times[-1]}, past {duration}")
     else:
-        times = sorted(rng.uniform(0.0, duration) for _ in range(cfg.count))
+        times = sorted(rng.uniform(0.0, scenario.trace.duration) for _ in range(cfg.count))
     # source before category: the draw order is part of the seeded schedule
-    return [(t, rng.choice(sources), rng.randint(1, n)) for t in times]
+    return [(t, rng.choice(sources), rng.randint(1, scenario.n_categories)) for t in times]
 
 
 def _resolve_groups(scenario: Scenario):
@@ -286,7 +285,7 @@ def _resolve_groups(scenario: Scenario):
 def run(scenario: Scenario) -> SimResult:
     """Replay the trace and return one DeliveryRecord per created message."""
     rc = scenario.router
-    universe = _scenario_nodes(scenario)
+    universe = sorted(set(scenario.trace.nodes) | {p.node for p in scenario.profiles})
     all_nodes = max(scenario.trace.node_count, len(universe))
     groups, fallbacks, clustering = _resolve_groups(scenario)
     schedule = build_schedule(scenario)

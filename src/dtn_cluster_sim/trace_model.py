@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from math import log
 from typing import Iterable, NamedTuple
 
@@ -39,14 +40,29 @@ class TraceError(ValueError):
 
 class InvalidParams(ValueError):
     def __init__(self, field: str, detail: str = ""):
-        self.field = field
-        msg = f"invalid parameter: {field}"
-        super().__init__(msg + (f" ({detail})" if detail else ""))
+        self.field, self.detail = field, detail
+        super().__init__(f"invalid parameter: {field}" + (f" ({detail})" if detail else ""))
 
 
 def _is_int(value) -> bool:
     """An integer setting takes an `int`, never a `bool`."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real-valued setting takes a finite `int` or `float`, never a `bool`."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+# the most categories a scenario or the generator takes; at the generator's
+# largest node count (4,472) that is 8.9 M interest bits
+MAX_CATEGORIES = 2000
+
+
+def _check_categories(n, field: str = "n_categories") -> None:
+    """The category count rule of every record that holds one."""
+    if not (_is_int(n) and 1 <= n <= MAX_CATEGORIES):
+        raise InvalidParams(field, f"need an integer from 1 to {MAX_CATEGORIES:,}")
 
 
 def _checked(record: type) -> type:
@@ -386,27 +402,23 @@ class SyntheticParams(NamedTuple):
     def _check(self):
         if not (_is_int(self.node_count) and self.node_count >= 2):
             raise InvalidParams("node_count", "need an integer of at least 2 nodes")
-        if not 0 < self.duration < _INF:
-            raise InvalidParams("duration", "must be positive and finite")
-        if not 0 < self.contact_rate < _INF:
-            raise InvalidParams("contact_rate", "must be positive and finite")
-        if not (_is_int(self.n_categories) and self.n_categories >= 1):
-            raise InvalidParams("n_categories", "need an integer of at least 1 category")
-        if not 0.0 <= self.interest_prob <= 1.0:
+        _check_categories(self.n_categories)
+        if not (_is_real(self.interest_prob) and 0.0 <= self.interest_prob <= 1.0):
             raise InvalidParams("interest_prob", "must lie in [0, 1]")
-        if not 0 < self.mean_contact_duration < _INF:
-            raise InvalidParams("mean_contact_duration", "must be positive and finite")
-        if not 0 < self.shared_interest_bias < _INF:
-            raise InvalidParams("shared_interest_bias", "must be positive and finite")
-        if not 0 < self.contact_rate * self.shared_interest_bias < _INF:
+        for name in ("duration", "contact_rate", "mean_contact_duration",
+                     "shared_interest_bias"):
+            if not (_is_real(getattr(self, name)) and getattr(self, name) > 0):
+                raise InvalidParams(name, "must be positive and finite")
+        shared_rate = self.contact_rate * self.shared_interest_bias
+        if not (_is_real(shared_rate) and shared_rate > 0):
             raise InvalidParams("shared_interest_bias", "contact_rate times it "
                                 "must be positive and finite")
         pairs = self.node_count * (self.node_count - 1) // 2
         if pairs > MAX_GENERATOR_WORK:   # the generator draws once per pair at least
             raise InvalidParams("node_count", f"more than the limit of "
                                 f"{MAX_GENERATOR_WORK:,} node pairs")
-        rate = max(self.contact_rate, self.contact_rate * self.shared_interest_bias)
-        expected = pairs * self.duration * rate
+        # in floats, so that a product of large ints cannot outgrow them
+        expected = float(pairs) * self.duration * max(self.contact_rate, shared_rate)
         if expected > MAX_GENERATOR_WORK:
             raise InvalidParams("contact_rate", f"{expected:.3g} expected contacts "
                                 f"({pairs} pairs x duration x rate), more than "

@@ -16,7 +16,8 @@ from dtn_cluster_sim import cli
 from dtn_cluster_sim.cli import (ConfigError, RunConfig, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
-from dtn_cluster_sim.trace_model import InterestProfile, parse_contact_trace
+from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile,
+                                         parse_contact_trace)
 
 
 TRACE_TEXT = "1 4 0 1\n3 8 1 2\n6 9 0 2\n# duration: 20\n"
@@ -492,6 +493,19 @@ class TestMainEntry:
         assert len(profile_lines) == 8
         assert all(len(line.split()) == 1 + 5 for line in profile_lines)
 
+    @pytest.mark.parametrize("command", ["validate", "gen-trace"])
+    def test_synthetic_schedule_past_its_trace_exits_2(self, tmp_path, capsys, command):
+        # the scenario holds the schedule's rules; `run` makes one scenario per
+        # point, so there each point fails instead (test_failed_run_returns_one)
+        path = synthetic_config(tmp_path, categories=[2], seeds=[1],
+                                message_interval=100.0, message_count=50)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("config error: invalid parameter: schedule "
+                       "(interval schedule ends at 5000.0, past 300.0)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("change, named", [
         ({"strict": "false"}, "strict"),
         ({"threshold": "abc"}, "threshold"),
@@ -553,6 +567,21 @@ class TestMainEntry:
           "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 1e-200,
                         "shared_interest_bias": 1e-200, "interest_prob": 0.5}},
          "shared_interest_bias"),
+        # the trace file lasts 20 s: no point could create the fourth message
+        ({"message_count": 4, "message_interval": 10.0},
+         "invalid parameter: schedule (interval schedule ends at 40.0, past 20.0)"),
+        # the records check the keys they hold, and their error is the config error
+        ({"ttl": True}, "invalid parameter: ttl"),
+        ({"trace": None, "profiles": None,
+          "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 0.002,
+                        "interest_prob": 1.5}},
+         "invalid parameter: synthetic.interest_prob"),
+        ({"profiles": None, "categories": [2, MAX_CATEGORIES + 1]},
+         "invalid parameter: categories"),
+        ({"trace": None, "profiles": None, "categories": [MAX_CATEGORIES + 1],
+          "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 0.002,
+                        "interest_prob": 0.5}},
+         "invalid parameter: categories"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
@@ -631,6 +660,13 @@ class TestMainEntry:
         echo = json.loads((tmp_path / "out" / "config.json").read_text())
         assert echo["threshold"] == 1.0 and isinstance(echo["threshold"], float)
         assert echo["ttl"] == 600.0 and isinstance(echo["ttl"], float)
+        # and in the synthetic block, whose record took them as ints
+        path = synthetic_config(tmp_path, synthetic={
+            "node_count": 8, "duration": 300, "contact_rate": 1, "interest_prob": 1})
+        assert parse_config(path).synthetic == {"node_count": 8, "duration": 300.0,
+                                                "contact_rate": 1.0, "interest_prob": 1.0}
+        assert ([type(v) for v in parse_config(path).synthetic.values()]
+                == [int] + [float] * 3)
 
     @pytest.mark.parametrize("flag", [["--router", "epidemic"], ["--mode", "kmeans"],
                                       ["--strict"]])

@@ -14,7 +14,7 @@ from dtn_cluster_sim.metrics import build_report, per_message_csv
 from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
 from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig,
                                         build_schedule, run)
-from dtn_cluster_sim.trace_model import (InterestProfile, InvalidParams,
+from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile, InvalidParams,
                                          SyntheticParams, build_trace,
                                          generate_synthetic_trace, parse_contact_trace,
                                          parse_interest_profiles, serialize_contact_trace,
@@ -42,14 +42,14 @@ class TestBuildSchedule:
     def test_explicit_validation(self):
         base = {0: (1,), 1: (0,)}
         with pytest.raises(InvalidParams):
-            build_schedule(scenario(self.TRACE, base, 1,
-                                    ScheduleConfig(explicit=((2000.0, 0, 1),))))
+            sc = scenario(self.TRACE, base, 1, ScheduleConfig(explicit=((2000.0, 0, 1),)))
+            build_schedule(sc)
         with pytest.raises(InvalidParams):
-            build_schedule(scenario(self.TRACE, base, 1,
-                                    ScheduleConfig(explicit=((1.0, 0, 2),))))
+            sc = scenario(self.TRACE, base, 1, ScheduleConfig(explicit=((1.0, 0, 2),)))
+            build_schedule(sc)
         with pytest.raises(InvalidParams):
-            build_schedule(scenario(self.TRACE, base, 1,
-                                    ScheduleConfig(explicit=((1.0, 9, 1),))))
+            sc = scenario(self.TRACE, base, 1, ScheduleConfig(explicit=((1.0, 9, 1),)))
+            build_schedule(sc)
 
     def test_generated_categories_concentrate(self):
         vectors = {n: (1, 0, 0, 0) for n in range(6)}
@@ -81,9 +81,9 @@ class TestBuildSchedule:
         assert [t for t, _, _ in build_schedule(sc)] == [100.0, 200.0, 300.0, 400.0]
 
     def test_interval_past_duration_rejected(self):
-        sc = scenario(self.TRACE, {0: (1,), 1: (1,)}, 1,
-                      ScheduleConfig(count=11, interval=100.0))
         with pytest.raises(InvalidParams):
+            sc = scenario(self.TRACE, {0: (1,), 1: (1,)}, 1,
+                          ScheduleConfig(count=11, interval=100.0))
             build_schedule(sc)
 
     def test_count_zero_warns_and_is_empty(self, caplog):
@@ -199,6 +199,34 @@ def every_build(build, change: dict):
      "contact_rate"),
     # and by its pair count, since each pair draws at least once: 10,001,628 pairs
     (synthetic, {"node_count": 4473, "contact_rate": 1e-12}, "node_count"),
+    # a scenario holds one profile per node, as a profile file does
+    (two_node_scenario, {"profiles": (InterestProfile(1, (1, 0)),
+                                      InterestProfile(1, (0, 1)))}, "profiles"),
+    # a category count is bounded, so that no run or generator builds a bit
+    # or a group for each of 10^8 categories
+    (two_node_scenario, {"n_categories": MAX_CATEGORIES + 1, "profiles": ()},
+     "n_categories"),
+    (synthetic, {"n_categories": 10**8}, "n_categories"),
+    # a real-valued setting takes a finite int or float, never a bool, a
+    # string or None (where None has no meaning), nor an int past any float
+    (RouterConfig, {"ttl": True}, "ttl"),
+    (RouterConfig, {"threshold": "0.5"}, "threshold"),
+    (RouterConfig, {"threshold": None}, "threshold"),
+    (RouterConfig, {"ttl": 10**400}, "ttl"),
+    (ScheduleConfig, {"count": 3, "interval": True}, "message_interval"),
+    (ScheduleConfig, {"interval": "10"}, "message_interval"),
+    (ScheduleConfig, {"count": 3, "interval": 10**400}, "message_interval"),
+    (synthetic, {"interest_prob": True}, "interest_prob"),
+    (synthetic, {"shared_interest_bias": True}, "shared_interest_bias"),
+    (synthetic, {"contact_rate": "1"}, "contact_rate"),
+    (synthetic, {"mean_contact_duration": None}, "mean_contact_duration"),
+    (synthetic, {"duration": 10**400}, "duration"),
+    # a scenario checks its explicit entries: a real time, integer ids
+    (two_node_scenario, {"schedule": ScheduleConfig(explicit=(("5", 1, 1),))}, "schedule"),
+    (two_node_scenario, {"schedule": ScheduleConfig(explicit=((5.0, 1, 1.5),))},
+     "schedule"),
+    (two_node_scenario, {"schedule": ScheduleConfig(explicit=((5.0, True, 1),))},
+     "schedule"),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
     """Each path that builds a record raises the same error, naming the
@@ -213,7 +241,7 @@ def test_settings_rule_raises_where_built(build, change, named):
     assert raised == [(error, raised[0][1], named)] * len(raised)
 
 
-FUZZ_VALUES = (NAN, INF, -INF, 0, -1, 2.5, True, 1e300)
+FUZZ_VALUES = (NAN, INF, -INF, 0, -1, 2.5, True, 1e300, "1", None)
 FUZZ_TRACE = parse_contact_trace("0 6 0 1\n2 9 1 2\n4 12 2 3\n7 15 0 3\n10 18 1 3\n"
                                  "# duration: 20\n")
 FUZZ_PROFILE = InterestProfile(3, (1, 1))   # node 3's profile in the scenario
@@ -284,9 +312,9 @@ def fuzz_outcome(record: str, change: dict):
 @pytest.mark.parametrize("record", sorted(FUZZ_RECORDS))
 def test_fuzzed_record_is_named_or_runs(record):
     """Every field of each self-checking record set to NaN, +-inf, 0, -1,
-    2.5, True and 1e300, one at a time and then two or three at once by a
-    seeded draw: building it raises InvalidParams naming a field it set, or
-    the 4-node scenario runs within the time limit to finite outputs."""
+    2.5, True, 1e300, "1" and None, one at a time and then two or three at
+    once by a seeded draw: building it raises InvalidParams naming a field it
+    set, or the 4-node scenario runs within the time limit to finite outputs."""
     fields = FUZZ_RECORDS[record]._fields
     rng = random.Random(22)
     changes = [{field: value} for field in fields for value in FUZZ_VALUES]
@@ -300,6 +328,8 @@ def test_fuzzed_record_is_named_or_runs(record):
             named.add("schedule")   # entries or an interval that outlast the trace
         if record == "SyntheticParams" and WORK_FIELDS & set(change):
             named.add("contact_rate")
+        if record == "InterestProfile" and "node" in change:
+            named.add("profiles")   # node 0 has a profile in the scenario already
         outcome = fuzz_outcome(record, change)
         if outcome is not None and outcome not in named:
             wrong.append((change, outcome))
