@@ -29,8 +29,6 @@ Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
 file that cannot be read or parsed.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import json
@@ -39,7 +37,7 @@ import shutil
 import sys
 import threading
 from pathlib import Path
-from typing import NamedTuple, get_args, get_type_hints
+from typing import NamedTuple, get_args
 
 from .clustering import dump_clustering
 from .metrics import build_report, per_message_csv, summary_header, summary_row
@@ -115,7 +113,7 @@ def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> None:
     """Check the keys of `data` against the fields of NamedTuple `cls`:
     unknown keys, missing required keys and values that break the rule
     of their type in _TYPE_RULES are config errors."""
-    hints = get_type_hints(cls)
+    hints = cls.__annotations__
     names = [name for name in cls._fields if name not in skip]
     for key in data:
         if key not in names:
@@ -134,7 +132,7 @@ def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> None:
 def _floats(cls, data: dict) -> dict:
     """`data` with the values of NamedTuple `cls`'s float keys as floats; their
     records have accepted them, so each is a finite number or None."""
-    floats = {key for key, hint in get_type_hints(cls).items()
+    floats = {key for key, hint in cls.__annotations__.items()
               if float in (hint, *get_args(hint))}
     return {key: float(value) if key in floats and value is not None else value
             for key, value in data.items()}

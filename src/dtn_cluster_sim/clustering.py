@@ -25,8 +25,6 @@ differ from the reference in its last bits (the screen in `_assign`
 takes most distances from an estimate); no output file holds it.
 """
 
-from __future__ import annotations
-
 import random
 from functools import reduce
 from operator import add, mul, sub

@@ -14,8 +14,6 @@ Conventions, chosen so rows are auditable and byte-stable:
     serialize as empty fields.
 """
 
-from __future__ import annotations
-
 from typing import Iterable, NamedTuple, Sequence
 
 from .sim_engine import DeliveryRecord, SimResult

@@ -24,8 +24,6 @@ is the same `Message`; what differs between copies, the receipt time and
 the hop count, is in the buffer entry that holds it.
 """
 
-from __future__ import annotations
-
 from bisect import insort
 from enum import Enum
 from typing import NamedTuple

@@ -65,8 +65,6 @@ runs of the same scenario produce identical results, byte for byte once
 serialized.
 """
 
-from __future__ import annotations
-
 import random
 from functools import partial
 from heapq import heappop, heappush
@@ -115,8 +113,9 @@ class RouterConfig(NamedTuple):
 
 @_checked
 class ScheduleConfig(NamedTuple):
-    """When messages appear: either an explicit (time, source, category)
-    list or `count` seeded draws (uniform times unless `interval` is set)."""
+    """When messages appear: either an explicit tuple of (time, source,
+    category) tuples or `count` seeded draws (uniform times unless
+    `interval` is set)."""
 
     count: int = 0
     interval: float | None = None
@@ -128,9 +127,11 @@ class ScheduleConfig(NamedTuple):
             raise InvalidParams("message_count", "must be a non-negative integer")
         if self.interval is not None and not (_is_real(self.interval) and self.interval > 0):
             raise InvalidParams("message_interval", "must be positive and finite, or None")
-        if self.explicit is not None and not isinstance(self.explicit, tuple):
+        if self.explicit is not None and not (
+                isinstance(self.explicit, tuple)
+                and all(isinstance(e, tuple) and len(e) == 3 for e in self.explicit)):
             raise InvalidParams("explicit", "must be a tuple of (time, source, category) "
-                                "or None")
+                                "tuples, or None")
         if not isinstance(self.track_final, bool):
             raise InvalidParams("track_final", "must be True or False")
 

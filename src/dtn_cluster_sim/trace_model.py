@@ -19,8 +19,6 @@ assembly path:
   * events are plain (t_start, t_end, a, b) tuples in their natural order.
 """
 
-from __future__ import annotations
-
 import random
 import re
 import sys
@@ -449,7 +447,7 @@ def generate_synthetic_trace(params: SyntheticParams,
     # `Random.expovariate` in CPython 3.10-3.13: the same floats without a
     # call per draw, and a scenario that rests on `Random.random` alone
     draw = rng.random
-    duration = params.duration
+    duration = float(params.duration)   # so that an end clipped to it is a float
     length_rate = 1.0 / params.mean_contact_duration
     raw = []
     for a in range(params.node_count):
@@ -464,7 +462,7 @@ def generate_synthetic_trace(params: SyntheticParams,
                     raw.append((t, end, a, b))
                 t += -log(1.0 - draw()) / rate
 
-    return _assemble(raw, params.duration, params.node_count), profiles
+    return _assemble(raw, duration, params.node_count), profiles
 
 
 def validate_scenario(trace: ContactTrace,

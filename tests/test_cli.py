@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import ForwardRef, get_args
 
 import pytest
 
@@ -16,7 +17,8 @@ from dtn_cluster_sim import cli
 from dtn_cluster_sim.cli import (ConfigError, RunConfig, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
-from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile,
+from dtn_cluster_sim.sim_engine import RouterConfig, Scenario, ScheduleConfig
+from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile, SyntheticParams,
                                          parse_contact_trace)
 
 
@@ -725,6 +727,18 @@ class TestRunConfigHelpers:
         rebuilt = RunConfig(**{**echo, "out": None})
         assert rebuilt.categories == config.categories
         assert rebuilt.synthetic == config.synthetic
+
+    @pytest.mark.parametrize("record", [RunConfig, SyntheticParams, RouterConfig,
+                                        ScheduleConfig, Scenario])
+    def test_field_annotations_are_values(self, record):
+        """The config layer reads field types from `__annotations__`, so no
+        field type, nor any type inside one, is text to evaluate: a string,
+        or the `ForwardRef` a NamedTuple makes of one."""
+        def text(hint) -> bool:
+            return isinstance(hint, (str, ForwardRef)) or any(map(text, get_args(hint)))
+
+        assert list(record.__annotations__) == list(record._fields)
+        assert [name for name, hint in record.__annotations__.items() if text(hint)] == []
 
 
 def _src_dir() -> str:

@@ -227,6 +227,11 @@ def every_build(build, change: dict):
      "schedule"),
     (two_node_scenario, {"schedule": ScheduleConfig(explicit=((5.0, True, 1),))},
      "schedule"),
+    # a schedule checks the shape of its explicit entries: tuples of three
+    (ScheduleConfig, {"explicit": ((5.0, 1),)}, "explicit"),
+    (ScheduleConfig, {"explicit": ((5.0, 1, 1, 0),)}, "explicit"),
+    (ScheduleConfig, {"explicit": ((5.0,),)}, "explicit"),
+    (ScheduleConfig, {"explicit": ([5.0, 1, 1],)}, "explicit"),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
     """Each path that builds a record raises the same error, naming the

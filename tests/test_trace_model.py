@@ -294,6 +294,15 @@ class TestSynthetic:
         trace, _ = generate_synthetic_trace(params, seed)
         assert sha256(serialize_contact_trace(trace).encode()).hexdigest() == trace_sha256
 
+    def test_int_duration_gives_the_float_trace(self):
+        """An end clipped at an int duration is the float end the same
+        duration as a float gives, so the two serialize byte for byte."""
+        params = self.PARAMS._replace(mean_contact_duration=100.0)
+        as_float, _ = generate_synthetic_trace(params, seed=3)
+        as_int, _ = generate_synthetic_trace(params._replace(duration=1000), seed=3)
+        assert any(t_end == 1000 for _, t_end, _, _ in as_float.events)   # one is clipped
+        assert serialize_contact_trace(as_int) == serialize_contact_trace(as_float)
+
     def test_event_count_concentrates_around_expectation(self):
         # expected meetings ~= 50 per seed; Poisson concentration keeps the
         # count well inside [25, 100]
