@@ -43,8 +43,8 @@ from .clustering import dump_clustering
 from .metrics import build_report, per_message_csv, summary_header, summary_row
 from .sim_engine import RouterConfig, Scenario, ScheduleConfig, run
 from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
-                          SyntheticParams, TraceError, _check_categories, _is_int,
-                          generate_synthetic_trace, parse_contact_trace,
+                          SyntheticParams, TraceError, _check_categories, _checked,
+                          _is_int, generate_synthetic_trace, parse_contact_trace,
                           parse_interest_profiles, serialize_contact_trace,
                           serialize_profiles, validate_scenario)
 
@@ -54,10 +54,11 @@ class ConfigError(ValueError):
     names the key, flag or file."""
 
 
+@_checked
 class RunConfig(NamedTuple):
     """The config file's schema: each field is one JSON key, with its type
-    and its default. Router and schedule defaults come from the engine's
-    own config classes."""
+    and its default, checked when built. Router and schedule defaults and
+    rules come from the engine's own config classes."""
 
     categories: list[int]
     seeds: list[int] = [0]   # shared by every config that omits it; never mutated
@@ -77,6 +78,28 @@ class RunConfig(NamedTuple):
     message_interval: float | None = ScheduleConfig().interval
     track_final: bool = ScheduleConfig().track_final
     synthetic: dict | None = None   # SyntheticParams keys, except n_categories
+
+    def _check(self):
+        for name in ("categories", "seeds"):
+            values = getattr(self, name)
+            if not (isinstance(values, list) and values and all(map(_is_int, values))):
+                raise InvalidParams(name, "need a non-empty list of integers")
+        for n in self.categories:
+            _check_categories(n, "categories")
+        for name in ("trace", "profiles", "out"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise InvalidParams(name, "must be a string or null")
+        if self.trace_format not in TRACE_FORMATS:
+            raise InvalidParams("trace_format", f"unknown format {self.trace_format!r}")
+        if not isinstance(self.synthetic, (dict, type(None))):
+            raise InvalidParams("synthetic", "must be an object or null")
+        if self.trace is not None and self.synthetic is not None:
+            raise InvalidParams("synthetic",
+                                "config sets both a trace file and synthetic parameters")
+        if self.trace is None and self.synthetic is None:
+            raise InvalidParams("trace", "missing required config key: trace or synthetic")
+        self.router_config()
+        self.schedule_config()
 
     def router_config(self) -> RouterConfig:
         return RouterConfig(
@@ -99,21 +122,9 @@ class RunConfig(NamedTuple):
         return echo
 
 
-# declared field type -> (accepts a JSON value, what the error asks for); a
-# key of another type is held by a record, which checks it when built
-_TYPE_RULES = {
-    str: (lambda v: isinstance(v, str), "a string"),
-    dict: (lambda v: isinstance(v, dict), "an object"),
-    list[int]: (lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
-                "a non-empty list of integers"),
-}
-
-
 def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> None:
     """Check the keys of `data` against the fields of NamedTuple `cls`:
-    unknown keys, missing required keys and values that break the rule
-    of their type in _TYPE_RULES are config errors."""
-    hints = cls.__annotations__
+    unknown keys and missing required keys are config errors."""
     names = [name for name in cls._fields if name not in skip]
     for key in data:
         if key not in names:
@@ -121,12 +132,6 @@ def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> None:
     for name in names:
         if name not in data and name not in cls._field_defaults:
             raise ConfigError(f"missing required config key: {prefix}{name}")
-    for key, value in data.items():
-        optional = type(None) in get_args(hints[key])
-        rule = _TYPE_RULES.get(get_args(hints[key])[0] if optional else hints[key])
-        if rule and not (value is None and optional or rule[0](value)):
-            raise ConfigError(f"{prefix}{key} must be {rule[1]}"
-                              f"{' or null' if optional else ''}, got {value!r}")
 
 
 def _floats(cls, data: dict) -> dict:
@@ -147,7 +152,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"config {path} is not a JSON object")
 
     overrides = overrides or {}
     if overrides.get("seed") is not None:
@@ -157,22 +162,11 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             data[key] = overrides[key]
 
     _checked_keys(RunConfig, data)
-    config = RunConfig(**data)
-    if config.synthetic is not None:
-        _checked_keys(SyntheticParams, config.synthetic, "synthetic.", ("n_categories",))
-    if config.trace is not None and config.synthetic is not None:
-        raise ConfigError("config sets both a trace file and synthetic parameters")
-    if config.trace is None and config.synthetic is None:
-        raise ConfigError("missing required config key: trace or synthetic")
-    if config.trace_format not in TRACE_FORMATS:
-        raise ConfigError(f"unknown trace_format: {config.trace_format!r}")
     prefix = ""   # the synthetic block's keys are named as in the config
     try:
-        for n in config.categories:
-            _check_categories(n, "categories")
-        config.router_config()
-        config.schedule_config()
+        config = RunConfig(**data)
         if config.synthetic is not None:
+            _checked_keys(SyntheticParams, config.synthetic, "synthetic.", ("n_categories",))
             prefix = "synthetic."
             _synthetic_params(config, min(config.categories))
     except InvalidParams as exc:
@@ -292,7 +286,7 @@ def _run_point(config: RunConfig, file_inputs, out: Path, run_id: str, cat: int,
         result = run(scenario)
         summary = summary_row(build_report(result, run_id))
     except Exception as exc:  # surface errors with run coordinates
-        return [None, str(exc)]
+        return [None, str(exc) or type(exc).__name__]   # MemoryError() has no text
     run_dir = out / "runs.partial" / run_id
     run_dir.mkdir(parents=True)
     (run_dir / "per_message.csv").write_text(

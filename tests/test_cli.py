@@ -17,9 +17,9 @@ from dtn_cluster_sim import cli
 from dtn_cluster_sim.cli import (ConfigError, RunConfig, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
-from dtn_cluster_sim.sim_engine import RouterConfig, Scenario, ScheduleConfig
-from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile, SyntheticParams,
-                                         parse_contact_trace)
+from dtn_cluster_sim.sim_engine import MAX_MESSAGES, RouterConfig, Scenario, ScheduleConfig
+from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile, InvalidParams,
+                                         SyntheticParams, parse_contact_trace)
 
 
 TRACE_TEXT = "1 4 0 1\n3 8 1 2\n6 9 0 2\n# duration: 20\n"
@@ -250,6 +250,18 @@ class TestRunSweep:
         assert [r[0] for r in rows[1:]] == ["n2_s1", "n2_s2", "n3_s1", "n3_s2"]
         assert all("interval schedule ends at 5000.0" in r[1] for r in rows[1:])
 
+    def test_error_without_text_is_named_by_its_type(self, tmp_path, monkeypatch,
+                                                     capsys):
+        def out_of_memory(scenario):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run", out_of_memory)
+        path = write_config(tmp_path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "run n2_s1 failed: MemoryError\n"
+        with open(tmp_path / "out" / "failures.csv", newline="") as f:
+            assert list(csv.reader(f)) == [["run_id", "error"], ["n2_s1", "MemoryError"]]
+
     def test_no_failures_file_without_failures(self, tmp_path):
         stale = tmp_path / "out" / "failures.csv"
         stale.parent.mkdir()
@@ -477,13 +489,15 @@ class TestMainEntry:
 
     def test_validate_flags_gaps(self, tmp_path, capsys):
         (tmp_path / "trace.txt").write_text("0 5 0 1\n2 9 1 5\n")
-        (tmp_path / "profiles.txt").write_text("0 1\n1 0\n")
+        (tmp_path / "profiles.txt").write_text("0 1\n1 0\n7 1\n")
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"trace": str(tmp_path / "trace.txt"),
                                     "profiles": str(tmp_path / "profiles.txt"),
                                     "categories": [1]}))
         assert main(["validate", "--config", str(path)]) == 1
-        assert "5" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "nodes in trace without a profile: 5",
+            "profiles for nodes absent from trace: 7"]
 
     def test_gen_trace_outputs_parse_back(self, tmp_path, capsys):
         path = synthetic_config(tmp_path)
@@ -584,6 +598,18 @@ class TestMainEntry:
           "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 0.002,
                         "interest_prob": 0.5}},
          "invalid parameter: categories"),
+        # a schedule draws at most MAX_MESSAGES messages
+        ({"message_count": MAX_MESSAGES + 1}, "invalid parameter: message_count"),
+        # RunConfig checks the keys that no other record holds
+        ({"trace": 5}, "invalid parameter: trace"),
+        ({"profiles": ["profiles.txt"]}, "invalid parameter: profiles"),
+        ({"out": 5}, "invalid parameter: out"),
+        ({"categories": []}, "invalid parameter: categories"),
+        ({"seeds": []}, "invalid parameter: seeds"),
+        ({"seeds": [1.5]}, "invalid parameter: seeds"),
+        ({"trace": None, "profiles": None, "synthetic": [8]},
+         "invalid parameter: synthetic"),
+        ({"trace_format": "csv"}, "invalid parameter: trace_format"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
@@ -591,11 +617,35 @@ class TestMainEntry:
         for name, text in BAD_FILES.items():
             (tmp_path / name).write_text(text)
         path = write_config(tmp_path, **change)
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        # --out would replace a bad `out`
+        flags = [] if "out" in change else ["--out", str(tmp_path / "out")]
+        code = main(["run", "--config", str(path), *flags])
         err = capsys.readouterr().err
         assert code == 2
         assert named in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", None], ids=["not_an_object", "unreadable"])
+    def test_config_file_that_is_no_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config {path}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_message_count_past_the_limit_exits_2(self, tmp_path, capsys, command):
+        path = synthetic_config(tmp_path, message_count=10**8)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid parameter: message_count "
+            f"(need an integer from 0 to {MAX_MESSAGES:,})\n")
         assert not (tmp_path / "out").exists()
 
     def test_empty_network_leaves_resource_used_empty(self, tmp_path):
@@ -727,6 +777,33 @@ class TestRunConfigHelpers:
         rebuilt = RunConfig(**{**echo, "out": None})
         assert rebuilt.categories == config.categories
         assert rebuilt.synthetic == config.synthetic
+
+    @pytest.mark.parametrize("change, named", [
+        ({"trace": 5}, "trace"),
+        ({"profiles": ["profiles.txt"]}, "profiles"),
+        ({"out": 5}, "out"),
+        ({"categories": []}, "categories"),
+        ({"categories": [MAX_CATEGORIES + 1]}, "categories"),
+        ({"seeds": []}, "seeds"),
+        ({"seeds": [True]}, "seeds"),
+        ({"trace": None, "synthetic": [8]}, "synthetic"),
+        ({"trace_format": "csv"}, "trace_format"),
+        ({"synthetic": {}}, "synthetic"),   # and a trace: both sources
+        ({"trace": None}, "trace"),         # neither source
+        ({"ttl": True}, "ttl"),
+        ({"message_count": MAX_MESSAGES + 1}, "message_count"),
+    ])
+    def test_bad_key_raises_where_built(self, change, named):
+        """RunConfig checks itself like every settings record: by keywords,
+        by positions and by `_replace`."""
+        valid = RunConfig(categories=[2], trace="trace.txt")
+        for build in (lambda: RunConfig(**{**valid._asdict(), **change}),
+                      lambda: RunConfig(*[change.get(name, value)
+                                          for name, value in valid._asdict().items()]),
+                      lambda: valid._replace(**change)):
+            with pytest.raises(InvalidParams) as err:
+                build()
+            assert err.value.field == named
 
     @pytest.mark.parametrize("record", [RunConfig, SyntheticParams, RouterConfig,
                                         ScheduleConfig, Scenario])

@@ -12,8 +12,8 @@ from dtn_cluster_sim import sim_engine
 from dtn_cluster_sim.clustering import resolve_group_kmeans
 from dtn_cluster_sim.metrics import build_report, per_message_csv
 from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
-from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig,
-                                        build_schedule, run)
+from dtn_cluster_sim.sim_engine import (MAX_MESSAGES, RouterConfig, Scenario,
+                                        ScheduleConfig, build_schedule, run)
 from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile, InvalidParams,
                                          SyntheticParams, build_trace,
                                          generate_synthetic_trace, parse_contact_trace,
@@ -232,6 +232,8 @@ def every_build(build, change: dict):
     (ScheduleConfig, {"explicit": ((5.0, 1, 1, 0),)}, "explicit"),
     (ScheduleConfig, {"explicit": ((5.0,),)}, "explicit"),
     (ScheduleConfig, {"explicit": ([5.0, 1, 1],)}, "explicit"),
+    # a schedule draws at most MAX_MESSAGES messages: 10^8 ran out of memory
+    (ScheduleConfig, {"count": MAX_MESSAGES + 1}, "message_count"),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
     """Each path that builds a record raises the same error, naming the
