@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 from dtn_cluster_sim import sim_engine
-from dtn_cluster_sim.clustering import resolve_group_kmeans
+from dtn_cluster_sim.clustering import dump_clustering, resolve_group_kmeans
 from dtn_cluster_sim.metrics import build_report, per_message_csv
 from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
 from dtn_cluster_sim.sim_engine import (MAX_MESSAGES, RouterConfig, Scenario,
@@ -701,6 +701,43 @@ def test_golden_matrix_expired_unchanged():
     expired = [run(matrix_scenario(i)).counts.expired for i in range(72)]
     assert sum(expired) == 2633
     assert hashlib.sha256(repr(expired).encode()).hexdigest() == GOLDEN_MATRIX_EXPIRED_SHA256
+
+
+def wide_kmeans_scenario(i: int) -> Scenario:
+    """Scenario i of the wide k-means matrix: the cluster router in kmeans
+    mode over 5 to 30 categories and 20 to 60 nodes, k the category count
+    (odd i) or drawn up to 40 (even i), both clamped by the engine to the
+    distinct vectors, at thresholds 0.3 to 0.8. Sparse interests make
+    many vectors equidistant from several centroids."""
+    rng = random.Random(30_000 + i)
+    n = rng.randint(5, 30)
+    nodes = rng.randint(20, 60)
+    router = RouterConfig(kind="cluster", mode="kmeans", strict=i % 3 == 2,
+                          threshold=rng.choice((0.3, 0.4, 0.5, 0.6, 0.7, 0.8)),
+                          k_clusters=rng.randint(2, 40) if i % 2 == 0 else None)
+    params = SyntheticParams(node_count=nodes, duration=300.0,
+                             contact_rate=150.0 / (nodes * (nodes - 1) / 2 * 300.0),
+                             n_categories=n, interest_prob=rng.choice((0.1, 0.3, 0.5)),
+                             mean_contact_duration=20.0)
+    trace, profiles = generate_synthetic_trace(params, i)
+    return Scenario(trace=trace, profiles=tuple(profiles), n_categories=n,
+                    router=router, schedule=ScheduleConfig(count=rng.randint(5, 20)),
+                    seed=i)
+
+
+# sha256 of the wide k-means matrix's outcomes: any change in which centroid
+# a node joins, in the k used or in the groups read off the centroids moves it
+WIDE_KMEANS_MATRIX_SHA256 = "048d9d9670186061c14d55e5a0a3b4935e0df491c9d6178661471e36759e9921"
+
+
+def test_wide_kmeans_matrix_unchanged():
+    digest = hashlib.sha256()
+    for i in range(48):
+        res = run(wide_kmeans_scenario(i))
+        digest.update(repr((res.records, sorted(res.groups_by_category.items()),
+                            sorted(res.group_fallbacks.items()),
+                            dump_clustering(res.clustering))).encode())
+    assert digest.hexdigest() == WIDE_KMEANS_MATRIX_SHA256
 
 
 def seeded_scenario(i: int) -> Scenario:
