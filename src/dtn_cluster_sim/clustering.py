@@ -12,21 +12,14 @@ bit for bit. It is written in plain Python, with no runtime dependency.
 
 Tie-break contract: a point goes to the lowest-indexed of its nearest
 centroids, and empty-cluster repair takes the lowest-indexed of the
-farthest points. "Nearest" compares float64 distances whose squared
-terms are summed in numpy's add-reduce order (see `_numpy_order_sum`),
-not left to right, because the binary vectors put many centroids at
-exactly or nearly equal distances: the rounding of each sum decides the
-ties, and with them the assignment, the centroids, `clustering.txt` and
-every group and delivery after it. This order keeps every result equal
-to the earlier numpy implementation, which the tests keep as the
-reference (`tests/oracles.numpy_kmeans`). Centroids are integer column
-sums divided by the member count, exact as in numpy. `sse_history` may
-differ from the reference in its last bits (the screen in `_assign`
-takes most distances from an estimate); no output file holds it.
+farthest points. Distances are compared exactly, as rationals (see
+`_assign`), so an exact tie is a tie on every interpreter; wherever no
+point is exactly equidistant from two centroids, the results equal the
+earlier numpy implementation's (`tests/oracles.numpy_kmeans`).
 """
 
 import random
-from functools import reduce
+from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -51,98 +44,61 @@ class Clustering(NamedTuple):
         return sorted(n for n, c in self.assignment.items() if c == cluster)
 
 
-def _numpy_order_sum(terms: list[float]) -> float:
-    """Sum floats in the order of numpy's float64 add-reduce over a
-    contiguous axis: left to right below 8 terms; up to 128 terms, eight
-    strided accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    with the remainder added in order; above that, two halves split at a
-    multiple of 8. Written as explicit folds, since the builtin `sum()` of
-    floats is compensated from Python 3.12 on."""
-    n = len(terms)
-    if n < 8:
-        return reduce(add, terms, 0.0)
-    if n <= 128:
-        cut = n - n % 8
-        r = [reduce(add, terms[j:cut:8]) for j in range(8)]
-        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, terms[cut:], head)
-    half = n // 2
-    half -= half % 8
-    return _numpy_order_sum(terms[:half]) + _numpy_order_sum(terms[half:])
-
-
-def _distance(x: Centroid, c: Centroid) -> float:
-    """Squared distance, summed in numpy's order."""
-    diff = list(map(sub, x, c))
-    return _numpy_order_sum(list(map(mul, diff, diff)))
-
-
-def _assign(rows: list[Centroid], ones: list[list[int]],
-            row_of: list[int], centroids: list[Centroid]) -> tuple[list[int], float]:
-    """Nearest centroid of every point and the summed distance to it.
+def _assign(ones: list[list[int]], row_of: list[int], sums: list[list[int]],
+            counts: list[int]) -> tuple[list[int], list[int], float]:
+    """Nearest centroid of every point, its distance to it, and the summed
+    distance rounded once to a float.
 
     Each distinct binary row is solved once; `row_of` maps points to rows
-    and `ones` lists each row's set bits. A screen picks the clusters
-    whose distance can be the least. The estimate |c|^2 + sum over set
-    bits of (1 - 2c_i) equals the distance in exact arithmetic. With every
-    component in [0, 1], the rounding of the estimate and of the
-    exact-order sum each stay below 4(n+2)^2 * 2^-53, so a cluster whose
-    estimate lies more than 8(n+2)^2 * 2^-53 above the least cannot be the
-    nearest. The band is twice that; when more than one cluster lies in
-    it, those are compared on exact-order distances. The estimate stands
-    in for the distance of a cluster that is alone in the band.
+    and `ones` lists each row's set bits. Centroid j is the integer column
+    sums s over m members, and the squared distance of a row x from it is
+    exactly (m^2 |x| - 2m sum_{i in x} s_i + |s|^2) / m^2. Scaled by L, the
+    least common multiple of every m^2, each distance is an integer:
+    L|x| - (2L/m) sum_{i in x} s_i + (L/m^2) |s|^2. So distances compare
+    exactly, and min() and index() give a tie to the lowest index.
     """
-    band = 16 * (len(centroids[0]) + 2) ** 2 * 2.0 ** -53
-    base = [reduce(add, [c * c for c in cent], 0.0) for cent in centroids]
-    steps = [[1.0 - 2.0 * c for c in column] for column in zip(*centroids)]
+    scale = lcm(*[m * m for m in counts])
+    base = [scale // (m * m) * sum(map(mul, s, s)) for s, m in zip(sums, counts)]
+    weights = [2 * scale // m for m in counts]
+    columns = list(zip(*sums))
     nearest, nearest_d = [], []
-    for row, bits in zip(rows, ones):
-        est = base
+    for bits in ones:
+        dots = [0] * len(counts)
         for i in bits:
-            est = map(add, est, steps[i])
-        est = list(est)
-        least = min(est)
-        candidates = [j for j, e in enumerate(est) if e <= least + band]
-        if len(candidates) == 1:
-            nearest.append(candidates[0])
-            nearest_d.append(least)
-            continue
-        d = {j: _distance(row, centroids[j]) for j in candidates}
-        best = min(d, key=d.__getitem__)  # the first, so the lowest index
-        nearest.append(best)
-        nearest_d.append(d[best])
-    return ([nearest[r] for r in row_of],
-            _numpy_order_sum([nearest_d[r] for r in row_of]))
+            dots = map(add, dots, columns[i])
+        d = list(map(sub, base, map(mul, weights, dots)))
+        least = min(d)
+        nearest.append(d.index(least))
+        nearest_d.append(least + len(bits) * scale)
+    dist = [nearest_d[r] for r in row_of]
+    return [nearest[r] for r in row_of], dist, sum(dist) / scale
 
 
-def _means_with_repair(X: list[Centroid], assign: list[int],
-                       centroids: list[Centroid],
-                       k: int) -> tuple[list[int], list[Centroid]]:
-    """Cluster means of the current assignment.
+def _means_with_repair(rows: list[InterestVector], row_of: list[int],
+                       assign: list[int], dist: list[int],
+                       k: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """Integer column sums and member counts of every cluster.
 
     An empty cluster is repaired first by moving into it the point farthest
     from its current centroid (the lowest-indexed on ties), drawn from
-    clusters that can spare a member.
+    clusters that can spare a member; `dist` holds each point's distance
+    from its centroid, on any one scale.
     """
-    assign = list(assign)
+    assign, dist = list(assign), list(dist)
     counts = [0] * k
     for j in assign:
         counts[j] += 1
-    empties = [j for j in range(k) if counts[j] == 0]
-    if empties:
-        dist_own = [_distance(x, centroids[j]) for x, j in zip(X, assign)]
-        for j in empties:
-            donors = [p for p, own in enumerate(assign) if counts[own] >= 2]
-            pick = max(donors, key=dist_own.__getitem__)
-            counts[assign[pick]] -= 1
-            assign[pick] = j
-            counts[j] += 1
-            dist_own[pick] = -1.0  # cannot be picked again
-    members: list[list[Centroid]] = [[] for _ in range(k)]
-    for x, j in zip(X, assign):
-        members[j].append(x)
-    return assign, [tuple(reduce(add, column, 0.0) / len(rows) for column in zip(*rows))
-                    for rows in members]
+    for j in [j for j in range(k) if counts[j] == 0]:
+        donors = [p for p, own in enumerate(assign) if counts[own] >= 2]
+        pick = max(donors, key=dist.__getitem__)
+        counts[assign[pick]] -= 1
+        assign[pick] = j
+        counts[j] += 1
+        dist[pick] = -1  # cannot be picked again
+    sums = [[0] * len(rows[0]) for _ in range(k)]
+    for r, j in zip(row_of, assign):
+        sums[j] = list(map(add, sums[j], rows[r]))
+    return assign, sums, counts
 
 
 def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
@@ -156,7 +112,8 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
     over ascending node id). Each round recomputes centroids as cluster
     means and reassigns every point to its nearest centroid; the loop stops
     when no assignment changes or after max_iter rounds. The objective
-    value after every assignment step lands in sse_history.
+    value after every assignment step lands in sse_history, the exact sum
+    rounded once to a float.
     """
     if not points:
         raise ValueError("no points to cluster")
@@ -174,40 +131,39 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
         if not all(c in (0, 1) for c in v):
             raise ValueError(f"node {node}: vector components must be 0 or 1")
 
-    distinct = list(dict.fromkeys(vectors))
-    if k > len(distinct):
-        raise ValueError(f"k={k} but only {len(distinct)} distinct vectors")
+    rows = list(dict.fromkeys(vectors))
+    if k > len(rows):
+        raise ValueError(f"k={k} but only {len(rows)} distinct vectors")
 
-    rng = random.Random(seed)
-    chosen = rng.sample(range(len(distinct)), k)
-    rows = [tuple(map(float, v)) for v in distinct]
-    position = {v: r for r, v in enumerate(distinct)}
+    chosen = random.Random(seed).sample(range(len(rows)), k)
+    position = {v: r for r, v in enumerate(rows)}
     row_of = [position[v] for v in vectors]
-    centroids = [rows[i] for i in chosen]
-    X = [rows[r] for r in row_of]
     ones = [[i for i, c in enumerate(row) if c] for row in rows]
+    sums, counts = [list(rows[i]) for i in chosen], [1] * k
 
-    assign, err = _assign(rows, ones, row_of, centroids)
+    assign, dist, err = _assign(ones, row_of, sums, counts)
     history = [err]
     iterations = 0
     converged = False
     while not converged and iterations < max_iter:
         iterations += 1
-        assign, centroids = _means_with_repair(X, assign, centroids, k)
-        new_assign, err = _assign(rows, ones, row_of, centroids)
+        assign, sums, counts = _means_with_repair(rows, row_of, assign, dist, k)
+        new_assign, dist, err = _assign(ones, row_of, sums, counts)
         history.append(err)
         converged = new_assign == assign
         assign = new_assign
     if not converged:
-        # keep the returned centroids consistent with the final assignment
-        assign, centroids = _means_with_repair(X, assign, centroids, k)
-        history.append(_numpy_order_sum([(a - b) * (a - b)
-                                         for x, j in zip(X, assign)
-                                         for a, b in zip(x, centroids[j])]))
+        # keep the returned centroids consistent with the final assignment;
+        # a cluster of m binary rows with column sums s spreads
+        # sum_i s_i (m - s_i) / m about its mean
+        assign, sums, counts = _means_with_repair(rows, row_of, assign, dist, k)
+        scale = lcm(*counts)
+        history.append(sum(scale // m * sum(c * (m - c) for c in s)
+                           for s, m in zip(sums, counts)) / scale)
 
     return Clustering(
         k=k,
-        centroids=tuple(centroids),
+        centroids=tuple(tuple(c / m for c in s) for s, m in zip(sums, counts)),
         assignment=dict(zip(ids, assign)),
         iterations_used=iterations,
         sse_history=tuple(history),

@@ -3,10 +3,12 @@
 These deliberately share no code with the library paths they check:
 earliest arrival is a fixpoint relaxation directly over contact
 intervals, the clustering optimum enumerates every set partition (by a
-plain left-to-right squared distance), the reference k-means is the
-vectorised numpy implementation the library's pure-Python one must
-reproduce exactly, the reference trace assembly merges each pair's
-intervals on their own and sorts with an explicit key, the reference
+plain left-to-right squared distance), the reference k-means runs
+Lloyd's steps in exact rational arithmetic (`fractions.Fraction`), with
+the vectorised numpy implementation beside it as a float64 reference
+that agrees wherever no point is exactly equidistant from two
+centroids, the reference trace assembly merges each pair's intervals on
+their own and sorts with an explicit key, the reference
 buffer keeps entries by id and sorts them on every read (it also rejects
 a duplicate, which the library's buffer leaves to the engine), and the
 reference replay repeats full ascending passes over every open contact
@@ -16,6 +18,7 @@ until one moves nothing, with a seen set per node, purging eagerly.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -164,6 +167,91 @@ def numpy_kmeans(points, k: int, seed: int, max_iter: int = 100) -> Clustering:
         sse_history=tuple(history),
         converged=converged,
     )
+
+
+def fraction_distance(x, centroid) -> Fraction:
+    """Exact squared distance of point x from a centroid given as integer
+    numerators over one denominator, `(s, m)` for s/m."""
+    s, m = centroid
+    return Fraction(sum((m * a - b) ** 2 for a, b in zip(x, s, strict=True)), m * m)
+
+
+def fraction_assign(X, centroids):
+    """Nearest `(s, m)` centroid of every point (the lowest index among
+    equally near ones), its exact distance, and whether any point was
+    equally near to more than one centroid."""
+    assign, nearest, tied = [], [], False
+    for x in X:
+        d = [fraction_distance(x, c) for c in centroids]
+        least = min(d)
+        assign.append(d.index(least))
+        nearest.append(least)
+        tied = tied or d.count(least) > 1
+    return assign, nearest, tied
+
+
+def fraction_means_with_repair(X, assign, centroids, k: int):
+    """Cluster means as `(s, m)` column sums and member counts, after the
+    empty-cluster repair: each empty cluster in turn takes the point
+    farthest from its own centroid (the lowest index on ties) among
+    clusters with two or more members. Also returns whether that farthest
+    point was tied."""
+    assign = list(assign)
+    counts = [assign.count(j) for j in range(k)]
+    dist_own = [fraction_distance(x, centroids[j]) for x, j in zip(X, assign)]
+    tied = False
+    for j in [j for j in range(k) if counts[j] == 0]:
+        donors = [p for p in range(len(X)) if counts[assign[p]] >= 2]
+        far = max(dist_own[p] for p in donors)
+        picks = [p for p in donors if dist_own[p] == far]
+        tied = tied or len(picks) > 1
+        counts[assign[picks[0]]] -= 1
+        assign[picks[0]] = j
+        counts[j] += 1
+        dist_own[picks[0]] = Fraction(-1)
+    means = [(tuple(sum(x[i] for x, a in zip(X, assign) if a == j) for i in range(len(X[0]))),
+              counts[j]) for j in range(k)]
+    return assign, means, tied
+
+
+def fraction_kmeans(points, k: int, seed: int, max_iter: int = 100):
+    """Reference k-means in exact rational arithmetic: the seeded
+    initialisation, empty-cluster repair and stopping rule of
+    `clustering.kmeans`, every tie to the lowest index, each objective
+    value the exact sum rounded once to a float. Returns the clustering
+    and whether any choice met an exact tie (where rounding in float
+    arithmetic may choose otherwise)."""
+    ids = sorted(points)
+    X = [tuple(points[i]) for i in ids]
+    distinct = list(dict.fromkeys(X))
+    centroids = [(distinct[i], 1) for i in random.Random(seed).sample(range(len(distinct)), k)]
+
+    assign, nearest, tied = fraction_assign(X, centroids)
+    history = [float(sum(nearest))]
+    iterations = 0
+    converged = False
+    while not converged and iterations < max_iter:
+        iterations += 1
+        assign, centroids, repair_tied = fraction_means_with_repair(X, assign, centroids, k)
+        new_assign, nearest, assign_tied = fraction_assign(X, centroids)
+        tied = tied or repair_tied or assign_tied
+        history.append(float(sum(nearest)))
+        converged = new_assign == assign
+        assign = new_assign
+    if not converged:
+        assign, centroids, repair_tied = fraction_means_with_repair(X, assign, centroids, k)
+        tied = tied or repair_tied
+        history.append(float(sum(fraction_distance(x, centroids[j])
+                                 for x, j in zip(X, assign))))
+
+    return Clustering(
+        k=k,
+        centroids=tuple(tuple(c / m for c in s) for s, m in centroids),
+        assignment=dict(zip(ids, assign)),
+        iterations_used=iterations,
+        sse_history=tuple(history),
+        converged=converged,
+    ), tied
 
 
 def reference_assemble(raw, duration: float | None = None,

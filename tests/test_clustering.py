@@ -8,8 +8,9 @@ from dtn_cluster_sim.clustering import (Clustering, dump_clustering, kmeans,
                                         resolve_group_kmeans)
 from dtn_cluster_sim.trace_model import InterestProfile
 
-from oracles import (best_partition_sse, numpy_assign, numpy_kmeans,
-                     numpy_means_with_repair, squared_distance)
+from oracles import (best_partition_sse, fraction_assign, fraction_distance,
+                     fraction_kmeans, fraction_means_with_repair, numpy_kmeans,
+                     squared_distance)
 
 
 def profiles_of(vectors: dict[int, tuple[int, ...]]) -> list[InterestProfile]:
@@ -140,19 +141,12 @@ def reference_dataset(rng: random.Random):
     return points, k, rng.choice((1, 2, 3, 100))
 
 
-def test_matches_numpy_reference(monkeypatch):
-    """Assignments, centroids, iterations and convergence equal the numpy
-    implementation's exactly; the objective history to 1e-9. Non-binary
+def test_matches_numpy_reference():
+    """Every result, the objective history included, equals the exact
+    rational reference's; wherever that reference met no exact tie it also
+    equals the numpy implementation's, the history to 1e-9. Non-binary
     points raise ValueError."""
-    exact_distances = refused = 0
-    distance = clustering._distance
-
-    def spy_distance(x, c):
-        nonlocal exact_distances
-        exact_distances += 1
-        return distance(x, c)
-
-    monkeypatch.setattr(clustering, "_distance", spy_distance)
+    refused = untied = 0
     rng = random.Random(2018)
     for trial in range(300):
         points, k, max_iter = reference_dataset(rng)
@@ -162,42 +156,48 @@ def test_matches_numpy_reference(monkeypatch):
             refused += 1
             continue
         got = kmeans(points, k, seed=trial, max_iter=max_iter)
+        exact, tied = fraction_kmeans(points, k, seed=trial, max_iter=max_iter)
+        assert got == exact, trial
+        if tied:
+            continue
+        untied += 1
         want = numpy_kmeans(points, k, seed=trial, max_iter=max_iter)
         assert got.centroids == want.centroids, trial
         assert got.assignment == want.assignment, trial
         assert got.iterations_used == want.iterations_used, trial
         assert got.converged == want.converged, trial
         assert got.sse_history == pytest.approx(want.sse_history, rel=0, abs=1e-9)
-    assert exact_distances >= 100  # near ties did reach the exact-order sums
-    assert refused
+    assert refused and untied >= 100
 
 
-def test_assign_breaks_exact_ties_like_numpy():
+def test_exact_ties_go_to_the_lowest_index():
     """Centroids that permute one another's components among a point's 0
     positions and among its 1 positions lie at the same exact distance
-    from it; rounding then orders them, and the screen must defer to the
-    exact-order sums to get numpy's order."""
+    from it, whatever the rounding of a float sum says: the point joins the
+    lowest-indexed of them."""
     rng = random.Random(1948)
     for trial in range(300):
-        n, b = rng.choice((3, 5, 9, 12, 40, 150)), rng.randint(2, 40)
-        x = tuple(float(rng.random() < 0.5) for _ in range(n))
-        base = [rng.randint(0, b) / b for _ in range(n)]
-        centroids = []
+        n, m = rng.choice((3, 5, 9, 12, 40, 150)), rng.randint(2, 40)
+        x = [int(rng.random() < 0.5) for _ in range(n)]
+        base = [rng.randint(0, m) for _ in range(n)]
+        sums = []
         for _ in range(rng.randint(2, 6)):
-            c = list(base)
-            for bit in (0.0, 1.0):
+            s = list(base)
+            for bit in (0, 1):
                 where = [i for i in range(n) if x[i] == bit]
-                for i, v in zip(where, rng.sample([c[i] for i in where], len(where))):
-                    c[i] = v
-            centroids.append(tuple(c))
-        rows = [x] + [tuple(float(rng.random() < 0.5) for _ in range(n)) for _ in range(3)]
-        ones = [[i for i, v in enumerate(row) if v] for row in rows]
-        got, _ = clustering._assign(rows, ones, [0, 1, 2, 3], centroids)
-        want, _ = numpy_assign(rows, centroids)
-        assert got == want.tolist(), trial
+                for i, v in zip(where, rng.sample([s[i] for i in where], len(where))):
+                    s[i] = v
+            sums.append(s)
+        # the farthest centroid first, so that the tie is not at index 0
+        sums.insert(0, [0 if v else m for v in x])
+        ones = [[i for i, v in enumerate(x) if v]]
+        got, _, _ = clustering._assign(ones, [0], sums, [m] * len(sums))
+        want, _, tied = fraction_assign([x], [(s, m) for s in sums])
+        assert got == want and tied, trial
+        assert got == [1] or all(c in (0, m) for c in base), trial
 
 
-def test_repair_matches_numpy_reference():
+def test_repair_matches_exact_reference():
     """Lloyd steps from seeded points almost never empty a cluster, so the
     repair is compared on assignments that leave clusters empty."""
     rng = random.Random(1982)
@@ -205,13 +205,33 @@ def test_repair_matches_numpy_reference():
         m, n = rng.randint(2, 30), rng.choice((rng.randint(1, 7), rng.randint(8, 40)))
         k = rng.randint(2, m)
         used = rng.sample(range(k), rng.randint(1, k - 1))
-        X = [tuple(float(rng.random() < 0.5) for _ in range(n)) for _ in range(m)]
+        X = [tuple(int(rng.random() < 0.5) for _ in range(n)) for _ in range(m)]
         assign = [rng.choice(used) for _ in range(m)]
-        centroids = [tuple(rng.randint(0, 6) / 6 for _ in range(n)) for _ in range(k)]
-        got_assign, got_means = clustering._means_with_repair(X, assign, centroids, k)
-        want_assign, want_means = numpy_means_with_repair(X, assign, centroids, k)
-        assert got_assign == want_assign.tolist(), trial
-        assert got_means == [tuple(row) for row in want_means.tolist()], trial
+        centroids = [(tuple(rng.randint(0, 6) for _ in range(n)), 6) for _ in range(k)]
+        # distances on the scale of 36, so integers
+        dist = [int(36 * fraction_distance(x, centroids[j])) for x, j in zip(X, assign)]
+        got_assign, sums, counts = clustering._means_with_repair(
+            X, list(range(m)), assign, dist, k)
+        want_assign, want_means, _ = fraction_means_with_repair(X, assign, centroids, k)
+        assert got_assign == want_assign, trial
+        assert list(zip(map(tuple, sums), counts)) == want_means, trial
+
+
+def test_exact_tie_regression_seed_7_trial_549():
+    """Node 28 lies exactly as far from centroids 0 and 4. numpy's rounding
+    chose 4 and ran one more round, to SSE 6.67; the exact rule keeps it
+    in 0 and stops at SSE 7.33."""
+    rng = random.Random(7)
+    for _ in range(550):
+        points, k, max_iter = reference_dataset(rng)
+    assert (len(points), k) == (22, 8)
+    got = kmeans(points, k, seed=549, max_iter=max_iter)
+    exact, tied = fraction_kmeans(points, k, seed=549, max_iter=max_iter)
+    assert got == exact and tied
+    want = numpy_kmeans(points, k, seed=549, max_iter=max_iter)
+    assert round(got.sse_history[-1], 2) == 7.33
+    assert round(want.sse_history[-1], 2) == 6.67
+    assert got.assignment[28] == 0 and want.assignment[28] == 4
 
 
 class TestResolveGroupExact:
