@@ -144,9 +144,19 @@ def _floats(cls, data: dict) -> dict:
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
-    """Load a JSON config file; non-None overrides win over file values."""
+    """Load a JSON config file; non-None overrides win over file values.
+    A key given twice in one object is a config error naming it."""
+    def unique_keys(pairs: list) -> dict:
+        data = dict(pairs)
+        if len(data) < len(pairs):
+            keys = [key for key, _ in pairs]
+            twice = next(key for key in data if keys.count(key) > 1)
+            raise ConfigError(f"config {path} gives key {twice!r} more than once")
+        return data
+
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -233,6 +233,21 @@ def _data_lines(text: str, headers: dict[str, tuple[int, str]]):
         yield line_no, fields
 
 
+def _check_ascii(text: str) -> None:
+    """Reject what `int()` and `float()` would read silently: `1_0` as 10,
+    a digit of any script by its value. A data or header line holding `_`
+    or a non-ASCII character is a TraceError naming it; comments may hold
+    any text. One test of the whole text passes the common case."""
+    if text.isascii() and "_" not in text:
+        return
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if (line.isascii() and "_" not in line) or not stripped or (
+                stripped[0] == "#" and not _HEADER.fullmatch(stripped)):
+            continue
+        raise TraceError(line_no, "malformed line (`_` or a non-ASCII character)")
+
+
 def _parse_headers(headers: dict[str, tuple[int, str]]) -> tuple[float | None, int | None]:
     duration = None
     node_count = None
@@ -307,10 +322,11 @@ def parse_contact_trace(text: str, fmt: str = "tabular") -> ContactTrace:
     one_events: `time CONN node_a node_b up|down` lines paired in file order.
     Lines starting with `#` are comments, except `# duration: <s>` and
     `# nodes: <count>` headers (`=` may stand for `:`), which may enlarge
-    the derived values.
+    the derived values. Other lines are ASCII and hold no `_`.
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format: {fmt!r}")
+    _check_ascii(text)
     headers: dict[str, tuple[int, str]] = {}
     contacts: list[tuple[float, float, int, int]] = []
     lines = _data_lines(text, headers)
@@ -335,10 +351,12 @@ def serialize_contact_trace(trace: ContactTrace) -> str:
 def parse_interest_profiles(text: str) -> list[InterestProfile]:
     """Parse `node_id bit_1 ... bit_n` lines into profiles, sorted by node id.
 
-    Blank and `#` lines are skipped, as in traces. The first data line
+    Blank and `#` lines are skipped and data lines are ASCII without `_`,
+    as in traces. The first data line
     fixes n; a later line with another bit count is a TraceError naming
     that line. Text with no data lines gives [].
     """
+    _check_ascii(text)
     profiles: dict[int, InterestProfile] = {}
     arity = None
     for line_no, fields in _data_lines(text, {}):

@@ -81,6 +81,13 @@ BAD_FILES = {
     "arity.txt": "0 1 0 1\n1 0 1\n",
     "non_binary.txt": "0 1 0 1\n1 0 2 1\n",
     "duplicate_node.txt": "0 1 0 1\n# c\n0 0 1 1\n",
+    # int() and float() read `_` separators and digits of any script
+    "underscore.txt": "1 4 0 1\n0 1_0 3 1\n",
+    "arabic_digit.txt": "# caf\u00e9 _\n0 10 \u0663 1\n",
+    "underscore_header.txt": "1 4 0 1\n# duration: 1_0\n",
+    "fullwidth_header.txt": "1 4 0 1\n# nodes: \uff12\n",
+    "conn_digit.txt": "1 CONN 0 1 up\n2 CONN 0 \uff11 down\n",
+    "underscore_node.txt": "0 1 0 1\n0_1 0 1 1\n",
 }
 
 
@@ -579,6 +586,18 @@ class TestMainEntry:
         bad_line("profiles", "arity.txt", "line 2: expected 3 interest bits, got 2"),
         bad_line("profiles", "non_binary.txt", "line 2: interest values must be 0 or 1"),
         bad_line("profiles", "duplicate_node.txt", "line 3: duplicate profile for node 0"),
+        bad_line("trace", "underscore.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("trace", "arabic_digit.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("trace", "underscore_header.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("trace", "fullwidth_header.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("one_events", "conn_digit.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("profiles", "underscore_node.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
         ({"trace": None, "profiles": None,
           "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 1e-200,
                         "shared_interest_bias": 1e-200, "interest_prob": 0.5}},
@@ -626,8 +645,13 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text", ["[1, 2]", None], ids=["not_an_object", "unreadable"])
-    def test_config_file_that_is_no_config_exits_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, named", [
+        ("[1, 2]", "is not a JSON object"),
+        (None, "cannot read"),
+        ('{"message_count": 5, "message_count": 0}', "'message_count' more than once"),
+        ('{"synthetic": {"node_count": 4, "node_count": 8}}', "'node_count' more than once"),
+    ], ids=["not_an_object", "unreadable", "repeated_key", "repeated_nested_key"])
+    def test_config_file_that_is_no_config_exits_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "c.json"
         if text is not None:
             path.write_text(text)
@@ -635,6 +659,7 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert code == 2
         assert f"config {path}" in err
+        assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
