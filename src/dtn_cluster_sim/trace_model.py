@@ -235,15 +235,15 @@ def _data_lines(text: str, headers: dict[str, tuple[int, str]]):
 
 def _check_ascii(text: str) -> None:
     """Reject what `int()` and `float()` would read silently: `1_0` as 10,
-    a digit of any script by its value. A data or header line holding `_`
-    or a non-ASCII character is a TraceError naming it; comments may hold
-    any text. One test of the whole text passes the common case."""
+    a digit of any script by its value. A line other than a comment that
+    holds `_` or a non-ASCII character is a TraceError naming it. One test
+    of the whole text passes the common case."""
     if text.isascii() and "_" not in text:
         return
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if (line.isascii() and "_" not in line) or not stripped or (
-                stripped[0] == "#" and not _HEADER.fullmatch(stripped)):
+        if (line.isascii() and "_" not in line) or (
+                stripped.startswith("#") and not _HEADER.fullmatch(stripped)):
             continue
         raise TraceError(line_no, "malformed line (`_` or a non-ASCII character)")
 

@@ -103,19 +103,14 @@ class TestParseTabular:
 
     @pytest.mark.parametrize("comment", ["# nodes in this trace are phones",
                                          "# duration of the study: one day",
-                                         "# durations: 5", "# duration 99"])
+                                         "# durations: 5", "# duration 99",
+                                         # only data and header lines must be
+                                         # ASCII without `_`
+                                         "# caf\u00e9 at 1_0, nodes \u0663"])
     def test_free_text_comment_is_not_a_header(self, comment):
         trace = parse_contact_trace(comment + "\n0 10 1 2\n")
         assert trace.duration == 10.0
         assert trace.node_count == 2
-
-    def test_comment_may_hold_any_text(self):
-        # only data and header lines must be ASCII without `_`; the second
-        # line is blank, a no-break space
-        text = "# caf\u00e9, nodes_a \u0663\n\u00a0\n0 10 1 2\n"
-        assert parse_contact_trace(text).events == ((0.0, 10.0, 1, 2),)
-        assert parse_interest_profiles(text.replace("0 10 1 2", "4 1 0")) == [
-            InterestProfile(4, (1, 0))]
 
     @pytest.mark.parametrize("header", ["# duration: abc", "# nodes = many",
                                         "## duration=1 day", "# duration:"])
