@@ -61,9 +61,10 @@ def _assign(ones: list[list[int]], row_of: list[int], sums: list[list[int]],
     base = [scale // (m * m) * sum(map(mul, s, s)) for s, m in zip(sums, counts)]
     weights = [2 * scale // m for m in counts]
     columns = list(zip(*sums))
+    zeros = [0] * len(counts)
     nearest, nearest_d = [], []
     for bits in ones:
-        dots = [0] * len(counts)
+        dots = zeros
         for i in bits:
             dots = map(add, dots, columns[i])
         d = list(map(sub, base, map(mul, weights, dots)))
@@ -95,10 +96,10 @@ def _means_with_repair(rows: list[InterestVector], row_of: list[int],
         assign[pick] = j
         counts[j] += 1
         dist[pick] = -1  # cannot be picked again
-    sums = [[0] * len(rows[0]) for _ in range(k)]
+    members: list[list[InterestVector]] = [[] for _ in range(k)]
     for r, j in zip(row_of, assign):
-        sums[j] = list(map(add, sums[j], rows[r]))
-    return assign, sums, counts
+        members[j].append(rows[r])
+    return assign, [list(map(sum, zip(*group))) for group in members], counts
 
 
 def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,

@@ -322,7 +322,7 @@ def parse_contact_trace(text: str, fmt: str = "tabular") -> ContactTrace:
     one_events: `time CONN node_a node_b up|down` lines paired in file order.
     Lines starting with `#` are comments, except `# duration: <s>` and
     `# nodes: <count>` headers (`=` may stand for `:`), which may enlarge
-    the derived values. Other lines are ASCII and hold no `_`.
+    the derived values. Every line but a comment is ASCII without `_`.
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format: {fmt!r}")
@@ -351,10 +351,10 @@ def serialize_contact_trace(trace: ContactTrace) -> str:
 def parse_interest_profiles(text: str) -> list[InterestProfile]:
     """Parse `node_id bit_1 ... bit_n` lines into profiles, sorted by node id.
 
-    Blank and `#` lines are skipped and data lines are ASCII without `_`,
-    as in traces. The first data line
-    fixes n; a later line with another bit count is a TraceError naming
-    that line. Text with no data lines gives [].
+    Blank and `#` lines are skipped, and every line but a comment is ASCII
+    without `_`, as in traces. The first data line fixes n; a later line
+    with another bit count is a TraceError naming that line. Text with no
+    data lines gives [].
     """
     _check_ascii(text)
     profiles: dict[int, InterestProfile] = {}

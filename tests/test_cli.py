@@ -81,7 +81,7 @@ BAD_FILES = {
     "arity.txt": "0 1 0 1\n1 0 1\n",
     "non_binary.txt": "0 1 0 1\n1 0 2 1\n",
     "duplicate_node.txt": "0 1 0 1\n# c\n0 0 1 1\n",
-    # int() and float() read `_` separators and digits of any script
+    # `_` separators and digits of other scripts, which int() and float() read
     "underscore.txt": "1 4 0 1\n0 1_0 3 1\n",
     "arabic_digit.txt": "# caf\u00e9 _\n0 10 \u0663 1\n",
     "underscore_header.txt": "1 4 0 1\n# duration: 1_0\n",
@@ -586,18 +586,6 @@ class TestMainEntry:
         bad_line("profiles", "arity.txt", "line 2: expected 3 interest bits, got 2"),
         bad_line("profiles", "non_binary.txt", "line 2: interest values must be 0 or 1"),
         bad_line("profiles", "duplicate_node.txt", "line 3: duplicate profile for node 0"),
-        bad_line("trace", "underscore.txt",
-                 "line 2: malformed line (`_` or a non-ASCII character)"),
-        bad_line("trace", "arabic_digit.txt",
-                 "line 2: malformed line (`_` or a non-ASCII character)"),
-        bad_line("trace", "underscore_header.txt",
-                 "line 2: malformed line (`_` or a non-ASCII character)"),
-        bad_line("trace", "fullwidth_header.txt",
-                 "line 2: malformed line (`_` or a non-ASCII character)"),
-        bad_line("one_events", "conn_digit.txt",
-                 "line 2: malformed line (`_` or a non-ASCII character)"),
-        bad_line("profiles", "underscore_node.txt",
-                 "line 2: malformed line (`_` or a non-ASCII character)"),
         ({"trace": None, "profiles": None,
           "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 1e-200,
                         "shared_interest_bias": 1e-200, "interest_prob": 0.5}},
@@ -629,6 +617,19 @@ class TestMainEntry:
         ({"trace": None, "profiles": None, "synthetic": [8]},
          "invalid parameter: synthetic"),
         ({"trace_format": "csv"}, "invalid parameter: trace_format"),
+        # int() and float() would read these numbers silently
+        bad_line("trace", "underscore.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("trace", "arabic_digit.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("trace", "underscore_header.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("trace", "fullwidth_header.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("one_events", "conn_digit.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
+        bad_line("profiles", "underscore_node.txt",
+                 "line 2: malformed line (`_` or a non-ASCII character)"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
