@@ -9,12 +9,14 @@ answers FORWARD, SKIP or CLOSE_CONNECTION:
   * the epidemic rule floods to every peer and is the verification upper
     bound for everything else.
 
-The rules never see a peer that already holds or held the message:
-duplicate suppression is the engine's, which offers a message only to
-peers absent from its receipt log. A buffer does not check for
-duplicates. Nor does the non-strict rule see a peer outside the
-message's group: the engine leaves out what it would only skip. It
-reads a buffer only when the peer needs an id in the buffer's `held`.
+The engine offers a message only to peers absent from its receipt log,
+so duplicate suppression is the engine's and a buffer does not check
+for duplicates. Under the non-strict rule it offers a message only to
+peers in the message's group. So the epidemic rule and the non-strict
+rule would answer FORWARD to every offer, and the engine forwards
+without asking them. It asks a rule only where the rule can refuse:
+the strict rule, once per offer. It reads a buffer only when the peer
+needs an id in the buffer's `held`.
 
 A buffer is a log of entries in exchange order: by receipt time, ties by
 message id. It holds a bounded number of messages and evicts from the
@@ -104,7 +106,8 @@ class Buffer:
         """Store a copy received at `now`, `hops` hops from its source;
         returns the evicted messages: the head of a full log, or none. The
         buffer does not check that it holds no other copy of the message."""
-        insort(self._log, BufferEntry(now, message.id, hops, message))
+        # one entry per forward: a BufferEntry, without NamedTuple's Python-level __new__
+        insort(self._log, tuple.__new__(BufferEntry, (now, message.id, hops, message)))
         self.held.add(message.id)
         if self.capacity is None or len(self._log) <= self.capacity:
             return []
@@ -147,5 +150,6 @@ def interest_cluster_transfer(message: Message, peer: int,
 
 def epidemic_decide(message: Message, peer: int) -> ForwardDecision:
     """Flooding baseline: forward to every peer offered. The engine offers
-    a message only to peers that never held it, so never to its source."""
+    a message only to peers that never held it, so never to its source,
+    and forwards each offer without asking this rule."""
     return ForwardDecision.FORWARD

@@ -26,7 +26,9 @@ is offered to. The non-strict cluster rule is offered a category only at
 the nodes of its destination group: it would skip any other peer, and a
 skip changes nothing. The strict rule and the epidemic rule are offered
 every category at every node, since a strict rule closes the contact at
-its first non-member.
+its first non-member. So a rule is asked only where it can refuse: the
+strict rule about every offer, while an offer under the epidemic or the
+non-strict rule, which would forward it, is forwarded with no call.
 
 Offers use summary vectors (Vahdat and Becker, Duke CS-2000-06):
 `need[node]` holds the ids of created messages offered to the node and
@@ -72,6 +74,7 @@ from typing import NamedTuple
 
 from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
                          resolve_group_kmeans)
+# both rule names stay for perfbench's tracer, which wraps them; ROADMAP item 4 deletes them
 from .routing import (Buffer, ForwardDecision, Message, _SlotRecord, epidemic_decide,
                       interest_cluster_transfer)
 from .trace_model import (ContactTrace, InterestProfile, InvalidParams, _check_categories,
@@ -320,10 +323,11 @@ def run(scenario: Scenario) -> SimResult:
     # transfers left on a pair's latest contact; 0 once spent or closed in strict mode
     budget: dict[tuple[int, int], int] = {}
     cap = rc.max_transfers_per_contact
-    # bound per run, not at import, so a rule wrapped after import is used
-    decide = (epidemic_decide if rc.kind == "epidemic"
-              else partial(interest_cluster_transfer, strict=rc.strict))
-    FORWARD = ForwardDecision.FORWARD
+    # only the strict rule can refuse an offer, so only it is asked (module
+    # docstring); bound per run, not at import, so a rule wrapped after import is used
+    ask = (partial(interest_cluster_transfer, strict=True)
+           if rc.kind == "cluster" and rc.strict else None)
+    CLOSE = ForwardDecision.CLOSE_CONNECTION
     # the nodes each category is offered to (module docstring)
     offered_to = (member_sets if rc.kind == "cluster" and not rc.strict
                   else dict.fromkeys(member_sets, universe))
@@ -359,19 +363,17 @@ def run(scenario: Scenario) -> SimResult:
             for entry in buffer.in_exchange_order():
                 if entry.message_id not in needed:
                     continue
-                decision = decide(entry.message, peer)
-                if decision is FORWARD:
-                    receive(entry.message, peer, t, entry.hops + 1)
-                    gainers.add(peer)
-                    counts.forwards += 1
-                    if pair in budget:
-                        budget[pair] -= 1
-                        if not budget[pair]:
-                            return gainers
-                elif decision is ForwardDecision.CLOSE_CONNECTION:
+                if ask is not None and ask(entry.message, peer) is CLOSE:
                     budget[pair] = 0
                     counts.closes += 1
                     return gainers
+                receive(entry.message, peer, t, entry.hops + 1)
+                gainers.add(peer)
+                counts.forwards += 1
+                if pair in budget:
+                    budget[pair] -= 1
+                    if not budget[pair]:
+                        return gainers
         return gainers
 
     def sweep(t: float, pair, gainers):

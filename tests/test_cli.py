@@ -2,11 +2,13 @@ import csv
 import gc
 import json
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import ForwardRef, get_args
 
@@ -906,3 +908,90 @@ def test_cli_import_leaves_dataclasses_logging_and_csv_out():
     warn and `csv` only to write `failures.csv`, so starting the CLI imports
     none of `dataclasses`, the `inspect` it pulls in, `logging` and `csv`."""
     assert _loaded_by_cli_import({"dataclasses", "inspect", "logging", "csv"}) == "[]"
+
+
+# the inputs that test_mutated_inputs_exit_cleanly mutates: a tabular trace
+# with both headers, a profile file and a file config over both
+FUZZ_TRACE = "1 4 0 1\n3 8 1 2\n6 9 0 2\n12 15 1 3\n# duration: 20\n# nodes: 4\n"
+FUZZ_PROFILES = "0 1 0 1\n1 0 1 1\n2 1 1 0\n3 0 0 1\n"
+# with `_` and digits of other scripts, which int() and float() would read
+FUZZ_CHARS = "0123456789 .-_#:\n\txenaif\u0663\uff12"
+FUZZ_VALUES = (None, True, -1, 0, 1, 2, 3, 7, 2.5, 1e300, 10**6, float("nan"), "x",
+               "one_events", "kmeans", "epidemic", [], [3], [1, 3], {})
+
+
+def mutate_text(rng, text: str) -> str:
+    """One to three character edits, line copies or truncations of `text`."""
+    for _ in range(rng.randint(1, 3)):
+        at, op = rng.randrange(len(text) + 1), rng.randrange(5)
+        if op == 0:
+            text = text[:at] + rng.choice(FUZZ_CHARS) + text[at:]
+        elif op == 1:
+            text = text[:at] + text[at + 1:]
+        elif op == 2:
+            text = text[:at] + rng.choice(FUZZ_CHARS) + text[at + 1:]
+        elif op == 3:
+            lines = text.split("\n")
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            text = "\n".join(lines)
+        else:
+            text = text[:at]
+    return text
+
+
+def fuzz_inputs(rng, i: int) -> tuple[str, str, str]:
+    """Trace, profile and config text of fuzz case i: one of the three is
+    mutated, the config either by its values and keys or as text."""
+    trace, profiles = FUZZ_TRACE, FUZZ_PROFILES
+    config = {"trace": "trace.txt", "profiles": "profiles.txt", "categories": [2],
+              "seeds": [1], "message_count": 4, "ttl": 8.0, "buffer_capacity": 2}
+    if i % 3 == 0:
+        trace = mutate_text(rng, trace)
+    elif i % 3 == 1:
+        profiles = mutate_text(rng, profiles)
+    elif i % 6 == 2:
+        return trace, profiles, mutate_text(rng, json.dumps(config))
+    else:
+        for _ in range(rng.randint(1, 2)):
+            key = rng.choice((*RunConfig._fields, "unknown"))
+            if rng.random() < 0.2:
+                config.pop(key, None)
+            else:
+                config[key] = rng.choice(FUZZ_VALUES)
+    return trace, profiles, json.dumps(config)
+
+
+def names_file_or_key(err: str, config: str) -> bool:
+    """Whether a config error names one of the fuzz's three input files, or
+    a key of the config schema or of the config file itself."""
+    if re.match(r"config error: (config config\.json |trace\.txt: |profiles\.txt: )", err):
+        return True
+    said = re.match(r"config error: (invalid parameter|unknown config key|missing required "
+                    r"config key): (.+?)(?: \(|\n)", err)
+    keys = {*RunConfig._fields, *(f"synthetic.{key}" for key in SyntheticParams._fields)}
+    return said is not None and said[2] in keys.union(json.loads(config))
+
+
+def test_mutated_inputs_exit_cleanly(tmp_path, monkeypatch, capsys):
+    """A seeded mutation fuzz of the three input files: 200 cases, each
+    run through `validate` and then `run`. Every command ends in 0, 1 or 2
+    with no traceback, and an exit 2 names a file or a config key."""
+    rng = random.Random(2018)
+    statuses = Counter()
+    for i in range(200):
+        trace, profiles, config = fuzz_inputs(rng, i)
+        case = tmp_path / f"case{i}"
+        case.mkdir()
+        for name, text in (("trace.txt", trace), ("profiles.txt", profiles),
+                           ("config.json", config)):
+            (case / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(case)
+        for command in ("validate", "run"):
+            code = main([command, "--config", "config.json", "--out", "out"])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (i, command, err)
+            assert code != 2 or names_file_or_key(err, config), (i, command, err)
+            statuses[command, code] += 1
+    # the fuzz reaches every outcome but a failed point
+    assert set(statuses) == {("validate", 0), ("validate", 1), ("validate", 2),
+                             ("run", 0), ("run", 2)}, statuses

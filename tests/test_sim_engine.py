@@ -703,6 +703,54 @@ def test_golden_matrix_expired_unchanged():
     assert hashlib.sha256(repr(expired).encode()).hexdigest() == GOLDEN_MATRIX_EXPIRED_SHA256
 
 
+def benchmark_scenarios(name: str) -> list[Scenario]:
+    """The sweep points of benchmark workload `name` at seed 1, built
+    in-process with the parameters of `perfbench/workloads.py`; the
+    conference-file trace and profiles go through their file forms, as
+    the benchmark replays the files that gen-trace wrote."""
+    if name == "flood-100":
+        points, network = [(5, 1)], dict(node_count=100, duration=2000.0,
+                                         contact_rate=5.1e-4, interest_prob=0.3)
+        router = RouterConfig(kind="epidemic", mode="exact", buffer_capacity=None)
+        schedule = ScheduleConfig(count=4, interval=10.0)
+    elif name == "conference-file":
+        points, network = [(5, 1)], dict(node_count=100, duration=14400.0,
+                                         contact_rate=2e-4, interest_prob=0.3)
+        router = RouterConfig(kind="cluster", mode="kmeans", buffer_capacity=50, ttl=600.0)
+        schedule = ScheduleConfig(count=20, interval=685.0)
+    else:
+        points, network = [(2, 1), (2, 2), (10, 1), (10, 2)], dict(
+            node_count=100, duration=600.0, contact_rate=5.1e-4, interest_prob=0.3)
+        router = RouterConfig(kind="cluster", mode="kmeans", buffer_capacity=5, ttl=240.0,
+                              max_transfers_per_contact=5, k_clusters=30)
+        schedule = ScheduleConfig(count=150, track_final=True)
+    scenarios = []
+    for n, seed in points:
+        trace, profiles = generate_synthetic_trace(SyntheticParams(n_categories=n, **network),
+                                                   seed)
+        if name == "conference-file":
+            trace = parse_contact_trace(serialize_contact_trace(trace))
+            profiles = parse_interest_profiles(serialize_profiles(profiles))
+        scenarios.append(Scenario(trace=trace, profiles=tuple(profiles), n_categories=n,
+                                  router=router, schedule=schedule, seed=seed))
+    return scenarios
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("flood-100", [(5098, 396, 0, 0, 0)]),
+    ("conference-file", [(14071, 173, 0, 193, 0)]),
+    ("bounded-sweep", [(1472, 1124, 555, 510, 0), (1544, 1109, 476, 542, 0),
+                       (1514, 1156, 383, 721, 0), (1550, 1381, 492, 758, 0)]),
+])
+def test_benchmark_workload_counts_unchanged(name, expected):
+    """The replay's counts on every sweep point of each benchmark workload
+    at seed 1 (contacts processed, forwards, drops, expired, closes): a
+    change that claims speed must do the same work, and these say so on
+    every run of the suite, not only in a traced benchmark run."""
+    counts = [run(sc).counts for sc in benchmark_scenarios(name)]
+    assert [c._key() for c in counts] == expected
+
+
 def wide_kmeans_scenario(i: int) -> Scenario:
     """Scenario i of the wide k-means matrix: the cluster router in kmeans
     mode over 5 to 30 categories and 20 to 60 nodes, k the category count
@@ -893,25 +941,28 @@ def test_repeat_meeting_reads_no_buffer(monkeypatch, kind):
 
 
 def test_cluster_rule_sees_only_wanted_offers(monkeypatch):
-    """Offer sets: the non-strict cluster rule is asked only about peers in
-    the message's group, so each of its answers is FORWARD and its calls
-    equal the forwards; the strict rule still sees the first non-member,
-    and each of its CLOSE answers closes a contact."""
-    rule = sim_engine.interest_cluster_transfer
+    """Offer sets: under the epidemic rule and the non-strict cluster rule
+    every offer is forwarded, so neither rule is called; the strict rule is
+    asked about every offer, answers FORWARD once per forward and CLOSE
+    once per closed contact, and never SKIP."""
     answers = []
 
-    def recorded(message, peer, strict=False):
-        answers.append(rule(message, peer, strict=strict))
-        return answers[-1]
+    def recorded(rule):
+        def spy(*args, **kwargs):
+            answers.append(rule(*args, **kwargs))
+            return answers[-1]
+        return spy
 
-    monkeypatch.setattr(sim_engine, "interest_cluster_transfer", recorded)
+    for name in ("interest_cluster_transfer", "epidemic_decide"):
+        monkeypatch.setattr(sim_engine, name, recorded(getattr(sim_engine, name)))
     closes = 0
     for i in range(72):
         sc = matrix_scenario(i)
-        if sc.router.kind != "cluster":
-            continue
         answers.clear()
         res = run(sc)
+        if not sc.router.strict:
+            assert not answers, i
+            continue
         tally = Counter(answers)
         assert tally[ForwardDecision.FORWARD] == res.counts.forwards, i
         assert tally[ForwardDecision.CLOSE_CONNECTION] == res.counts.closes, i
