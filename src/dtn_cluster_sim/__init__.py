@@ -3,37 +3,47 @@ delay tolerant networks.
 
 Typical flow: build or parse a contact trace and interest profiles
 (`trace_model`), form interest groups (`clustering`), replay the trace
-under a forwarding rule (`sim_engine`), aggregate the outcome
-(`metrics`). `cli` batches all of it over sweep axes.
+of a checked `scenario` under a forwarding rule (`sim_engine`),
+aggregate the outcome (`metrics`). `cli` batches all of it over sweep
+axes.
+
+Importing the package loads no submodule: each public name loads its
+home module on first use (PEP 562), so a process compiles only the
+layers it uses.
 """
 
-from .clustering import (Clustering, GroupResolution, dump_clustering, kmeans,
-                         points_of, resolve_group_exact, resolve_group_kmeans)
-from .metrics import (MetricsReport, avg_cost, avg_delay, avg_hops, build_report,
-                      delivery_ratio, per_message_csv, resource_used,
-                      summary_header, summary_row)
-from .routing import (Buffer, ForwardDecision, Message, epidemic_decide,
-                      interest_cluster_transfer)
-from .sim_engine import (DeliveryRecord, EventCounts, RouterConfig, Scenario,
-                         ScheduleConfig, SimResult, build_schedule, run)
-from .trace_model import (ContactTrace, InterestProfile, ScenarioReport,
-                          SyntheticParams, build_trace, generate_synthetic_trace,
-                          parse_contact_trace, parse_interest_profiles,
-                          serialize_contact_trace, serialize_profiles,
-                          validate_scenario)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Buffer", "Clustering", "ContactTrace", "DeliveryRecord", "EventCounts",
-    "ForwardDecision", "GroupResolution", "InterestProfile", "Message",
-    "MetricsReport", "RouterConfig", "Scenario", "ScenarioReport",
-    "ScheduleConfig", "SimResult", "SyntheticParams", "avg_cost", "avg_delay",
-    "avg_hops", "build_report", "build_schedule", "build_trace",
-    "delivery_ratio", "dump_clustering", "epidemic_decide",
-    "generate_synthetic_trace", "interest_cluster_transfer", "kmeans",
-    "parse_contact_trace", "parse_interest_profiles", "per_message_csv",
-    "points_of", "resolve_group_exact", "resolve_group_kmeans",
-    "resource_used", "run", "serialize_contact_trace", "serialize_profiles",
-    "summary_header", "summary_row", "validate_scenario",
-]
+# every public name by its home module
+_HOMES = {
+    "clustering": ("Clustering", "GroupResolution", "dump_clustering", "kmeans",
+                   "points_of", "resolve_group_exact", "resolve_group_kmeans"),
+    "metrics": ("MetricsReport", "avg_cost", "avg_delay", "avg_hops", "build_report",
+                "delivery_ratio", "per_message_csv", "resource_used", "summary_header",
+                "summary_row"),
+    "routing": ("Buffer", "ForwardDecision", "Message", "epidemic_decide",
+                "interest_cluster_transfer"),
+    "scenario": ("RouterConfig", "Scenario", "ScheduleConfig"),
+    "sim_engine": ("DeliveryRecord", "EventCounts", "SimResult", "build_schedule", "run"),
+    "trace_model": ("ContactTrace", "InterestProfile", "ScenarioReport", "SyntheticParams",
+                    "build_trace", "generate_synthetic_trace", "parse_contact_trace",
+                    "parse_interest_profiles", "serialize_contact_trace",
+                    "serialize_profiles", "validate_scenario"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

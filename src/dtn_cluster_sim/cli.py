@@ -25,6 +25,13 @@ ran; memory grows with their number. A worker stops before its next
 point once the sweep's process is gone, and a point whose worker died
 is a failure naming the worker's exit status.
 
+Only `run` loads the replay and report layers (`sim_engine`, with the
+k-means and buffer modules it imports, and `metrics`); `validate` and
+`gen-trace` need only `trace_model` and `scenario`. The names of those
+layers here (`_SWEEP_NAMES`) resolve on first use, and `run_sweep` binds
+them, keeping one already set on this module, such as a wrapper that
+perfbench's tracer installs before `main`.
+
 Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
 file that cannot be read or parsed.
 """
@@ -39,14 +46,24 @@ import threading
 from pathlib import Path
 from typing import NamedTuple, get_args
 
-from .clustering import dump_clustering
-from .metrics import build_report, per_message_csv, summary_header, summary_row
-from .sim_engine import RouterConfig, Scenario, ScheduleConfig, run
+from .scenario import RouterConfig, Scenario, ScheduleConfig
 from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
                           SyntheticParams, TraceError, _check_categories, _checked,
                           _is_int, generate_synthetic_trace, parse_contact_trace,
                           parse_interest_profiles, serialize_contact_trace,
                           serialize_profiles, validate_scenario)
+
+
+# the replay and report names that a sweep calls (module docstring); the
+# package loads each from its home module
+_SWEEP_NAMES = ("run", "build_report", "per_message_csv", "summary_header", "summary_row",
+                "dump_clustering")
+
+
+def __getattr__(name: str):
+    if name not in _SWEEP_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
 class ConfigError(ValueError):
@@ -382,6 +399,8 @@ def run_sweep(config: RunConfig) -> int:
     file_inputs = _load_file_inputs(config)
     out = _output_dir(config)
     _clear_earlier_sweep(out)
+    for name in _SWEEP_NAMES:   # one already set on the module is kept
+        globals().setdefault(name, __getattr__(name))
 
     rows = [summary_header()]
     failures: list[tuple[str, str]] = []

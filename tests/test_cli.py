@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib
 import json
 import os
 import random
@@ -850,13 +851,14 @@ def _src_dir() -> str:
     return str(Path(dtn_cluster_sim.__file__).resolve().parent.parent)
 
 
-def _loaded_by_cli_import(modules: set[str]) -> str:
-    """The `modules` that a fresh interpreter holds after importing the
-    CLI, as a sorted list; a fresh one, since pytest loads many itself."""
+def _loaded_after(code: str, modules: set[str]) -> str:
+    """The `modules` that a fresh interpreter holds after running `code`,
+    which must exit 0, as a sorted list; a fresh one, since pytest loads
+    many itself."""
     env = {**os.environ, "PYTHONPATH": _src_dir()}
-    code = f"import sys, dtn_cluster_sim.cli; print(sorted({modules!r} & set(sys.modules)))"
+    code += f"\nimport sys; print(sorted({modules!r} & set(sys.modules)))"
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+                          capture_output=True, text=True).stdout.splitlines()[-1]
 
 
 # an atexit hook runs after SystemExit leaves the entry, before the
@@ -900,14 +902,67 @@ def test_entry_freezes_and_exits_with_main_status(tmp_path, path):
 
 def test_cli_import_leaves_numpy_out():
     """The CLI has no runtime dependency: importing it loads no numpy."""
-    assert _loaded_by_cli_import({"numpy"}) == "[]"
+    assert _loaded_after("import dtn_cluster_sim.cli", {"numpy"}) == "[]"
 
 
 def test_cli_import_leaves_dataclasses_logging_and_csv_out():
     """Records are NamedTuples or slot classes, `logging` loads only to
     warn and `csv` only to write `failures.csv`, so starting the CLI imports
     none of `dataclasses`, the `inspect` it pulls in, `logging` and `csv`."""
-    assert _loaded_by_cli_import({"dataclasses", "inspect", "logging", "csv"}) == "[]"
+    assert _loaded_after("import dtn_cluster_sim.cli",
+                         {"dataclasses", "inspect", "logging", "csv"}) == "[]"
+
+
+# the replay, k-means, buffer and report layers, and what only the replay imports
+SWEEP_MODULES = {"dtn_cluster_sim.sim_engine", "dtn_cluster_sim.routing",
+                 "dtn_cluster_sim.clustering", "dtn_cluster_sim.metrics", "heapq"}
+
+
+@pytest.mark.parametrize("command, inputs", [("validate", "synthetic"), ("validate", "file"),
+                                             ("gen-trace", "synthetic"), ("run", "synthetic"),
+                                             ("run", "file")])
+def test_only_run_loads_the_sweep_layers(tmp_path, command, inputs):
+    """`validate` and `gen-trace` compile none of the replay and report
+    layers; `run` loads every one of them."""
+    config = synthetic_config(tmp_path) if inputs == "synthetic" else write_config(tmp_path)
+    argv = [command, "--config", str(config), "--categories", "2", "--seed", "1",
+            "--out", str(tmp_path / "out")]
+    loaded = _loaded_after(f"from dtn_cluster_sim.cli import main\n"
+                           f"if main({argv!r}): raise SystemExit(1)", SWEEP_MODULES)
+    assert loaded == str(sorted(SWEEP_MODULES) if command == "run" else [])
+
+
+def test_run_calls_the_name_set_on_the_cli_module(tmp_path):
+    """A `run` set on `cli` before `main`, as perfbench's tracer sets its
+    wrapper, is the one the sweep calls, also in a fresh interpreter where
+    the replay layer is not loaded yet."""
+    argv = ["run", "--config", str(synthetic_config(tmp_path)), "--categories", "2",
+            "--seed", "1", "--out", str(tmp_path / "out")]
+    code = ("from dtn_cluster_sim import cli\n"
+            "real, calls = cli.run, []\n"
+            "cli.run = lambda scenario: calls.append(scenario.seed) or real(scenario)\n"
+            f"if cli.main({argv!r}) or calls != [1]: raise SystemExit(1)")
+    assert _loaded_after(code, {"dtn_cluster_sim.sim_engine"}) == "['dtn_cluster_sim.sim_engine']"
+
+
+def test_package_exports_load_on_first_use():
+    """Importing the package loads no submodule; each public name is its
+    home module's object, an unknown name is an AttributeError, and
+    `import *` and `dir` see every public name."""
+    package = Path(dtn_cluster_sim.__file__).parent
+    submodules = {f"dtn_cluster_sim.{p.stem}" for p in package.glob("*.py")} - {
+        "dtn_cluster_sim.__init__"}
+    assert _loaded_after("import dtn_cluster_sim", submodules) == "[]"
+    for name in dtn_cluster_sim.__all__:
+        value = getattr(dtn_cluster_sim, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    for module in (dtn_cluster_sim, cli):
+        with pytest.raises(AttributeError):
+            module.no_such_name
+    namespace = {}
+    exec("from dtn_cluster_sim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(dtn_cluster_sim.__all__)
+    assert set(dtn_cluster_sim.__all__) <= set(dir(dtn_cluster_sim))
 
 
 # the inputs that test_mutated_inputs_exit_cleanly mutates: a tabular trace
