@@ -48,10 +48,10 @@ from typing import NamedTuple, get_args
 
 from .scenario import RouterConfig, Scenario, ScheduleConfig
 from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
-                          SyntheticParams, TraceError, _check_categories, _checked,
-                          _is_int, generate_synthetic_trace, parse_contact_trace,
-                          parse_interest_profiles, serialize_contact_trace,
-                          serialize_profiles, validate_scenario)
+                          SyntheticParams, TraceError, _check_ascii, _check_categories,
+                          _checked, _is_int, _is_real, generate_synthetic_trace,
+                          parse_contact_trace, parse_interest_profiles,
+                          serialize_contact_trace, serialize_profiles, validate_scenario)
 
 
 # the replay and report names that a sweep calls (module docstring); the
@@ -152,11 +152,11 @@ def _checked_keys(cls, data: dict, prefix: str = "", skip=()) -> None:
 
 
 def _floats(cls, data: dict) -> dict:
-    """`data` with the values of NamedTuple `cls`'s float keys as floats; their
-    records have accepted them, so each is a finite number or None."""
+    """`data` with the values of NamedTuple `cls`'s float keys that a record
+    accepts as numbers (`_is_real`) made floats; the record rejects the rest."""
     floats = {key for key, hint in cls.__annotations__.items()
               if float in (hint, *get_args(hint))}
-    return {key: float(value) if key in floats and value is not None else value
+    return {key: float(value) if key in floats and _is_real(value) else value
             for key, value in data.items()}
 
 
@@ -189,6 +189,9 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             data[key] = overrides[key]
 
     _checked_keys(RunConfig, data)
+    data = _floats(RunConfig, data)
+    if isinstance(data.get("synthetic"), dict):
+        data["synthetic"] = _floats(SyntheticParams, data["synthetic"])
     prefix = ""   # the synthetic block's keys are named as in the config
     try:
         config = RunConfig(**data)
@@ -198,9 +201,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             _synthetic_params(config, min(config.categories))
     except InvalidParams as exc:
         raise ConfigError(str(InvalidParams(prefix + exc.field, exc.detail))) from exc
-    if config.synthetic is not None:
-        config = config._replace(synthetic=_floats(SyntheticParams, config.synthetic))
-    return RunConfig(**_floats(RunConfig, config._asdict()))
+    return config
 
 
 def _load_file_inputs(config: RunConfig):
@@ -451,14 +452,22 @@ def cmd_gen_trace(config: RunConfig) -> int:
 
 
 def _overrides(args) -> dict:
+    """The flags' config values, numbers read by the input files' rule
+    (`trace_model._check_ascii`): `int()` alone reads `1_0` as 10."""
+    def read(flag: str, what: str, parse):
+        text = getattr(args, flag)
+        try:
+            _check_ascii(text)
+            return parse(text)
+        except (TraceError, ValueError):
+            raise ConfigError(f"--{flag} must be {what}, got {text!r}") from None
+
+    seed = None if args.seed is None else read("seed", "an integer", int)
     categories = None
     if args.categories:
-        try:
-            categories = [int(v) for v in args.categories.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError("--categories must be comma-separated integers, "
-                              f"got {args.categories!r}") from None
-    return {"seed": args.seed, "categories": categories, "out": args.out}
+        categories = read("categories", "comma-separated integers",
+                          lambda text: [int(v) for v in text.split(",") if v.strip()])
+    return {"seed": seed, "categories": categories, "out": args.out}
 
 
 def main(argv=None) -> int:
@@ -472,7 +481,7 @@ def main(argv=None) -> int:
                           ("gen-trace", cmd_gen_trace)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", default=None,
                        help="replace the seed sweep with this single seed")
         p.add_argument("--categories", default=None,
                        help="comma-separated category counts, e.g. 1,5,10")

@@ -10,13 +10,13 @@ answers FORWARD, SKIP or CLOSE_CONNECTION:
     bound for everything else.
 
 The engine offers a message only to peers absent from its receipt log,
-so duplicate suppression is the engine's and a buffer does not check
-for duplicates. Under the non-strict rule it offers a message only to
-peers in the message's group. So the epidemic rule and the non-strict
-rule would answer FORWARD to every offer, and the engine forwards
-without asking them. It asks a rule only where the rule can refuse:
-the strict rule, once per offer. It reads a buffer only when the peer
-needs an id in the buffer's `held`.
+off which it reads the run's `forwards`, so duplicate suppression is the
+engine's and a buffer does not check for duplicates. Under the
+non-strict rule it offers a message only to peers in the message's
+group. So the epidemic rule and the non-strict rule would answer FORWARD
+to every offer, and the engine forwards without asking them. It asks a
+rule only where the rule can refuse: the strict rule, once per offer. It
+reads a buffer only when the peer needs an id in the buffer's `held`.
 
 A buffer is a log of entries in exchange order: by receipt time, ties by
 message id. It holds a bounded number of messages and evicts from the
@@ -37,25 +37,10 @@ class ForwardDecision(Enum):
     CLOSE_CONNECTION = "close_connection"
 
 
-class _SlotRecord:
-    """Value equality and a repr over `__slots__`, for the records the replay
-    reads or updates most: a slot read costs half a NamedTuple field read."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return type(self).__name__ + repr(self._key())
-
-
-class Message(_SlotRecord):
+class Message:
     """One unit of dissemination, shared by every copy of it and never
-    changed. A copy's hop count from the source lives in its buffer entry."""
+    changed, so it compares by identity. A copy's hop count from the source
+    lives in its buffer entry."""
 
     __slots__ = ("id", "source", "category", "created_at", "destination_group",
                  "final_destination")
@@ -70,8 +55,8 @@ class Message(_SlotRecord):
         self.created_at, self.destination_group = created_at, destination_group
         self.final_destination = final_destination
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def __repr__(self) -> str:
+        return "Message" + repr(tuple(getattr(self, name) for name in self.__slots__))
 
 
 class BufferEntry(NamedTuple):

@@ -51,11 +51,11 @@ The receipt log (`SimResult.first_receipts`) is the one record of who
 got which message and when. A message is offered only to peers absent
 from it, so no node receives a message twice, and no buffer holds two
 copies of one message (buffers do not check). A record's forward count
-and final-destination receipt are read off the log at the end; only
-the first group receipt is noted as it happens, with the hop count of
-the copy that made it. Every copy of a message is one shared `Message`;
-a copy's hop count lives in its buffer entry, and a forward stores the
-carrier's count plus one.
+and final-destination receipt, and the run's `forwards`, are read off
+the log at the end; only the first group receipt is noted as it
+happens, with the hop count of the copy that made it. Every copy of a
+message is one shared `Message`; a copy's hop count lives in its buffer
+entry, and a forward stores the carrier's count plus one.
 
 Exchanges run in passes over contacts in ascending (a, b) order, and
 the worklist key is (pass, pair). A contact above the one that just
@@ -78,22 +78,21 @@ from typing import NamedTuple
 from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
                          resolve_group_kmeans)
 # both rule names stay for perfbench's tracer, which wraps them; ROADMAP item 4 deletes them
-from .routing import (Buffer, ForwardDecision, Message, _SlotRecord, epidemic_decide,
+from .routing import (Buffer, ForwardDecision, Message, epidemic_decide,
                       interest_cluster_transfer)
 from .scenario import MAX_MESSAGES, RouterConfig, Scenario, ScheduleConfig
 
 
-class EventCounts(_SlotRecord):
-    """Run totals. `expired` counts the copies that lapse while stored, by
-    the trace's duration: created more than the TTL before it, and not
-    evicted first (module docstring)."""
+class EventCounts(NamedTuple):
+    """Run totals, built once when the run ends. `expired` counts the copies
+    that lapse while stored, by the trace's duration: created more than the
+    TTL before it, and not evicted first (module docstring)."""
 
-    __slots__ = ("contacts_processed", "forwards", "drops", "expired", "closes")
-
-    def __init__(self, contacts_processed: int = 0, forwards: int = 0, drops: int = 0,
-                 expired: int = 0, closes: int = 0):
-        self.contacts_processed, self.forwards = contacts_processed, forwards
-        self.drops, self.expired, self.closes = drops, expired, closes
+    contacts_processed: int = 0
+    forwards: int = 0
+    drops: int = 0
+    expired: int = 0
+    closes: int = 0
 
 
 class DeliveryRecord(NamedTuple):
@@ -208,7 +207,7 @@ def run(scenario: Scenario) -> SimResult:
     first_receipts: dict[int, dict[int, float]] = {m.id: {} for m in messages}
     # (first receiver, time, hops) of each message's first group receipt
     delivered: dict[int, tuple[int, float, int]] = {}
-    counts = EventCounts(contacts_processed=len(scenario.trace.events))
+    drops = expired = closes = 0   # totals for EventCounts
     # pair -> end of its latest contact, open while t < end; a sweep drops ended ones
     incident: dict[int, dict[tuple[int, int], float]] = {node: {} for node in universe}
     # transfers left on a pair's latest contact; 0 once spent or closed in strict mode
@@ -228,6 +227,7 @@ def run(scenario: Scenario) -> SimResult:
     ttl = rc.ttl
 
     def receive(msg: Message, node: int, t: float, hops: int):
+        nonlocal drops, expired
         first_receipts[msg.id][node] = t
         need[node].discard(msg.id)
         if node in msg.destination_group and msg.id not in delivered:
@@ -235,11 +235,12 @@ def run(scenario: Scenario) -> SimResult:
         buffer = buffers[node]
         # only a full buffer evicts, and it evicts from what a purge leaves
         if ttl is not None and len(buffer.held) == buffer.capacity:
-            counts.expired += len(buffer.purge_expired(t, ttl))
-        counts.drops += len(buffer.insert(msg, t, hops))
+            expired += len(buffer.purge_expired(t, ttl))
+        drops += len(buffer.insert(msg, t, hops))
 
     def exchange(a: int, b: int, t: float) -> set[int]:
         """Both directions of one contact; returns the ends that gained."""
+        nonlocal expired, closes
         pair = (a, b)
         gainers = set()
         for carrier, peer in ((a, b), (b, a)):
@@ -248,7 +249,7 @@ def run(scenario: Scenario) -> SimResult:
             if needed.isdisjoint(buffer.held):
                 continue
             if ttl is not None:
-                counts.expired += len(buffer.purge_expired(t, ttl))
+                expired += len(buffer.purge_expired(t, ttl))
                 if needed.isdisjoint(buffer.held):
                     continue
             for entry in buffer.in_exchange_order():
@@ -256,11 +257,10 @@ def run(scenario: Scenario) -> SimResult:
                     continue
                 if ask is not None and ask(entry.message, peer) is CLOSE:
                     budget[pair] = 0
-                    counts.closes += 1
+                    closes += 1
                     return gainers
                 receive(entry.message, peer, t, entry.hops + 1)
                 gainers.add(peer)
-                counts.forwards += 1
                 if pair in budget:
                     budget[pair] -= 1
                     if not budget[pair]:
@@ -323,7 +323,7 @@ def run(scenario: Scenario) -> SimResult:
 
     if ttl is not None:
         for buffer in buffers.values():
-            counts.expired += len(buffer.purge_expired(scenario.trace.duration, ttl))
+            expired += len(buffer.purge_expired(scenario.trace.duration, ttl))
 
     records = []
     for m in messages:
@@ -345,7 +345,9 @@ def run(scenario: Scenario) -> SimResult:
 
     return SimResult(
         records=tuple(records),
-        counts=counts,
+        counts=EventCounts(contacts_processed=len(scenario.trace.events),
+                           forwards=sum(r.forwards_total for r in records),
+                           drops=drops, expired=expired, closes=closes),
         clustering=clustering,
         groups_by_category=groups,
         group_fallbacks=fallbacks,

@@ -741,7 +741,7 @@ class TestMainEntry:
         echo = json.loads((tmp_path / "out" / "config.json").read_text())
         assert echo["threshold"] == 1.0 and isinstance(echo["threshold"], float)
         assert echo["ttl"] == 600.0 and isinstance(echo["ttl"], float)
-        # and in the synthetic block, whose record took them as ints
+        # and in the synthetic block, made floats before its record checks them
         path = synthetic_config(tmp_path, synthetic={
             "node_count": 8, "duration": 300, "contact_rate": 1, "interest_prob": 1})
         assert parse_config(path).synthetic == {"node_count": 8, "duration": 300.0,
@@ -783,6 +783,22 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "--categories" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "1_0"), ("--seed", "٣"), ("--seed", "２"),
+        ("--categories", "1_0"), ("--categories", "٢,3"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "validate", "gen-trace"])
+    def test_flag_numeral_the_files_reject_exits_2(self, tmp_path, capsys, command,
+                                                    flag, value):
+        # the input files' rule: int() alone reads `1_0` as 10 and a digit of
+        # any script by its value, so each would name a point that runs
+        path = synthetic_config(tmp_path, categories=[2], seeds=[1])
+        code = main([command, "--config", str(path), flag, value,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {flag} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["afile", "afile/x"])

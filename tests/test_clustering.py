@@ -58,6 +58,10 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans({0: (1,)}, 0, seed=0)
 
+    def test_bad_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            kmeans({0: (1,)}, 1, seed=0, max_iter=0)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="vector length 3, expected 2"):
             kmeans({0: (0, 1), 1: (0, 1, 1)}, 1, seed=0)

@@ -2,13 +2,16 @@ import gc
 import hashlib
 import math
 import random
+import runpy
 import signal
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from dtn_cluster_sim import sim_engine
+from dtn_cluster_sim.cli import RunConfig, build_scenario
 from dtn_cluster_sim.clustering import dump_clustering, resolve_group_kmeans
 from dtn_cluster_sim.metrics import build_report, per_message_csv
 from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
@@ -705,35 +708,22 @@ def test_golden_matrix_expired_unchanged():
 
 def benchmark_scenarios(name: str) -> list[Scenario]:
     """The sweep points of benchmark workload `name` at seed 1, built
-    in-process with the parameters of `perfbench/workloads.py`; the
-    conference-file trace and profiles go through their file forms, as
-    the benchmark replays the files that gen-trace wrote."""
-    if name == "flood-100":
-        points, network = [(5, 1)], dict(node_count=100, duration=2000.0,
-                                         contact_rate=5.1e-4, interest_prob=0.3)
-        router = RouterConfig(kind="epidemic", mode="exact", buffer_capacity=None)
-        schedule = ScheduleConfig(count=4, interval=10.0)
-    elif name == "conference-file":
-        points, network = [(5, 1)], dict(node_count=100, duration=14400.0,
-                                         contact_rate=2e-4, interest_prob=0.3)
-        router = RouterConfig(kind="cluster", mode="kmeans", buffer_capacity=50, ttl=600.0)
-        schedule = ScheduleConfig(count=20, interval=685.0)
-    else:
-        points, network = [(2, 1), (2, 2), (10, 1), (10, 2)], dict(
-            node_count=100, duration=600.0, contact_rate=5.1e-4, interest_prob=0.3)
-        router = RouterConfig(kind="cluster", mode="kmeans", buffer_capacity=5, ttl=240.0,
-                              max_transfers_per_contact=5, k_clusters=30)
-        schedule = ScheduleConfig(count=150, track_final=True)
-    scenarios = []
-    for n, seed in points:
-        trace, profiles = generate_synthetic_trace(SyntheticParams(n_categories=n, **network),
-                                                   seed)
-        if name == "conference-file":
-            trace = parse_contact_trace(serialize_contact_trace(trace))
-            profiles = parse_interest_profiles(serialize_profiles(profiles))
-        scenarios.append(Scenario(trace=trace, profiles=tuple(profiles), n_categories=n,
-                                  router=router, schedule=schedule, seed=seed))
-    return scenarios
+    in-process from its entry in `perfbench/workloads.py` through the CLI's
+    config record. The conference-file trace and profiles go through their
+    file forms, as the benchmark replays the files that gen-trace wrote."""
+    # perfbench is a directory of scripts, not a package
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+    workload = workloads["WORKLOADS"][name]
+    points = workload.points(1)
+    config = RunConfig(categories=[n for n, _ in points], seeds=[seed for _, seed in points],
+                       synthetic=workload.network, **workload.settings)
+    file_inputs = None
+    if workload.from_file:
+        generated = build_scenario(config, *points[0], None)
+        file_inputs = (parse_contact_trace(serialize_contact_trace(generated.trace)),
+                       parse_interest_profiles(serialize_profiles(generated.profiles)))
+        config = config._replace(synthetic=None, trace="trace.txt")
+    return [build_scenario(config, n, seed, file_inputs) for n, seed in points]
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -748,7 +738,7 @@ def test_benchmark_workload_counts_unchanged(name, expected):
     change that claims speed must do the same work, and these say so on
     every run of the suite, not only in a traced benchmark run."""
     counts = [run(sc).counts for sc in benchmark_scenarios(name)]
-    assert [c._key() for c in counts] == expected
+    assert [tuple(c) for c in counts] == expected
 
 
 def wide_kmeans_scenario(i: int) -> Scenario:
