@@ -1,11 +1,12 @@
 """Trace-driven simulator for interest-group message dissemination in
 delay tolerant networks.
 
-Typical flow: build or parse a contact trace and interest profiles
-(`trace_model`), form interest groups (`clustering`), replay the trace
-of a checked `scenario` under a forwarding rule (`sim_engine`),
-aggregate the outcome (`metrics`). `cli` batches all of it over sweep
-axes.
+Typical flow: parse a contact trace and interest profiles, or build the
+trace from contact tuples (`trace_files`), or generate both
+(`synthetic`), into the records of `trace_model`; form interest groups
+(`clustering`), replay the trace of a checked `scenario` under a
+forwarding rule (`sim_engine`), aggregate the outcome (`metrics`). `cli`
+batches all of it over sweep axes, its points side by side (`workers`).
 
 Importing the package loads no submodule: each public name loads its
 home module on first use (PEP 562), so a process compiles only the
@@ -27,10 +28,10 @@ _HOMES = {
                 "interest_cluster_transfer"),
     "scenario": ("RouterConfig", "Scenario", "ScheduleConfig"),
     "sim_engine": ("DeliveryRecord", "EventCounts", "SimResult", "build_schedule", "run"),
-    "trace_model": ("ContactTrace", "InterestProfile", "ScenarioReport", "SyntheticParams",
-                    "build_trace", "generate_synthetic_trace", "parse_contact_trace",
-                    "parse_interest_profiles", "serialize_contact_trace",
-                    "serialize_profiles", "validate_scenario"),
+    "synthetic": ("SyntheticParams", "generate_synthetic_trace"),
+    "trace_files": ("build_trace", "parse_contact_trace", "parse_interest_profiles",
+                    "serialize_contact_trace", "serialize_profiles"),
+    "trace_model": ("ContactTrace", "InterestProfile", "ScenarioReport", "validate_scenario"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

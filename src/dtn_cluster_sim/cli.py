@@ -16,21 +16,22 @@ are written under `runs.partial/`, which becomes `runs/` after the last
 point; `config.json`, `failures.csv` and `summary.csv` follow, so a tree
 without `summary.csv` holds a sweep that did not finish.
 
-The points run side by side in up to one process per usable CPU (so
-`taskset -c 0` runs them one at a time): this one and forked workers,
-each of which writes its own run directories and reports its rows and
-failures back. Rows, failures and `run ... failed` lines are written in
-point order, so the tree and stderr are the same however many processes
-ran; memory grows with their number. A worker stops before its next
-point once the sweep's process is gone, and a point whose worker died
-is a failure naming the worker's exit status.
+The points run side by side in the worker pool of `workers`, this
+process and forked workers, each of which writes its own run directories.
+Rows, failures and `run ... failed` lines are written in point order, so
+the tree and stderr are the same however many processes ran.
 
-Only `run` loads the replay and report layers (`sim_engine`, with the
-k-means and buffer modules it imports, and `metrics`); `validate` and
-`gen-trace` need only `trace_model` and `scenario`. The names of those
-layers here (`_SWEEP_NAMES`) resolve on first use, and `run_sweep` binds
-them, keeping one already set on this module, such as a wrapper that
-perfbench's tracer installs before `main`.
+A process compiles only what its command and config run. Only `run`
+loads the worker pool, the replay and the report layers (`workers`,
+`sim_engine` with the k-means and buffer modules it imports, and
+`metrics`); a config with trace and profile files loads the file
+formats (`trace_files`) and never the generator (`synthetic`), and a
+synthetic config the generator and, but for `gen-trace`'s serializers or
+a numeral flag, no file formats. The names of those layers and paths
+here (`_SWEEP_NAMES`, `_INPUT_NAMES`) resolve on first use, and each path
+binds the ones it calls where it starts (`_bind`), keeping one already
+set on this module, such as a wrapper that perfbench's tracer installs
+before `main`.
 
 Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
 file that cannot be read or parsed.
@@ -42,28 +43,34 @@ import json
 import os
 import shutil
 import sys
-import threading
 from pathlib import Path
 from typing import NamedTuple, get_args
 
 from .scenario import RouterConfig, Scenario, ScheduleConfig
-from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams,
-                          SyntheticParams, TraceError, _check_ascii, _check_categories,
-                          _checked, _is_int, _is_real, generate_synthetic_trace,
-                          parse_contact_trace, parse_interest_profiles,
-                          serialize_contact_trace, serialize_profiles, validate_scenario)
+from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams, TraceError,
+                          _check_categories, _checked, _is_int, _is_real, validate_scenario)
 
 
-# the replay and report names that a sweep calls (module docstring); the
-# package loads each from its home module
+# the names resolved on first use (module docstring), which the package
+# loads from their home modules: the replay and report names that a sweep
+# calls, and those of the two input paths and of gen-trace's output
 _SWEEP_NAMES = ("run", "build_report", "per_message_csv", "summary_header", "summary_row",
                 "dump_clustering")
+_INPUT_NAMES = ("parse_contact_trace", "parse_interest_profiles", "generate_synthetic_trace",
+                "serialize_contact_trace", "serialize_profiles")
 
 
 def __getattr__(name: str):
-    if name not in _SWEEP_NAMES:
+    if name not in _SWEEP_NAMES and name not in _INPUT_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(sys.modules[__package__], name)
+
+
+def _bind(*names: str) -> None:
+    """Bind each of `names` on this module, where the path that calls them
+    starts; one already set on the module is kept."""
+    for name in names:
+        globals().setdefault(name, __getattr__(name))
 
 
 class ConfigError(ValueError):
@@ -104,8 +111,9 @@ class RunConfig(NamedTuple):
         for n in self.categories:
             _check_categories(n, "categories")
         for name in ("trace", "profiles", "out"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise InvalidParams(name, "must be a string or null")
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str) and value):   # "" names the cwd
+                raise InvalidParams(name, "must be a non-empty string or null")
         if self.trace_format not in TRACE_FORMATS:
             raise InvalidParams("trace_format", f"unknown format {self.trace_format!r}")
         if not isinstance(self.synthetic, (dict, type(None))):
@@ -191,6 +199,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     _checked_keys(RunConfig, data)
     data = _floats(RunConfig, data)
     if isinstance(data.get("synthetic"), dict):
+        from .synthetic import SyntheticParams
         data["synthetic"] = _floats(SyntheticParams, data["synthetic"])
     prefix = ""   # the synthetic block's keys are named as in the config
     try:
@@ -212,6 +221,7 @@ def _load_file_inputs(config: RunConfig):
     first point breaks is a config error naming the trace file."""
     if config.synthetic is not None:
         return None
+    _bind("parse_contact_trace", "parse_interest_profiles")
     path = config.trace
     try:
         trace_text = Path(path).read_text(encoding="utf-8")
@@ -241,7 +251,8 @@ def _points(config: RunConfig) -> list[tuple[int, int]]:
             for seed in sorted(set(config.seeds))]
 
 
-def _synthetic_params(config: RunConfig, n_categories: int) -> SyntheticParams:
+def _synthetic_params(config: RunConfig, n_categories: int):
+    from .synthetic import SyntheticParams
     return SyntheticParams(n_categories=n_categories, **config.synthetic)
 
 
@@ -249,6 +260,7 @@ def build_scenario(config: RunConfig, n_categories: int, seed: int,
                    file_inputs) -> Scenario:
     """Materialize one sweep point from `_load_file_inputs(config)`."""
     if config.synthetic is not None:
+        _bind("generate_synthetic_trace")
         trace, profiles = generate_synthetic_trace(
             _synthetic_params(config, n_categories), seed)
     else:
@@ -295,16 +307,6 @@ def _clear_earlier_sweep(out: Path) -> None:
         raise ConfigError(f"cannot clear an earlier sweep's output: {exc}") from exc
 
 
-def _processes(n_points: int) -> int:
-    """How many processes share a sweep's points: one per usable CPU, at
-    most one per point, and 1 where fork is missing or unsafe (another
-    thread could hold a lock the child would inherit)."""
-    if (n_points < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(n_points, len(os.sched_getaffinity(0)))
-
-
 def _run_point(config: RunConfig, file_inputs, out: Path, run_id: str, cat: int,
                seed: int) -> list:
     """[summary row, None] of one sweep point, after writing its run
@@ -325,87 +327,20 @@ def _run_point(config: RunConfig, file_inputs, out: Path, run_id: str, cat: int,
     return [summary, None]
 
 
-def _run_points(config: RunConfig, file_inputs, out: Path) -> list[list]:
-    """[run_id, summary row, error] of every sweep point, in point order.
-    With W processes, points i::W run in process i: the first share in
-    this one, each other share in a forked worker that sends its entries
-    back as one JSON document over a pipe. A point that a worker did not
-    report fails with the worker's exit status."""
-    points = [(f"n{cat}_s{seed}", cat, seed) for cat, seed in _points(config)]
-    width = _processes(len(points))
-    shares = [range(i, len(points), width) for i in range(width)]
-
-    def run_share(share, report: list, parent: int | None = None) -> None:
-        for index in share:
-            if parent is not None and os.getppid() != parent:
-                break   # orphaned: the sweep is over
-            report.append([index, *_run_point(config, file_inputs, out, *points[index])])
-
-    def worker(share, parent: int, write_fd: int):
-        report, status = [], 1
-        try:
-            try:
-                run_share(share, report, parent)
-            finally:
-                with open(write_fd, "w", encoding="utf-8") as pipe:
-                    json.dump(report, pipe)
-            status = 0
-        except Exception:
-            if os.getppid() == parent:   # an orphan has no one to report to
-                sys.excepthook(*sys.exc_info())
-        finally:
-            os._exit(status)   # never the parent's cleanup or exit path
-
-    parent = os.getpid()
-    workers = []   # (pid, read end of its pipe, share)
-    report, sent, statuses = [], [], []
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                worker(share, parent, write_fd)
-            os.close(write_fd)
-            workers.append((pid, read_fd, share))
-        run_share(shares[0], report)
-        for _, read_fd, _ in workers:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
-    finally:
-        if len(sent) < len(workers):   # interrupted: no worker outlives the sweep
-            import signal
-            for pid, _, _ in workers:
-                os.kill(pid, signal.SIGKILL)
-        for pid, read_fd, _ in workers:
-            os.close(read_fd)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (_, _, share), text, status in zip(workers, sent, statuses):
-        try:
-            entries = json.loads(text)
-        except ValueError:
-            entries = []
-        report += entries
-        reported = {index for index, _, _ in entries}
-        for index in share:
-            if index not in reported:
-                # a dead worker may have left a finished or half-written run directory
-                shutil.rmtree(out / "runs.partial" / points[index][0], ignore_errors=True)
-                report.append([index, None, f"worker exited with status {status}"])
-    return [[points[index][0], row, error] for index, row, error in sorted(report)]
-
-
 def run_sweep(config: RunConfig) -> int:
     """Run every (n_categories, seed) pair and write the output tree."""
     file_inputs = _load_file_inputs(config)
     out = _output_dir(config)
     _clear_earlier_sweep(out)
-    for name in _SWEEP_NAMES:   # one already set on the module is kept
-        globals().setdefault(name, __getattr__(name))
+    _bind(*_SWEEP_NAMES)
+    from .workers import _run_points
 
     rows = [summary_header()]
     failures: list[tuple[str, str]] = []
-    for run_id, row, error in _run_points(config, file_inputs, out):
+    points = [(f"n{cat}_s{seed}", cat, seed) for cat, seed in _points(config)]
+    for run_id, row, error in _run_points(
+            points, lambda *point: _run_point(config, file_inputs, out, *point),
+            out / "runs.partial"):
         if error is None:
             rows.append(row)
         else:
@@ -444,6 +379,7 @@ def cmd_gen_trace(config: RunConfig) -> int:
                           f"has {len(points)}; pick one with --categories and --seed")
     scenario = build_scenario(config, *points[0], None)
     out = _output_dir(config)
+    _bind("serialize_contact_trace", "serialize_profiles")
     for name, text in (("trace.txt", serialize_contact_trace(scenario.trace)),
                        ("profiles.txt", serialize_profiles(scenario.profiles))):
         (out / name).write_text(text, encoding="utf-8")
@@ -453,8 +389,9 @@ def cmd_gen_trace(config: RunConfig) -> int:
 
 def _overrides(args) -> dict:
     """The flags' config values, numbers read by the input files' rule
-    (`trace_model._check_ascii`): `int()` alone reads `1_0` as 10."""
+    (`trace_files._check_ascii`): `int()` alone reads `1_0` as 10."""
     def read(flag: str, what: str, parse):
+        from .trace_files import _check_ascii
         text = getattr(args, flag)
         try:
             _check_ascii(text)
@@ -462,11 +399,15 @@ def _overrides(args) -> dict:
         except (TraceError, ValueError):
             raise ConfigError(f"--{flag} must be {what}, got {text!r}") from None
 
+    def counts(text: str) -> list[int]:
+        values = [int(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise ValueError(text)
+        return values
+
     seed = None if args.seed is None else read("seed", "an integer", int)
-    categories = None
-    if args.categories:
-        categories = read("categories", "comma-separated integers",
-                          lambda text: [int(v) for v in text.split(",") if v.strip()])
+    categories = (None if args.categories is None
+                  else read("categories", "comma-separated integers", counts))
     return {"seed": seed, "categories": categories, "out": args.out}
 
 

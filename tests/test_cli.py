@@ -16,13 +16,14 @@ from typing import ForwardRef, get_args
 import pytest
 
 import dtn_cluster_sim
-from dtn_cluster_sim import cli
+from dtn_cluster_sim import cli, workers
 from dtn_cluster_sim.cli import (ConfigError, RunConfig, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
 from dtn_cluster_sim.sim_engine import MAX_MESSAGES, RouterConfig, Scenario, ScheduleConfig
-from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile, InvalidParams,
-                                         SyntheticParams, parse_contact_trace)
+from dtn_cluster_sim.synthetic import SyntheticParams
+from dtn_cluster_sim.trace_files import parse_contact_trace
+from dtn_cluster_sim.trace_model import MAX_CATEGORIES, InterestProfile, InvalidParams
 
 
 TRACE_TEXT = "1 4 0 1\n3 8 1 2\n6 9 0 2\n# duration: 20\n"
@@ -382,7 +383,7 @@ class TestSweepProcesses:
     def sweep(self, tmp_path, monkeypatch, width, out="out"):
         """run_sweep of the six-point sweep in `width` processes; its exit
         status and the pids of the workers it forked."""
-        monkeypatch.setattr(cli, "_processes", lambda n_points: min(n_points, width))
+        monkeypatch.setattr(workers, "_processes", lambda n_points: min(n_points, width))
         forked = []
         fork = os.fork
 
@@ -633,6 +634,10 @@ class TestMainEntry:
                  "line 2: malformed line (`_` or a non-ASCII character)"),
         bad_line("profiles", "underscore_node.txt",
                  "line 2: malformed line (`_` or a non-ASCII character)"),
+        # an empty path names the current directory
+        ({"out": ""}, "invalid parameter: out"),
+        ({"trace": ""}, "invalid parameter: trace"),
+        ({"profiles": ""}, "invalid parameter: profiles"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
@@ -801,6 +806,25 @@ class TestMainEntry:
         assert f"config error: {flag} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, named", [
+        ("--categories", "--categories must be comma-separated integers, got ''"),
+        ("--out", "invalid parameter: out (must be a non-empty string or null)"),
+    ], ids=["categories", "out"])
+    @pytest.mark.parametrize("command", ["run", "validate", "gen-trace"])
+    def test_empty_flag_exits_2(self, tmp_path, monkeypatch, capsys, command, flag,
+                                named):
+        # an empty --categories would keep the config's own, and an empty
+        # --out would write the tree into the current directory
+        monkeypatch.chdir(tmp_path)
+        path = synthetic_config(tmp_path, categories=[2], seeds=[1])
+        before = sorted(tmp_path.rglob("*"))
+        argv = [command, "--config", str(path), flag, ""]
+        if flag != "--out":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {named}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("out", ["afile", "afile/x"])
     @pytest.mark.parametrize("command", ["run", "gen-trace"])
     def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
@@ -948,6 +972,33 @@ def test_only_run_loads_the_sweep_layers(tmp_path, command, inputs):
     assert loaded == str(sorted(SWEEP_MODULES) if command == "run" else [])
 
 
+# the two input paths and the worker pool
+PATH_MODULES = {"dtn_cluster_sim.trace_files", "dtn_cluster_sim.synthetic",
+                "dtn_cluster_sim.workers"}
+
+
+@pytest.mark.parametrize("command, inputs", [("validate", "synthetic"), ("validate", "file"),
+                                             ("gen-trace", "synthetic"), ("run", "synthetic"),
+                                             ("run", "file")])
+def test_each_config_loads_only_its_input_path(tmp_path, command, inputs):
+    """Given no numeral flag, a synthetic config compiles the generator and
+    no file formats but for `gen-trace`'s serializers, a file config the
+    file formats and no generator, and only `run` the worker pool, with
+    every replay and report layer."""
+    config = (synthetic_config(tmp_path, categories=[2], seeds=[1]) if inputs == "synthetic"
+              else write_config(tmp_path))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    loaded = _loaded_after(f"from dtn_cluster_sim.cli import main\n"
+                           f"if main({argv!r}): raise SystemExit(1)",
+                           PATH_MODULES | SWEEP_MODULES)
+    expected = {f"dtn_cluster_sim.{'synthetic' if inputs == 'synthetic' else 'trace_files'}"}
+    if command == "gen-trace":
+        expected.add("dtn_cluster_sim.trace_files")
+    if command == "run":
+        expected |= SWEEP_MODULES | {"dtn_cluster_sim.workers"}
+    assert loaded == str(sorted(expected))
+
+
 def test_run_calls_the_name_set_on_the_cli_module(tmp_path):
     """A `run` set on `cli` before `main`, as perfbench's tracer sets its
     wrapper, is the one the sweep calls, also in a fresh interpreter where
@@ -959,6 +1010,25 @@ def test_run_calls_the_name_set_on_the_cli_module(tmp_path):
             "cli.run = lambda scenario: calls.append(scenario.seed) or real(scenario)\n"
             f"if cli.main({argv!r}) or calls != [1]: raise SystemExit(1)")
     assert _loaded_after(code, {"dtn_cluster_sim.sim_engine"}) == "['dtn_cluster_sim.sim_engine']"
+
+
+@pytest.mark.parametrize("name, inputs, module", [
+    ("parse_contact_trace", "file", "trace_files"),
+    ("generate_synthetic_trace", "synthetic", "synthetic"),
+])
+def test_input_path_calls_the_name_set_on_the_cli_module(tmp_path, name, inputs, module):
+    """An input path's name set on `cli` before `main`, as perfbench's
+    tracer sets its wrapper, is the one that `run` calls, also in a fresh
+    interpreter where the path's module is not loaded yet."""
+    config = (synthetic_config(tmp_path, categories=[2], seeds=[1]) if inputs == "synthetic"
+              else write_config(tmp_path))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    code = ("from dtn_cluster_sim import cli\n"
+            f"real, calls = cli.{name}, []\n"
+            f"cli.{name} = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)\n"
+            f"if cli.main({argv!r}) or calls != [1]: raise SystemExit(1)")
+    module = f"dtn_cluster_sim.{module}"
+    assert _loaded_after(code, {module}) == str([module])
 
 
 def test_package_exports_load_on_first_use():

@@ -7,7 +7,8 @@ from dtn_cluster_sim.metrics import (PER_MESSAGE_COLUMNS, MetricsReport, avg_cos
                                      summary_header, summary_row)
 from dtn_cluster_sim.sim_engine import (DeliveryRecord, RouterConfig, Scenario,
                                         ScheduleConfig, run)
-from dtn_cluster_sim.trace_model import InterestProfile, parse_contact_trace
+from dtn_cluster_sim.trace_files import parse_contact_trace
+from dtn_cluster_sim.trace_model import InterestProfile
 
 
 def record(mid=0, created=0.0, delivered=None, hops=None, forwards=0, receiver=None,
@@ -125,7 +126,7 @@ class TestEpidemicCostDominance:
     def test_cost_and_delivery_dominate_per_run(self):
         # epidemic floods to strictly more peers, so per-delivery cost and
         # delivery ratio dominate the cluster router run for run
-        from dtn_cluster_sim.trace_model import SyntheticParams, generate_synthetic_trace
+        from dtn_cluster_sim.synthetic import SyntheticParams, generate_synthetic_trace
 
         for i in range(20):
             nodes = 6 + (i * 5) % 12

@@ -17,11 +17,11 @@ from dtn_cluster_sim.metrics import build_report, per_message_csv
 from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
 from dtn_cluster_sim.sim_engine import (MAX_MESSAGES, RouterConfig, Scenario,
                                         ScheduleConfig, build_schedule, run)
-from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, InterestProfile, InvalidParams,
-                                         SyntheticParams, build_trace,
-                                         generate_synthetic_trace, parse_contact_trace,
+from dtn_cluster_sim.synthetic import SyntheticParams, generate_synthetic_trace
+from dtn_cluster_sim.trace_files import (build_trace, parse_contact_trace,
                                          parse_interest_profiles, serialize_contact_trace,
                                          serialize_profiles)
+from dtn_cluster_sim.trace_model import MAX_CATEGORIES, InterestProfile, InvalidParams
 
 from oracles import earliest_arrival, reference_replay
 

@@ -3,12 +3,12 @@ from hashlib import sha256
 
 import pytest
 
-from dtn_cluster_sim.trace_model import (InvalidParams, InterestProfile,
-                                         SyntheticParams, TraceError, build_trace,
-                                         generate_synthetic_trace,
-                                         parse_contact_trace, parse_interest_profiles,
-                                         serialize_contact_trace,
-                                         serialize_profiles, validate_scenario)
+from dtn_cluster_sim.synthetic import SyntheticParams, generate_synthetic_trace
+from dtn_cluster_sim.trace_files import (build_trace, parse_contact_trace,
+                                         parse_interest_profiles, serialize_contact_trace,
+                                         serialize_profiles)
+from dtn_cluster_sim.trace_model import (InvalidParams, InterestProfile, TraceError,
+                                         validate_scenario)
 from oracles import reference_assemble
 
 
