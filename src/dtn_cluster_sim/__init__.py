@@ -3,10 +3,11 @@ delay tolerant networks.
 
 Typical flow: parse a contact trace and interest profiles, or build the
 trace from contact tuples (`trace_files`), or generate both
-(`synthetic`), into the records of `trace_model`; form interest groups
-(`clustering`), replay the trace of a checked `scenario` under a
-forwarding rule (`sim_engine`), aggregate the outcome (`metrics`). `cli`
-batches all of it over sweep axes, its points side by side (`workers`).
+(`synthetic`), into the records of `trace_model`, which checks them into
+a `Scenario`; form interest groups (`clustering`), replay the scenario's
+trace through per-node buffers under a forwarding rule (`sim_engine`),
+aggregate the outcome (`metrics`). `cli` batches all of it over sweep
+axes, its points side by side (`workers`).
 
 Importing the package loads no submodule: each public name loads its
 home module on first use (PEP 562), so a process compiles only the
@@ -24,14 +25,14 @@ _HOMES = {
     "metrics": ("MetricsReport", "avg_cost", "avg_delay", "avg_hops", "build_report",
                 "delivery_ratio", "per_message_csv", "resource_used", "summary_header",
                 "summary_row"),
-    "routing": ("Buffer", "ForwardDecision", "Message", "epidemic_decide",
-                "interest_cluster_transfer"),
-    "scenario": ("RouterConfig", "Scenario", "ScheduleConfig"),
-    "sim_engine": ("DeliveryRecord", "EventCounts", "SimResult", "build_schedule", "run"),
+    "sim_engine": ("Buffer", "DeliveryRecord", "EventCounts", "ForwardDecision", "Message",
+                   "SimResult", "build_schedule", "epidemic_decide",
+                   "interest_cluster_transfer", "run"),
     "synthetic": ("SyntheticParams", "generate_synthetic_trace"),
     "trace_files": ("build_trace", "parse_contact_trace", "parse_interest_profiles",
                     "serialize_contact_trace", "serialize_profiles"),
-    "trace_model": ("ContactTrace", "InterestProfile", "ScenarioReport", "validate_scenario"),
+    "trace_model": ("ContactTrace", "InterestProfile", "RouterConfig", "Scenario",
+                    "ScenarioReport", "ScheduleConfig", "validate_scenario"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -23,7 +23,7 @@ the tree and stderr are the same however many processes ran.
 
 A process compiles only what its command and config run. Only `run`
 loads the worker pool, the replay and the report layers (`workers`,
-`sim_engine` with the k-means and buffer modules it imports, and
+`sim_engine` with its buffers and the k-means module it imports, and
 `metrics`); a config with trace and profile files loads the file
 formats (`trace_files`) and never the generator (`synthetic`), and a
 synthetic config the generator and, but for `gen-trace`'s serializers or
@@ -46,9 +46,9 @@ import sys
 from pathlib import Path
 from typing import NamedTuple, get_args
 
-from .scenario import RouterConfig, Scenario, ScheduleConfig
-from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams, TraceError,
-                          _check_categories, _checked, _is_int, _is_real, validate_scenario)
+from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams, RouterConfig,
+                          Scenario, ScheduleConfig, TraceError, _check_categories, _checked,
+                          _is_int, _is_real, validate_scenario)
 
 
 # the names resolved on first use (module docstring), which the package
@@ -182,10 +182,12 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"),
                           object_pairs_hook=unique_keys)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} is not a JSON object")
 

@@ -1,86 +1,183 @@
-"""Deterministic replay of a contact trace under a forwarding rule.
+"""Deterministic replay of a contact trace under a forwarding rule, with
+the messages, per-node buffers and rules that it replays.
 
-A replay's inputs are a checked `scenario.Scenario`; its records are
-named here too, for callers that import them with `run`.
+A replay's input is a checked `trace_model.Scenario`. What a user sees of
+the replay is in README's "Semantics worth knowing": the transfer rule,
+duplicate suppression, drop-oldest buffers, the TTL, same-instant
+relaying and the event order. Here are the conditions the code relies on.
 
-The engine consumes one time-ordered stream of contact starts, each
-with its contact's end, and message creations. At one instant, contacts
-end, then messages appear, then contacts start. Messages are classified
-at creation, their destination group is resolved once per category, and
-every contact gives both endpoints the chance to hand over buffered
-messages. Transfers are instantaneous, so a message can cross several
-hops at one instant.
+The engine consumes one time-ordered stream of contact starts, each with
+its contact's end, and message creations: at one instant, contacts end,
+then messages appear, then contacts start. After each start or creation
+it sweeps to a fixpoint at that instant. It exchanges on the contact that
+just opened, or queues the creating node's open contacts; a node that
+gains a message queues each of its other open contacts not queued yet. A
+contact that no gain has queued since its last exchange would forward
+nothing: the receipt log only grows, buffers only lose entries between
+gains, budgets only fall, and the rules do not depend on the time. A
+queued contact whose budget is spent is passed over. A budget falls only
+at a forward, so it is tested after each forward: the exchange ends at
+the one that spends it.
 
-After each contact start or message creation the engine sweeps to a
-fixpoint at that instant. It exchanges on the contact that just opened,
-or queues the creating node's open contacts; a node that gains a message
-queues each of its other open contacts not queued yet. A contact that no
-gain has queued since its last exchange would forward nothing: the
-receipt log only grows, buffers only lose entries between gains, budgets
-only fall, and the rules do not depend on the time. A contact, at its
-start or when queued, is exchanged on only if one end holds an id the
-other needs, and a queued contact whose budget is spent is passed over;
-a buffer takes in ids only through a gain, which queues the contact
-again. A budget falls only at a forward, so it is tested after each
-forward: the exchange ends at the one that spends it.
+Exchanges run in passes over contacts in ascending (a, b) order, and the
+worklist key is (pass, pair). A contact above the one that just forwarded
+is queued with the same pass, one below it with the next pass. That is
+the order of repeating full ascending passes until one moves nothing, so
+order-sensitive outcomes (evictions, budgets, strict closes, hop counts)
+are those of such passes. A contact already queued would be queued again
+with the pass it already carries, so it is queued once.
 
-The forwarding rule is chosen once per run, with the nodes each category
-is offered to. The non-strict cluster rule is offered a category only at
-the nodes of its destination group: it would skip any other peer, and a
-skip changes nothing. The strict rule and the epidemic rule are offered
-every category at every node, since a strict rule closes the contact at
-its first non-member. So a rule is asked only where it can refuse: the
-strict rule about every offer, while an offer under the epidemic or the
-non-strict rule, which would forward it, is forwarded with no call.
+The rule is chosen once per run, with the nodes each category is offered
+to: under the non-strict cluster rule the nodes of its destination group,
+since it would skip any other peer and a skip changes nothing; under the
+strict and epidemic rules every node, since a strict rule closes the
+contact at its first non-member. Only the strict rule can refuse, so only
+it is asked, about every offer; any other offer is forwarded unasked.
 
 Offers use summary vectors (Vahdat and Becker, Duke CS-2000-06):
 `need[node]` holds the ids of created messages offered to the node and
-absent from the receipt log, and a buffer's `held` the ids in its log.
-An exchange walks a direction only when the carrier holds an id the
-peer needs.
+absent from the receipt log, and a buffer's `held` the ids in its log. A
+contact, at its start or when queued, is exchanged on only if one end
+holds an id the other needs, and an exchange walks a direction only when
+its carrier does; a buffer takes in ids only through a gain, which
+queues the contact again.
 
 With a TTL, buffers are purged lazily. `held` may still name lapsed
-copies, so a direction that passes the offer test purges its carrier
-and tests again, and an insert into a full buffer purges it first. An
+copies, so a direction that passes the offer test purges its carrier and
+tests again, and an insert into a full buffer purges it first. An
 unpurged lapsed copy is never read and never evicted, so it changes no
-outcome, and the run ends with one purge of every buffer at the trace's
-duration. So `EventCounts.expired` counts every copy that lapses by then
-while stored, however often its node was visited.
+outcome, and one purge of every buffer at the trace's duration ends the
+run, however rarely a node was visited.
 
-The receipt log (`SimResult.first_receipts`) is the one record of who
-got which message and when. A message is offered only to peers absent
-from it, so no node receives a message twice, and no buffer holds two
-copies of one message (buffers do not check). A record's forward count
-and final-destination receipt, and the run's `forwards`, are read off
-the log at the end; only the first group receipt is noted as it
-happens, with the hop count of the copy that made it. Every copy of a
-message is one shared `Message`; a copy's hop count lives in its buffer
-entry, and a forward stores the carrier's count plus one.
-
-Exchanges run in passes over contacts in ascending (a, b) order, and
-the worklist key is (pass, pair). A contact above the one that just
-forwarded is queued with the same pass, one below it with the next pass.
-That is the order of repeating full ascending passes until one moves
-nothing, so order-sensitive outcomes (evictions, budgets, strict closes,
-hop counts) are those of such passes. A contact already queued would be
-queued again with the pass it already carries, so it is queued once.
-
-Everything is a pure function of the Scenario (including its seed): two
-runs of the same scenario produce identical results, byte for byte once
-serialized.
+The receipt log (`SimResult.first_receipts`) is the one record of who got
+which message and when. A message is offered only to peers absent from
+it, so no node receives a message twice, and no buffer is given a second
+copy of one. A record's forward count and final-destination receipt, and
+the run's `forwards`, are read off the log at the end; only the first
+group receipt is noted as it happens, with the hop count of the copy that
+made it.
 """
 
 import random
+from bisect import insort
+from enum import Enum
 from functools import partial
 from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
                          resolve_group_kmeans)
-# both rule names stay for perfbench's tracer, which wraps them; ROADMAP item 4 deletes them
-from .routing import (Buffer, ForwardDecision, Message, epidemic_decide,
-                      interest_cluster_transfer)
-from .scenario import MAX_MESSAGES, RouterConfig, Scenario, ScheduleConfig
+from .trace_model import RouterConfig, Scenario
+
+
+class ForwardDecision(Enum):
+    FORWARD = "forward"
+    SKIP = "skip"
+    CLOSE_CONNECTION = "close_connection"
+
+
+class Message:
+    """One unit of dissemination, shared by every copy of it and never
+    changed, so it compares by identity. A copy's hop count from the source
+    lives in its buffer entry."""
+
+    __slots__ = ("id", "source", "category", "created_at", "destination_group",
+                 "final_destination")
+
+    def __init__(self, id: int, source: int, category: int, created_at: float,
+                 destination_group: frozenset[int], final_destination: int | None = None):
+        if category < 1:
+            raise ValueError("categories are 1-based")
+        if final_destination is not None and final_destination not in destination_group:
+            raise ValueError("final destination must belong to the group")
+        self.id, self.source, self.category = id, source, category
+        self.created_at, self.destination_group = created_at, destination_group
+        self.final_destination = final_destination
+
+    def __repr__(self) -> str:
+        return "Message" + repr(tuple(getattr(self, name) for name in self.__slots__))
+
+
+class BufferEntry(NamedTuple):
+    """One stored copy. Tuple order is the exchange order: ascending
+    received_at, ties by message id, which is unique within a buffer."""
+
+    received_at: float
+    message_id: int
+    hops: int
+    message: Message
+
+
+class Buffer:
+    """Per-node message store with drop-oldest eviction, kept as one log
+    in exchange order.
+
+    capacity counts messages; None means unlimited. The oldest entry is
+    the head of the log. In a replay receipt times never decrease, so an
+    insert lands at the tail, or among the entries of its instant by id.
+    `held`, the set of ids in the log, lets an offer be tested without
+    reading the log; insert, eviction and purge keep it in step.
+    """
+
+    def __init__(self, capacity: int | None = 50):
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._log: list[BufferEntry] = []
+        self.held: set[int] = set()   # the message ids in the log
+
+    def insert(self, message: Message, now: float, hops: int = 0) -> list[Message]:
+        """Store a copy received at `now`, `hops` hops from its source;
+        returns the evicted messages: the head of a full log, or none. The
+        buffer does not check that it holds no other copy of the message."""
+        # one entry per forward: a BufferEntry, without NamedTuple's Python-level __new__
+        insort(self._log, tuple.__new__(BufferEntry, (now, message.id, hops, message)))
+        self.held.add(message.id)
+        if self.capacity is None or len(self._log) <= self.capacity:
+            return []
+        evicted = self._log.pop(0)   # the log was full, so one entry goes
+        self.held.remove(evicted.message_id)
+        return [evicted.message]
+
+    def purge_expired(self, now: float, ttl: float) -> list[Message]:
+        """Drop entries whose message was created more than `ttl` before
+        `now`; returns them in exchange order."""
+        dead = [entry.message for entry in self._log
+                if now - entry.message.created_at > ttl]
+        if dead:
+            self._log = [entry for entry in self._log
+                         if now - entry.message.created_at <= ttl]
+            self.held.difference_update(message.id for message in dead)
+        return dead
+
+    def in_exchange_order(self) -> list[BufferEntry]:
+        """A copy of the log: entries in exchange order, the natural order
+        of BufferEntry."""
+        return self._log.copy()
+
+
+# both rule functions stay for perfbench's tracer, which wraps them; ROADMAP item 4 deletes them
+def interest_cluster_transfer(message: Message, peer: int,
+                              strict: bool = False) -> ForwardDecision:
+    """Forwarding rule for group-directed dissemination.
+
+    The carrier hands the message to the peer only if the peer belongs to
+    the message's destination group. A non-member peer is skipped, or — in
+    strict mode — causes the connection to be closed for the rest of the
+    contact, keeping the message with the carrier.
+    """
+    if peer in message.destination_group:
+        return ForwardDecision.FORWARD
+    if strict:
+        return ForwardDecision.CLOSE_CONNECTION
+    return ForwardDecision.SKIP
+
+
+def epidemic_decide(message: Message, peer: int) -> ForwardDecision:
+    """Flooding baseline: forward to every peer offered. The engine offers
+    a message only to peers that never held it, so never to its source,
+    and forwards each offer without asking this rule."""
+    return ForwardDecision.FORWARD
 
 
 class EventCounts(NamedTuple):

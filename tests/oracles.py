@@ -25,8 +25,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from dtn_cluster_sim.clustering import Clustering
-from dtn_cluster_sim.routing import BufferEntry, Message
-from dtn_cluster_sim.sim_engine import DeliveryRecord, _resolve_groups, build_schedule
+from dtn_cluster_sim.sim_engine import (BufferEntry, DeliveryRecord, Message, _resolve_groups,
+                                        build_schedule)
 from dtn_cluster_sim.trace_model import ContactTrace
 
 

@@ -15,10 +15,10 @@ from dtn_cluster_sim.cli import parse_config, run_sweep
 from dtn_cluster_sim.clustering import (kmeans, points_of, resolve_group_exact,
                                         resolve_group_kmeans)
 from dtn_cluster_sim.metrics import build_report, per_message_csv
-from dtn_cluster_sim.sim_engine import (RouterConfig, Scenario, ScheduleConfig, run)
+from dtn_cluster_sim.sim_engine import run
 from dtn_cluster_sim.synthetic import SyntheticParams, generate_synthetic_trace
 from dtn_cluster_sim.trace_files import parse_contact_trace
-from dtn_cluster_sim.trace_model import InterestProfile
+from dtn_cluster_sim.trace_model import InterestProfile, RouterConfig, Scenario, ScheduleConfig
 
 from oracles import best_partition_sse, earliest_arrival, squared_distance
 

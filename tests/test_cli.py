@@ -20,10 +20,10 @@ from dtn_cluster_sim import cli, workers
 from dtn_cluster_sim.cli import (ConfigError, RunConfig, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
-from dtn_cluster_sim.sim_engine import MAX_MESSAGES, RouterConfig, Scenario, ScheduleConfig
 from dtn_cluster_sim.synthetic import SyntheticParams
 from dtn_cluster_sim.trace_files import parse_contact_trace
-from dtn_cluster_sim.trace_model import MAX_CATEGORIES, InterestProfile, InvalidParams
+from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, MAX_MESSAGES, InterestProfile,
+                                         InvalidParams, RouterConfig, Scenario, ScheduleConfig)
 
 
 TRACE_TEXT = "1 4 0 1\n3 8 1 2\n6 9 0 2\n# duration: 20\n"
@@ -659,10 +659,15 @@ class TestMainEntry:
         (None, "cannot read"),
         ('{"message_count": 5, "message_count": 0}', "'message_count' more than once"),
         ('{"synthetic": {"node_count": 4, "node_count": 8}}', "'node_count' more than once"),
-    ], ids=["not_an_object", "unreadable", "repeated_key", "repeated_nested_key"])
+        (b"\xff\xfe{", "cannot read config"),
+        ("[" * 200_000 + "]" * 200_000, "is not valid JSON: nested too deeply"),
+    ], ids=["not_an_object", "unreadable", "repeated_key", "repeated_nested_key", "not_utf8",
+            "nested_too_deeply"])
     def test_config_file_that_is_no_config_exits_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "c.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -954,8 +959,8 @@ def test_cli_import_leaves_dataclasses_logging_and_csv_out():
 
 
 # the replay, k-means, buffer and report layers, and what only the replay imports
-SWEEP_MODULES = {"dtn_cluster_sim.sim_engine", "dtn_cluster_sim.routing",
-                 "dtn_cluster_sim.clustering", "dtn_cluster_sim.metrics", "heapq"}
+SWEEP_MODULES = {"dtn_cluster_sim.sim_engine", "dtn_cluster_sim.clustering",
+                 "dtn_cluster_sim.metrics", "heapq"}
 
 
 @pytest.mark.parametrize("command, inputs", [("validate", "synthetic"), ("validate", "file"),

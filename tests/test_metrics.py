@@ -5,10 +5,9 @@ from dtn_cluster_sim.metrics import (PER_MESSAGE_COLUMNS, MetricsReport, avg_cos
                                      avg_delay, avg_hops, build_report,
                                      delivery_ratio, per_message_csv, resource_used,
                                      summary_header, summary_row)
-from dtn_cluster_sim.sim_engine import (DeliveryRecord, RouterConfig, Scenario,
-                                        ScheduleConfig, run)
+from dtn_cluster_sim.sim_engine import DeliveryRecord, run
 from dtn_cluster_sim.trace_files import parse_contact_trace
-from dtn_cluster_sim.trace_model import InterestProfile
+from dtn_cluster_sim.trace_model import InterestProfile, RouterConfig, Scenario, ScheduleConfig
 
 
 def record(mid=0, created=0.0, delivered=None, hops=None, forwards=0, receiver=None,

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from dtn_cluster_sim.routing import (Buffer, ForwardDecision, Message,
-                                     epidemic_decide, interest_cluster_transfer)
+from dtn_cluster_sim.sim_engine import (Buffer, ForwardDecision, Message,
+                                        epidemic_decide, interest_cluster_transfer)
 
 from oracles import DuplicateMessage, ReferenceBuffer
 

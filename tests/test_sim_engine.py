@@ -14,14 +14,14 @@ from dtn_cluster_sim import sim_engine
 from dtn_cluster_sim.cli import RunConfig, build_scenario
 from dtn_cluster_sim.clustering import dump_clustering, resolve_group_kmeans
 from dtn_cluster_sim.metrics import build_report, per_message_csv
-from dtn_cluster_sim.routing import Buffer, ForwardDecision, Message
-from dtn_cluster_sim.sim_engine import (MAX_MESSAGES, RouterConfig, Scenario,
-                                        ScheduleConfig, build_schedule, run)
+from dtn_cluster_sim.sim_engine import (Buffer, ForwardDecision, Message, build_schedule,
+                                        run)
 from dtn_cluster_sim.synthetic import SyntheticParams, generate_synthetic_trace
 from dtn_cluster_sim.trace_files import (build_trace, parse_contact_trace,
                                          parse_interest_profiles, serialize_contact_trace,
                                          serialize_profiles)
-from dtn_cluster_sim.trace_model import MAX_CATEGORIES, InterestProfile, InvalidParams
+from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, MAX_MESSAGES, InterestProfile,
+                                         InvalidParams, RouterConfig, Scenario, ScheduleConfig)
 
 from oracles import earliest_arrival, reference_replay
 
