@@ -1,24 +1,11 @@
 """Trace-driven simulator for interest-group message dissemination in
-delay tolerant networks.
-
-Typical flow: parse a contact trace and interest profiles, or build the
-trace from contact tuples (`trace_files`), or generate both
-(`synthetic`), into the records of `trace_model`, which checks them into
-a `Scenario`; form interest groups (`clustering`), replay the scenario's
-trace through per-node buffers under a forwarding rule (`sim_engine`),
-aggregate the outcome (`metrics`). `cli` batches all of it over sweep
-axes, its points side by side (`workers`).
-
-Importing the package loads no submodule: each public name loads its
-home module on first use (PEP 562), so a process compiles only the
-layers it uses.
-"""
+delay tolerant networks. README's Layout maps its modules."""
 
 import importlib
 
 __version__ = "0.1.0"
 
-# every public name by its home module
+# every public name by its home module, which loads on first use (PEP 562)
 _HOMES = {
     "clustering": ("Clustering", "GroupResolution", "dump_clustering", "kmeans",
                    "points_of", "resolve_group_exact", "resolve_group_kmeans"),

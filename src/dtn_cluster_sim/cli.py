@@ -1,41 +1,5 @@
-"""Scenario configuration and batch orchestration.
-
-A JSON config file names the inputs (a trace/profile pair on disk, or
-synthetic-generator parameters), the router settings and the sweep axes
-(category counts x seeds). `run_sweep` executes one simulation per sweep
-point and lays the results out as:
-
-    out/
-      config.json            effective config echo (reproduces the sweep)
-      summary.csv            one row per run that succeeded
-      failures.csv           run_id,error per failed run (only if any failed)
-      runs/n<cat>_s<seed>/   per_message.csv, clustering.txt (k-means mode)
-
-The earlier sweep's files go before the first point runs. Run directories
-are written under `runs.partial/`, which becomes `runs/` after the last
-point; `config.json`, `failures.csv` and `summary.csv` follow, so a tree
-without `summary.csv` holds a sweep that did not finish.
-
-The points run side by side in the worker pool of `workers`, this
-process and forked workers, each of which writes its own run directories.
-Rows, failures and `run ... failed` lines are written in point order, so
-the tree and stderr are the same however many processes ran.
-
-A process compiles only what its command and config run. Only `run`
-loads the worker pool, the replay and the report layers (`workers`,
-`sim_engine` with its buffers and the k-means module it imports, and
-`metrics`); a config with trace and profile files loads the file
-formats (`trace_files`) and never the generator (`synthetic`), and a
-synthetic config the generator and, but for `gen-trace`'s serializers or
-a numeral flag, no file formats. The names of those layers and paths
-here (`_SWEEP_NAMES`, `_INPUT_NAMES`) resolve on first use, and each path
-binds the ones it calls where it starts (`_bind`), keeping one already
-set on this module, such as a wrapper that perfbench's tracer installs
-before `main`.
-
-Exit status: 0 all runs fine, 1 any run failed, 2 config error or an input
-file that cannot be read or parsed.
-"""
+"""The config file's schema, the sweep over its points and the
+`dtn-cluster-sim` entry point, whose contract is README's CLI section."""
 
 import argparse
 import gc
@@ -46,29 +10,23 @@ import sys
 from pathlib import Path
 from typing import NamedTuple, get_args
 
+from . import _HOME
 from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams, RouterConfig,
                           Scenario, ScheduleConfig, TraceError, _check_categories, _checked,
                           _is_int, _is_real, validate_scenario)
 
 
-# the names resolved on first use (module docstring), which the package
-# loads from their home modules: the replay and report names that a sweep
-# calls, and those of the two input paths and of gen-trace's output
-_SWEEP_NAMES = ("run", "build_report", "per_message_csv", "summary_header", "summary_row",
-                "dump_clustering")
-_INPUT_NAMES = ("parse_contact_trace", "parse_interest_profiles", "generate_synthetic_trace",
-                "serialize_contact_trace", "serialize_profiles")
-
-
 def __getattr__(name: str):
-    if name not in _SWEEP_NAMES and name not in _INPUT_NAMES:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(sys.modules[__package__], name)
 
 
+# perfbench's tracer wraps the names that a path calls on this module
+# before `main`, so each path binds its names where it starts and keeps one
+# already set. The sweep binds its names before `_run_points` forks, so
+# that the workers inherit the layers loaded.
 def _bind(*names: str) -> None:
-    """Bind each of `names` on this module, where the path that calls them
-    starts; one already set on the module is kept."""
     for name in names:
         globals().setdefault(name, __getattr__(name))
 
@@ -110,6 +68,9 @@ class RunConfig(NamedTuple):
                 raise InvalidParams(name, "need a non-empty list of integers")
         for n in self.categories:
             _check_categories(n, "categories")
+        # a run id, n<category count>_s<seed>, names a directory
+        if not all(-2**63 <= seed < 2**63 for seed in self.seeds):
+            raise InvalidParams("seeds", "need integers from -2**63 to 2**63 - 1")
         for name in ("trace", "profiles", "out"):
             value = getattr(self, name)
             if not (value is None or isinstance(value, str) and value):   # "" names the cwd
@@ -184,7 +145,9 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
                           object_pairs_hook=unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ConfigError:   # a key given twice
+        raise
+    except ValueError as exc:   # JSONDecodeError, or an integer of over 4,300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config {path} is not valid JSON: nested too deeply") from exc
@@ -334,7 +297,8 @@ def run_sweep(config: RunConfig) -> int:
     file_inputs = _load_file_inputs(config)
     out = _output_dir(config)
     _clear_earlier_sweep(out)
-    _bind(*_SWEEP_NAMES)
+    _bind("run", "build_report", "per_message_csv", "summary_row", "dump_clustering")
+    from .metrics import summary_header
     from .workers import _run_points
 
     rows = [summary_header()]
@@ -381,7 +345,7 @@ def cmd_gen_trace(config: RunConfig) -> int:
                           f"has {len(points)}; pick one with --categories and --seed")
     scenario = build_scenario(config, *points[0], None)
     out = _output_dir(config)
-    _bind("serialize_contact_trace", "serialize_profiles")
+    from .trace_files import serialize_contact_trace, serialize_profiles
     for name, text in (("trace.txt", serialize_contact_trace(scenario.trace)),
                        ("profiles.txt", serialize_profiles(scenario.profiles))):
         (out / name).write_text(text, encoding="utf-8")

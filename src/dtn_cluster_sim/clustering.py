@@ -1,22 +1,10 @@
-"""Interest-group formation.
+"""Interest-group formation: the exact filter, and seeded k-means over the
+binary interest vectors, in plain Python, with README's tie-break rule.
 
-Two ways to answer "which nodes should a message of category k reach":
-
-  * exact filtering: every node whose interest bit k is set;
-  * k-means clustering over the binary interest vectors, then the union of
-    clusters whose centroid is interested enough in k.
-
-The k-means here is Lloyd's alternating scheme on seeded initial points,
-kept deliberately simple and fully deterministic so runs can be replayed
-bit for bit. It is written in plain Python, with no runtime dependency.
-
-Tie-break contract: a point goes to the lowest-indexed of its nearest
-centroids, and empty-cluster repair takes the lowest-indexed of the
-farthest points. Distances are compared exactly, as rationals (see
-`_assign`), so an exact tie is a tie on every interpreter; wherever no
-point is exactly equidistant from two centroids, the results equal the
-earlier numpy implementation's (`tests/oracles.numpy_kmeans`).
-"""
+Floats would round a distance by the order of their sums, so an exact tie
+could break either way, by interpreter and platform. k-means compares
+distances exactly, as rationals (see `_assign`), so that a tie is a tie
+everywhere and the rule decides it."""
 
 import random
 from math import lcm

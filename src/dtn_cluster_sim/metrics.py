@@ -1,18 +1,5 @@
-"""Aggregation of per-message delivery records into run-level metrics.
-
-Conventions, chosen so rows are auditable and byte-stable:
-
-  * delay and hops average over delivered messages only;
-  * cost divides *all* forwards in the run (delivered or not) by the
-    number of delivered messages — total network effort per success;
-  * resource_used is the fraction of network nodes belonging to at least
-    one interest group;
-  * summary values print with 6 fixed decimals, per-message times print
-    with full float precision so a parse recovers them exactly;
-  * a ratio or average with nothing to divide by (no messages, none
-    delivered, or no nodes for resource_used) is None, and absent values
-    serialize as empty fields.
-"""
+"""Aggregation of per-message delivery records into run-level metrics,
+and the CSVs of README's "Output CSV contracts"."""
 
 from typing import Iterable, NamedTuple, Sequence
 

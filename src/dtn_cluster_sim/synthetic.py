@@ -1,10 +1,7 @@
-"""The seeded synthetic scenario generator and its parameters.
-
-A process whose config names trace and profile files (`trace_files`)
-never compiles this module. The generator builds each contact by the
-files' contact rules, so it skips their check and hands its contacts
-straight to the one assembly path, `trace_model._assemble`.
-"""
+"""The generated input path: the seeded synthetic scenario generator and
+its parameters. The generator builds each contact by the files' contact
+rules, so it skips their check and hands its contacts straight to
+`trace_model._assemble`."""
 
 import random
 from math import log

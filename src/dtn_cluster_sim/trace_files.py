@@ -1,15 +1,7 @@
-"""The checked-input path: the two on-disk trace formats, the profile
-format, their serializers, and the contact rules.
-
-Both parsers and `build_trace`, the entry point for contact tuples from
-outside the program, check each contact once, by one rule set, where its
-line number (or position) is known: ids and times non-negative, times
-finite, two distinct nodes, t_start < t_end. They then hand the checked
-contacts to the one assembly path, `trace_model._assemble`. A process
-whose config generates its scenario (`synthetic`) never compiles this
-module, unless it writes the scenario out (`gen-trace`) or reads a
-numeral flag by the files' rule (`_check_ascii`).
-"""
+"""The file input path: the two on-disk trace formats, the profile format,
+their serializers, and the contact rules. Both parsers and `build_trace`
+check each contact where its line number (or position) is known, then
+hand it to `trace_model._assemble`."""
 
 import re
 from typing import Iterable

@@ -1,19 +1,6 @@
-"""Nodes, interest profiles, contact traces and the checked inputs of one
-replay.
-
-A scenario is driven entirely by a contact trace: a sequence of
-[t_start, t_end] intervals during which two nodes can exchange messages.
-Interest profiles attach a fixed-length binary interest vector to each
-node. This module holds the data model, the checked records of one
+"""Nodes, interest profiles, contact traces and the checked records of one
 replay (`RouterConfig`, `ScheduleConfig` and the `Scenario` that holds
-them with its trace and profiles), the rules those records share, and a
-scenario consistency check. A checked record checks itself when built
-and names the bad field. The records live apart from `sim_engine`, so
-that `validate` and `gen-trace` load none of the replay. Each input path
-has a module of its own, so that a process compiles only the one its
-config reads: `trace_files` parses and writes the on-disk formats and
-checks contacts made outside the program, and `synthetic` generates
-seeded scenarios for desk-scale experiments.
+them), with the rules those records share.
 
 The parsers, `build_trace` and the generator share one assembly path,
 `_assemble`:

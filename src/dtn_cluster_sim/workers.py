@@ -1,15 +1,5 @@
-"""The sweep's worker pool: a sweep's points run side by side.
-
-The points run in up to one process per usable CPU (so `taskset -c 0`
-runs them one at a time): the sweep's own process and forked workers,
-each of which runs its share of the points and reports their results
-back. Results come back in point order, so the caller writes the same
-tree and stderr however many processes ran; memory grows with their
-number. A worker stops before its next point once the sweep's process is
-gone, and a point whose worker died is a failure naming the worker's exit
-status. Only `run` compiles this module; `validate` and `gen-trace` never
-sweep.
-"""
+"""The sweep's worker pool, which runs a sweep's points side by side in
+forked processes; README's CLI section is its contract."""
 
 import json
 import os

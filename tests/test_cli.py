@@ -1,6 +1,7 @@
 import csv
 import gc
 import importlib
+import importlib.util
 import json
 import os
 import random
@@ -638,15 +639,22 @@ class TestMainEntry:
         ({"out": ""}, "invalid parameter: out"),
         ({"trace": ""}, "invalid parameter: trace"),
         ({"profiles": ""}, "invalid parameter: profiles"),
+        # a run id, n<category count>_s<seed>, names a directory
+        ({"seeds": [int("9" * 300)]}, "invalid parameter: seeds"),
+        ({"seeds": [1], "--seed": "9" * 300}, "invalid parameter: seeds"),
+        ({"seeds": [2**63]}, "invalid parameter: seeds"),
+        ({"seeds": [-2**63 - 1]}, "invalid parameter: seeds"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
         monkeypatch.chdir(tmp_path)
         for name, text in BAD_FILES.items():
             (tmp_path / name).write_text(text)
+        change = dict(change)
+        seed_flag = ["--seed", change.pop("--seed")] if "--seed" in change else []
         path = write_config(tmp_path, **change)
         # --out would replace a bad `out`
-        flags = [] if "out" in change else ["--out", str(tmp_path / "out")]
+        flags = seed_flag + ([] if "out" in change else ["--out", str(tmp_path / "out")])
         code = main(["run", "--config", str(path), *flags])
         err = capsys.readouterr().err
         assert code == 2
@@ -661,8 +669,10 @@ class TestMainEntry:
         ('{"synthetic": {"node_count": 4, "node_count": 8}}', "'node_count' more than once"),
         (b"\xff\xfe{", "cannot read config"),
         ("[" * 200_000 + "]" * 200_000, "is not valid JSON: nested too deeply"),
+        # more digits than int() converts by default
+        ('{"categories": [1' + "0" * 5000 + '], "synthetic": {}}', "is not valid JSON"),
     ], ids=["not_an_object", "unreadable", "repeated_key", "repeated_nested_key", "not_utf8",
-            "nested_too_deeply"])
+            "nested_too_deeply", "integer_too_long"])
     def test_config_file_that_is_no_config_exits_2(self, tmp_path, capsys, text, named):
         path = tmp_path / "c.json"
         if isinstance(text, bytes):
@@ -672,7 +682,7 @@ class TestMainEntry:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
-        assert f"config {path}" in err
+        assert err.count(f"config {path}") == 1   # a key given twice is not wrapped again
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
@@ -685,6 +695,18 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             f"config error: invalid parameter: message_count "
             f"(need an integer from 0 to {MAX_MESSAGES:,})\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds, flags", [([2**63], []), ([1], ["--seed", "9" * 300])],
+                             ids=["key", "flag"])
+    @pytest.mark.parametrize("command", ["validate", "gen-trace"])
+    def test_seed_past_64_bits_exits_2(self, tmp_path, capsys, command, seeds, flags):
+        # the commands that make no run id take the sweep's seed rule too
+        path = synthetic_config(tmp_path, categories=[2], seeds=seeds)
+        code = main([command, "--config", str(path), *flags, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid parameter: seeds (need integers from -2**63 to 2**63 - 1)\n")
         assert not (tmp_path / "out").exists()
 
     def test_empty_network_leaves_resource_used_empty(self, tmp_path):
@@ -1017,16 +1039,30 @@ def test_run_calls_the_name_set_on_the_cli_module(tmp_path):
     assert _loaded_after(code, {"dtn_cluster_sim.sim_engine"}) == "['dtn_cluster_sim.sim_engine']"
 
 
+def _traced_cli_names() -> list[str]:
+    """The names that perfbench's tracer wraps on `cli`, read from its
+    `TARGETS`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = sys.modules[spec.name] = importlib.util.module_from_spec(spec)   # for @dataclass
+    spec.loader.exec_module(tracer)
+    return [target.attr for target in tracer.TARGETS if target.owner == "cli"]
+
+
+TRACED_CLI_NAMES = _traced_cli_names()
+
+
 @pytest.mark.parametrize("name, inputs, module", [
-    ("parse_contact_trace", "file", "trace_files"),
-    ("generate_synthetic_trace", "synthetic", "synthetic"),
-])
+    (name, "synthetic" if name == "generate_synthetic_trace" else "file",
+     dtn_cluster_sim._HOME.get(name, "cli")) for name in TRACED_CLI_NAMES])
 def test_input_path_calls_the_name_set_on_the_cli_module(tmp_path, name, inputs, module):
-    """An input path's name set on `cli` before `main`, as perfbench's
-    tracer sets its wrapper, is the one that `run` calls, also in a fresh
-    interpreter where the path's module is not loaded yet."""
+    """Each name that perfbench's tracer wraps on `cli`, set there before
+    `main` as the tracer sets its wrapper, is the one that a one-point
+    `run` calls, once, also in a fresh interpreter where the name's module
+    is not loaded yet. The file config is in k-means mode, so that
+    `dump_clustering` runs."""
     config = (synthetic_config(tmp_path, categories=[2], seeds=[1]) if inputs == "synthetic"
-              else write_config(tmp_path))
+              else write_config(tmp_path, mode="kmeans"))
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
     code = ("from dtn_cluster_sim import cli\n"
             f"real, calls = cli.{name}, []\n"
@@ -1034,6 +1070,24 @@ def test_input_path_calls_the_name_set_on_the_cli_module(tmp_path, name, inputs,
             f"if cli.main({argv!r}) or calls != [1]: raise SystemExit(1)")
     module = f"dtn_cluster_sim.{module}"
     assert _loaded_after(code, {module}) == str([module])
+
+
+def test_cli_binds_only_the_names_the_tracer_wraps(tmp_path):
+    """A file `run` and a synthetic `run`, each in a fresh interpreter,
+    bind on `cli` no package name beyond its imports but those that
+    perfbench's tracer wraps there."""
+    bound = set()
+    for config in (write_config(tmp_path, "file.json", mode="kmeans"),
+                   synthetic_config(tmp_path, categories=[2], seeds=[1])):
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        code = ("from dtn_cluster_sim import cli\n"
+                "imported = set(vars(cli))\n"
+                f"if cli.main({argv!r}): raise SystemExit(1)\n"
+                "print(' '.join(set(vars(cli)) - imported))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": _src_dir()}, check=True)
+        bound.update(proc.stdout.split())
+    assert bound == set(TRACED_CLI_NAMES) - {"parse_config"}
 
 
 def test_package_exports_load_on_first_use():
