@@ -19,17 +19,30 @@ def _processes(n_points: int) -> int:
     return min(n_points, len(os.sched_getaffinity(0)))
 
 
+def _pin(cpus) -> None:
+    """Best-effort: a process the kernel will not move stays where it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _run_points(points: list[tuple], run_point, runs_dir: Path) -> list[list]:
     """[run_id, summary row, error] of every sweep point, in point order.
     A point is a tuple that starts with its run_id, and `run_point(*point)`
     gives its [summary row, None], or [None, error] if it failed.
     With W processes, points i::W run in process i: the first share in
     this one, each other share in a forked worker that sends its entries
-    back as one JSON document over a pipe. A point that a worker did not
-    report fails with the worker's exit status, and what the worker may
-    have left of its directory under `runs_dir` is removed."""
+    back as one JSON document over a pipe; a share that cannot be forked
+    runs in this process too. Process i is pinned to CPU i mod n of the
+    caller's n-CPU mask, which is restored before this returns or raises.
+    A point that a worker did not report fails with the worker's exit
+    status, and what the worker may have left of its directory under
+    `runs_dir` is removed."""
     width = _processes(len(points))
     shares = [range(i, len(points), width) for i in range(width)]
+    if width > 1:
+        cpus = sorted(os.sched_getaffinity(0))
 
     def run_share(share, report: list, parent: int | None = None) -> None:
         for index in share:
@@ -37,10 +50,11 @@ def _run_points(points: list[tuple], run_point, runs_dir: Path) -> list[list]:
                 break   # orphaned: the sweep is over
             report.append([index, *run_point(*points[index])])
 
-    def worker(share, parent: int, write_fd: int):
+    def worker(share, parent: int, write_fd: int, cpu: int):
         report, status = [], 1
         try:
             try:
+                _pin({cpu})
                 run_share(share, report, parent)
             finally:
                 with open(write_fd, "w", encoding="utf-8") as pipe:
@@ -54,21 +68,33 @@ def _run_points(points: list[tuple], run_point, runs_dir: Path) -> list[list]:
 
     parent = os.getpid()
     workers = []   # (pid, read end of its pipe, share)
+    own = [shares[0]]   # the shares this process runs
     report, sent, statuses = [], [], []
     try:
-        for share in shares[1:]:
+        for i in range(1, width):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:   # no process to spare: the shares left run here
+                os.close(read_fd)
+                os.close(write_fd)
+                own += shares[i:]
+                break
             if pid == 0:
                 os.close(read_fd)
-                worker(share, parent, write_fd)
+                worker(shares[i], parent, write_fd, cpus[i % len(cpus)])
             os.close(write_fd)
-            workers.append((pid, read_fd, share))
-        run_share(shares[0], report)
+            workers.append((pid, read_fd, shares[i]))
+        if width > 1:
+            _pin({cpus[0]})
+        for share in own:
+            run_share(share, report)
         for _, read_fd, _ in workers:
             with open(read_fd, "rb", closefd=False) as pipe:
                 sent.append(pipe.read())
     finally:
+        if width > 1:
+            _pin(cpus)
         if len(sent) < len(workers):   # interrupted: no worker outlives the sweep
             import signal
             for pid, _, _ in workers:

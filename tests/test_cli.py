@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import importlib
 import importlib.util
@@ -377,7 +378,8 @@ def tree_files(root: Path) -> dict[str, bytes]:
 @pytest.mark.usefixtures("time_limit")
 class TestSweepProcesses:
     """Points i::W of a sweep run in W processes, the first share in the
-    CLI's own process and the others in forked workers."""
+    CLI's own process and the others in forked workers, process i pinned to
+    CPU i mod n of the caller's n CPUs."""
 
     SIX_POINTS = {"categories": [2, 3, 4], "seeds": [1, 2]}
 
@@ -448,6 +450,82 @@ class TestSweepProcesses:
         assert len(kept) == 4
         assert {name: data for name, data in tree_files(out).items()
                 if name.startswith("runs/")} == kept
+
+    @pytest.mark.parametrize("fails_at", [1, 2], ids=["first_fork", "second_fork"])
+    def test_failed_fork_runs_the_shares_left_here(self, tmp_path, monkeypatch, capsys,
+                                                   fails_at):
+        assert self.sweep(tmp_path, monkeypatch, 1, "one") == (0, [])
+        calls = []
+        fork = os.fork
+
+        def failing_fork():
+            calls.append(None)
+            if len(calls) == fails_at:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        code, forked = self.sweep(tmp_path, monkeypatch, 4, "four")
+        assert code == 0 and len(forked) == fails_at - 1
+        self.assert_reaped(forked)
+        assert capsys.readouterr().err == ""
+        assert tree_files(tmp_path / "four") == tree_files(tmp_path / "one")
+
+    def test_failed_pin_still_runs_every_point(self, tmp_path, monkeypatch, capsys):
+        # forked workers inherit the patch, so no process can be pinned
+        assert self.sweep(tmp_path, monkeypatch, 1, "one") == (0, [])
+
+        def refuse(pid, cpus):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        code, forked = self.sweep(tmp_path, monkeypatch, 4, "four")
+        assert code == 0 and len(forked) == 3
+        self.assert_reaped(forked)
+        assert capsys.readouterr().err == ""
+        assert tree_files(tmp_path / "four") == tree_files(tmp_path / "one")
+
+    # read before any test runs, so that a sweep that leaves this process
+    # pinned fails the tests below
+    CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    pinnable = pytest.mark.skipif(len(CPUS) < 2,
+                                  reason="needs sched_getaffinity and at least 2 usable CPUs")
+
+    @pinnable
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_each_process_is_pinned_to_one_cpu(self, tmp_path, monkeypatch, width):
+        cpus = self.CPUS
+        monkeypatch.setattr(workers, "_processes", lambda n_points: min(n_points, width))
+
+        def run_point(run_id):
+            return [[os.getpid(), sorted(os.sched_getaffinity(0))], None]
+
+        entries = workers._run_points([(f"p{i}",) for i in range(6)], run_point, tmp_path)
+        assert os.sched_getaffinity(0) == set(cpus)
+        pids, pins = {}, {}
+        for index, (run_id, (pid, cpu), error) in enumerate(entries):
+            assert run_id == f"p{index}" and error is None
+            process = index % width
+            assert pids.setdefault(process, pid) == pid   # one process per share
+            assert cpu == [cpus[process % len(cpus)]]      # one CPU, round-robin
+            pins[process] = cpu[0]
+        assert pids[0] == os.getpid() and len(set(pids.values())) == width
+        if width <= len(cpus):
+            assert len(set(pins.values())) == width
+
+    @pinnable
+    def test_mask_is_restored_when_an_own_point_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(workers, "_processes", lambda n_points: min(n_points, 4))
+        caller = os.getpid()
+
+        def run_point(run_id):
+            if os.getpid() == caller:
+                raise RuntimeError(run_id)
+            return [run_id, None]
+
+        with pytest.raises(RuntimeError, match="p0"):
+            workers._run_points([(f"p{i}",) for i in range(6)], run_point, tmp_path)
+        assert os.sched_getaffinity(0) == set(self.CPUS)
 
 
 class TestMainEntry:
