@@ -1,7 +1,6 @@
 """The config file's schema, the sweep over its points and the
 `dtn-cluster-sim` entry point, whose contract is README's CLI section."""
 
-import argparse
 import gc
 import json
 import os
@@ -353,56 +352,71 @@ def cmd_gen_trace(config: RunConfig) -> int:
     return 0
 
 
-def _overrides(args) -> dict:
+def _overrides(args: dict) -> dict:
     """The flags' config values, numbers read by the input files' rule
-    (`trace_files._check_ascii`): `int()` alone reads `1_0` as 10."""
+    (`trace_files._check_ascii`): `int()` alone reads `1_0` as 10, and an
+    empty item is an error, as an empty flag is."""
     def read(flag: str, what: str, parse):
         from .trace_files import _check_ascii
-        text = getattr(args, flag)
+        text = args[flag]
         try:
             _check_ascii(text)
             return parse(text)
         except (TraceError, ValueError):
             raise ConfigError(f"--{flag} must be {what}, got {text!r}") from None
 
-    def counts(text: str) -> list[int]:
-        values = [int(v) for v in text.split(",") if v.strip()]
-        if not values:
-            raise ValueError(text)
-        return values
-
-    seed = None if args.seed is None else read("seed", "an integer", int)
-    categories = (None if args.categories is None
-                  else read("categories", "comma-separated integers", counts))
-    return {"seed": seed, "categories": categories, "out": args.out}
+    seed = None if args["seed"] is None else read("seed", "an integer", int)
+    categories = (None if args["categories"] is None else read(
+        "categories", "comma-separated integers",
+        lambda text: [int(v) for v in text.split(",")]))
+    return {"seed": seed, "categories": categories, "out": args["out"]}
 
 
-def main(argv=None) -> int:
+# the commands and their flags, which both readers of a command line use
+_COMMANDS = {"run": run_sweep, "validate": cmd_validate, "gen-trace": cmd_gen_trace}
+_FLAGS = {"--config": "JSON config file",
+          "--seed": "replace the seed sweep with this single seed",
+          "--categories": "comma-separated category counts, e.g. 1,5,10",
+          "--out": "output directory"}
+
+
+def _plain_args(argv: list[str]) -> dict | None:
+    """The handler and flag values of a plain line, which argparse reads
+    alike: a command, then each flag at most once, `--config` among them,
+    with a value that does not start with `-`. None for any other line."""
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if (argv and argv[0] in _COMMANDS and len(argv) == 2 * len(pairs) + 1
+            and "--config" in pairs and pairs.keys() <= _FLAGS.keys()
+            and not any(value.startswith("-") for value in pairs.values())):
+        return {"handler": _COMMANDS[argv[0]], **{f[2:]: pairs.get(f) for f in _FLAGS}}
+
+
+def _parser():
+    """The reader of help and of every line that is not plain."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="dtn-cluster-sim",
         description="Trace-driven simulator for interest-group message "
                     "dissemination in delay tolerant networks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("run", run_sweep),
-                          ("validate", cmd_validate),
-                          ("gen-trace", cmd_gen_trace)):
+    for name, handler in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", default=None,
-                       help="replace the seed sweep with this single seed")
-        p.add_argument("--categories", default=None,
-                       help="comma-separated category counts, e.g. 1,5,10")
-        p.add_argument("--out", default=None, help="output directory")
+        for flag, text in _FLAGS.items():
+            p.add_argument(flag, required=flag == "--config", help=text)
         p.set_defaults(handler=handler)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or vars(_parser().parse_args(argv))
     # a command makes no reference cycles, so the cyclic collector would only
     # rescan its records; forked workers inherit it off, callers get it back.
     # main never freezes: a freeze that is never undone would pin the caller's heap
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.handler(parse_config(args.config, _overrides(args)))
+        return args["handler"](parse_config(args["config"], _overrides(args)))
     except (ConfigError, InvalidParams) as exc:   # the latter from a synthetic scenario
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -898,18 +899,27 @@ class TestMainEntry:
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "1_0"), ("--seed", "٣"), ("--seed", "２"),
         ("--categories", "1_0"), ("--categories", "٢,3"),
+        ("--categories", "1,,2"), ("--categories", "2,"), ("--categories", ",2"),
     ])
     @pytest.mark.parametrize("command", ["run", "validate", "gen-trace"])
     def test_flag_numeral_the_files_reject_exits_2(self, tmp_path, capsys, command,
                                                     flag, value):
         # the input files' rule: int() alone reads `1_0` as 10 and a digit of
-        # any script by its value, so each would name a point that runs
+        # any script by its value, and a filter of empty items reads `1,,2`
+        # as 1,2, so each would name a point that runs
         path = synthetic_config(tmp_path, categories=[2], seeds=[1])
         code = main([command, "--config", str(path), flag, value,
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"config error: {flag} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_categories_flag_reads_spaced_items(self, tmp_path):
+        path = synthetic_config(tmp_path, seeds=[1])
+        assert main(["run", "--config", str(path), "--categories", "2, 5",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out" / "runs").iterdir()) == [
+            "n2_s1", "n5_s1"]
 
     @pytest.mark.parametrize("flag, named", [
         ("--categories", "--categories must be comma-separated integers, got ''"),
@@ -1102,6 +1112,110 @@ def test_each_config_loads_only_its_input_path(tmp_path, command, inputs):
     if command == "run":
         expected |= SWEEP_MODULES | {"dtn_cluster_sim.workers"}
     assert loaded == str(sorted(expected))
+
+
+# what argparse loads: gettext, and locale at the first lookup of a text
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("command, inputs", [("validate", "synthetic"), ("validate", "file"),
+                                             ("run", "synthetic")])
+def test_plain_line_leaves_argparse_out(tmp_path, command, inputs):
+    """A plain line is read without argparse, so a command given one loads
+    none of argparse, gettext and locale."""
+    config = (synthetic_config(tmp_path, categories=[2], seeds=[1]) if inputs == "synthetic"
+              else write_config(tmp_path))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    loaded = _loaded_after(f"from dtn_cluster_sim.cli import main\n"
+                           f"if main({argv!r}): raise SystemExit(1)", ARGPARSE_MODULES)
+    assert loaded == "[]"
+
+
+@pytest.mark.parametrize("flags, status, stderr", [
+    (["-h"], 0, ""),
+    (["--conf", "c.json"], 2, "config error: missing required config key: out\n"),
+    (["--config", "c.json", "--router", "x"], 2,
+     "usage: dtn-cluster-sim [-h] {run,validate,gen-trace} ...\n"
+     "dtn-cluster-sim: error: unrecognized arguments: --router x\n"),
+], ids=["help", "abbreviated", "unknown"])
+def test_other_lines_go_to_argparse(tmp_path, flags, status, stderr):
+    """Help, an abbreviated flag and an unknown flag load argparse and get
+    its texts and exit status: help on stdout, the abbreviation read as
+    `--config`, and the usage error."""
+    synthetic_config(tmp_path).rename(tmp_path / "c.json")
+    code = ("import atexit, sys\n"
+            f"atexit.register(lambda: print(sorted({ARGPARSE_MODULES!r} & set(sys.modules))))\n"
+            + _entry_code("module"))
+    proc = subprocess.run([sys.executable, "-c", code, "run", *flags], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": _src_dir(), "COLUMNS": "80"},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (status, stderr)
+    *out, loaded = proc.stdout.splitlines()
+    assert "argparse" in loaded
+    assert (out[0] if out else "").startswith(
+        "usage: dtn-cluster-sim run [-h] --config CONFIG" if flags == ["-h"] else "")
+
+
+# the lines perfbench issues: harness.py's `run` and `validate` processes,
+# workloads.py's gen-trace, and tracer.py's cli.main call
+BENCHMARK_LINES = [
+    ["run", "--config", "run.json", "--out", "out/rep1"],
+    ["validate", "--config", "run.json"],
+    ["gen-trace", "--config", "gen.json", "--categories", "2", "--seed", "1",
+     "--out", "inputs/n2_s1"],
+]
+
+
+def _ci_lines() -> list[list[str]]:
+    """The command lines that CI's workflow gives the installed script or
+    `python -m dtn_cluster_sim.cli`."""
+    path = Path(_src_dir()).parent / ".github" / "workflows" / "tests.yml"
+    found = re.findall(r"(?:dtn-cluster-sim|dtn_cluster_sim\.cli) ((?:run|validate|gen-trace)"
+                       r" [^\n)\\]*)", path.read_text(encoding="utf-8"))
+    return [shlex.split(line) for line in found]
+
+
+def _differential_lines() -> list[list[str]]:
+    """Command lines over the commands and a bogus one, the four flags, an
+    abbreviation, a config key, `--flag=value` and `-h`, and values that
+    are empty, negative, a flag, spaced or a command: every line of zero to
+    two pairs, then random lines of up to five pairs, repeats included,
+    some of them cut short."""
+    commands = ["run", "validate", "gen-trace", "bogus"]
+    flags = [*cli._FLAGS, "--conf", "--router", "--config=x", "-h"]
+    values = ["x", "", "-1", "--out", "a b", "run"]
+    pairs = [[flag, value] for flag in flags for value in values]
+    lines = [[command, *first, *second] for command in commands
+             for first in [[], *pairs] for second in ([[]] if not first else [[], *pairs])]
+    rng = random.Random(34)
+    for _ in range(3000):
+        line = [rng.choice(commands)] if rng.random() < 0.9 else []
+        for _ in range(rng.randint(0, 5)):
+            line += rng.choice(pairs)
+        lines.append(line[:-1] if line and rng.random() < 0.2 else line)
+    return lines
+
+
+def test_plain_reader_agrees_with_argparse(capsys):
+    """Every line the plain reader accepts, argparse reads without error to
+    the same handler and flag values; the lines the benchmark, its tracer
+    and CI issue are all among them."""
+    ci_lines = _ci_lines()
+    assert len(ci_lines) >= 6
+    parser = cli._parser()
+    accepted = []
+    for argv in _differential_lines() + BENCHMARK_LINES + ci_lines:
+        plain = cli._plain_args(argv)
+        if plain is None:
+            continue
+        accepted.append(argv)
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse rejects the plain line {argv}: {capsys.readouterr().err}")
+        del parsed["command"]
+        assert plain == parsed, argv
+    assert all(argv in accepted for argv in BENCHMARK_LINES + ci_lines)
 
 
 def test_run_calls_the_name_set_on_the_cli_module(tmp_path):
