@@ -85,6 +85,9 @@ class RunConfig(NamedTuple):
             raise InvalidParams("trace", "missing required config key: trace or synthetic")
         self.router_config()
         self.schedule_config()
+        if self.trace is None and (self.profiles is not None or self.trace_format != "tabular"):
+            raise InvalidParams("profiles" if self.profiles is not None else "trace_format",
+                                "applies to a trace file only")
 
     def router_config(self) -> RouterConfig:
         return RouterConfig(
@@ -258,14 +261,19 @@ def _output_dir(config: RunConfig, create: bool = True) -> Path:
     return out
 
 
-def _clear_earlier_sweep(out: Path) -> None:
-    """Remove an earlier sweep's files from `out`; one that cannot be
-    removed is a config error naming it."""
+def _clear_earlier_sweep(out: Path, inputs) -> None:
+    """Remove an earlier sweep's files from `out`; an input file among
+    them, or one that cannot be removed, is a config error naming it."""
+    dirs, files = ("runs", "runs.partial"), ("config.json", "failures.csv", "summary.csv")
+    for path in filter(None, inputs):
+        if any(Path(path).resolve().is_relative_to(out.resolve() / name)
+               for name in dirs + files):
+            raise ConfigError(f"{path}: an input file among the sweep's outputs in {out}")
     try:
-        for name in ("runs", "runs.partial"):
+        for name in dirs:
             if (out / name).exists():
                 shutil.rmtree(out / name)
-        for name in ("config.json", "failures.csv", "summary.csv"):
+        for name in files:
             (out / name).unlink(missing_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot clear an earlier sweep's output: {exc}") from exc
@@ -291,11 +299,12 @@ def _run_point(config: RunConfig, file_inputs, out: Path, run_id: str, cat: int,
     return [summary, None]
 
 
-def run_sweep(config: RunConfig) -> int:
-    """Run every (n_categories, seed) pair and write the output tree."""
+def run_sweep(config: RunConfig, config_path=None) -> int:
+    """Run every (n_categories, seed) pair and write the output tree;
+    `config_path` names the file `config` was read from."""
     file_inputs = _load_file_inputs(config)
     out = _output_dir(config)
-    _clear_earlier_sweep(out)
+    _clear_earlier_sweep(out, (config_path, config.trace, config.profiles))
     _bind("run", "build_report", "per_message_csv", "summary_row", "dump_clustering")
     from .metrics import summary_header
     from .workers import _run_points
@@ -326,7 +335,7 @@ def run_sweep(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(config: RunConfig, config_path=None) -> int:
     scenario = build_scenario(config, *_points(config)[0], _load_file_inputs(config))
     report = validate_scenario(scenario.trace, scenario.profiles)
     for line in report.lines():
@@ -334,7 +343,7 @@ def cmd_validate(config: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_gen_trace(config: RunConfig) -> int:
+def cmd_gen_trace(config: RunConfig, config_path=None) -> int:
     if config.synthetic is None:
         raise ConfigError("missing required config key: synthetic")
     points = _points(config)
@@ -372,7 +381,7 @@ def _overrides(args: dict) -> dict:
     return {"seed": seed, "categories": categories, "out": args["out"]}
 
 
-# the commands and their flags, which both readers of a command line use
+# the commands, given the config and its file, and their flags, which both command-line readers use
 _COMMANDS = {"run": run_sweep, "validate": cmd_validate, "gen-trace": cmd_gen_trace}
 _FLAGS = {"--config": "JSON config file",
           "--seed": "replace the seed sweep with this single seed",
@@ -416,7 +425,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args["handler"](parse_config(args["config"], _overrides(args)))
+        return args["handler"](parse_config(args["config"], _overrides(args)), args["config"])
     except (ConfigError, InvalidParams) as exc:   # the latter from a synthetic scenario
         print(f"config error: {exc}", file=sys.stderr)
         return 2

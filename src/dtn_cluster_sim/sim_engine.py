@@ -61,7 +61,6 @@ made it.
 import random
 from bisect import insort
 from enum import Enum
-from functools import partial
 from heapq import heappop, heappush
 from typing import NamedTuple
 
@@ -310,14 +309,10 @@ def run(scenario: Scenario) -> SimResult:
     # transfers left on a pair's latest contact; 0 once spent or closed in strict mode
     budget: dict[tuple[int, int], int] = {}
     cap = rc.max_transfers_per_contact
-    # only the strict rule can refuse an offer, so only it is asked (module
-    # docstring); bound per run, not at import, so a rule wrapped after import is used
-    ask = (partial(interest_cluster_transfer, strict=True)
-           if rc.kind == "cluster" and rc.strict else None)
-    CLOSE = ForwardDecision.CLOSE_CONNECTION
+    strict = rc.strict   # only the strict rule can refuse, so only it is asked
     # the nodes each category is offered to (module docstring)
-    offered_to = (member_sets if rc.kind == "cluster" and not rc.strict
-                  else dict.fromkeys(member_sets, universe))
+    offered_to = (dict.fromkeys(member_sets, universe) if strict or rc.kind == "epidemic"
+                  else member_sets)
     # the ids each node is offered and has not received (summary vectors)
     need: dict[int, set[int]] = {node: set() for node in universe}
 
@@ -352,7 +347,8 @@ def run(scenario: Scenario) -> SimResult:
             for entry in buffer.in_exchange_order():
                 if entry.message_id not in needed:
                     continue
-                if ask is not None and ask(entry.message, peer) is CLOSE:
+                if strict and interest_cluster_transfer(
+                        entry.message, peer, strict=True) is ForwardDecision.CLOSE_CONNECTION:
                     budget[pair] = 0
                     closes += 1
                     return gainers

@@ -128,6 +128,11 @@ class RouterConfig(NamedTuple):
                 raise InvalidParams(name, "must be a positive integer or None")
         if self.ttl is not None and not (_is_real(self.ttl) and self.ttl > 0):
             raise InvalidParams("ttl", "must be positive and finite, or None")
+        # after each field's own rule: a setting that the others make inert
+        if self.strict and self.kind != "cluster":
+            raise InvalidParams("strict", "applies to the cluster router only")
+        if self.k_clusters is not None and self.mode != "kmeans":
+            raise InvalidParams("k_clusters", "applies to kmeans mode only")
 
 
 # the most messages a schedule draws, 20 times the 5,000-message flood that
@@ -160,6 +165,9 @@ class ScheduleConfig(NamedTuple):
                                 "tuples, or None")
         if not isinstance(self.track_final, bool):
             raise InvalidParams("track_final", "must be True or False")
+        if self.explicit is not None and (self.count or self.interval is not None):
+            raise InvalidParams("message_count" if self.count else "message_interval",
+                                "an explicit schedule draws no messages")
 
 
 @_checked
@@ -200,7 +208,7 @@ class Scenario(NamedTuple):
                 raise InvalidParams("schedule", f"category {category} outside [1, {n}]")
             if not (_is_int(source) and (source in nodes or source in self.trace.nodes)):
                 raise InvalidParams("schedule", f"unknown source node {source}")
-        if cfg.explicit is None and cfg.count:
+        if cfg.count:
             if not (nodes or self.trace.nodes):
                 raise InvalidParams("schedule", "no nodes to create messages at")
             if cfg.interval is not None and cfg.count * cfg.interval > duration:

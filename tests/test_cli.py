@@ -723,6 +723,20 @@ class TestMainEntry:
         ({"seeds": [1], "--seed": "9" * 300}, "invalid parameter: seeds"),
         ({"seeds": [2**63]}, "invalid parameter: seeds"),
         ({"seeds": [-2**63 - 1]}, "invalid parameter: seeds"),
+        # a setting that the others make inert is refused, not echoed as if it
+        # ran: profiles or a trace format without a trace file, strictness
+        # under the epidemic router, a cluster count in exact mode
+        ({"trace": None, "synthetic": {"node_count": 8, "duration": 300.0,
+                                       "contact_rate": 0.002, "interest_prob": 0.5}},
+         "invalid parameter: profiles (applies to a trace file only)"),
+        ({"trace": None, "profiles": None, "trace_format": "one_events",
+          "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 0.002,
+                        "interest_prob": 0.5}},
+         "invalid parameter: trace_format (applies to a trace file only)"),
+        ({"router": "epidemic", "strict": True},
+         "invalid parameter: strict (applies to the cluster router only)"),
+        ({"mode": "exact", "k_clusters": 3},
+         "invalid parameter: k_clusters (applies to kmeans mode only)"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
@@ -765,6 +779,66 @@ class TestMainEntry:
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, named", [
+        ({"profiles": "profiles.txt"}, "profiles (applies to a trace file only)"),
+        ({"trace_format": "one_events"}, "trace_format (applies to a trace file only)"),
+        ({"router": "epidemic", "strict": True}, "strict (applies to the cluster router only)"),
+        ({"k_clusters": 3}, "k_clusters (applies to kmeans mode only)"),
+    ], ids=["profiles", "trace_format", "strict", "k_clusters"])
+    @pytest.mark.parametrize("command", ["run", "validate", "gen-trace"])
+    def test_inert_key_exits_2(self, tmp_path, capsys, command, change, named):
+        # the synthetic config's rows of test_bad_value_or_file_exits_2, per command
+        path = synthetic_config(tmp_path, categories=[2], seeds=[1], **change)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: invalid parameter: {named}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("key, where", [
+        ("config", "config.json"),
+        ("profiles", "summary.csv"),
+        ("profiles", "failures.csv"),
+        ("trace", "runs/t.txt"),
+        ("trace", "runs.partial/n2_s1/t.txt"),
+        ("config", "runs/../runs/c.json"),
+    ])
+    def test_input_among_the_outputs_exits_2(self, tmp_path, monkeypatch, capsys, key,
+                                             where):
+        # the sweep would remove or rewrite its own input: clearing runs/
+        # would delete the trace, and the echo would rewrite the config
+        # without `out`, so that the same command would then fail
+        monkeypatch.chdir(tmp_path)
+        paths = {"config": "config.json", "trace": "trace.txt", "profiles": "profiles.txt",
+                 key: f"out/{where}"}
+        for name, text in (("trace", TRACE_TEXT), ("profiles", PROFILE_TEXT),
+                           ("config", json.dumps({
+                               "trace": paths["trace"], "profiles": paths["profiles"],
+                               "categories": [2], "seeds": [1], "out": "out"}))):
+            Path(paths[name]).parent.mkdir(parents=True, exist_ok=True)
+            Path(paths[name]).write_text(text)
+        def tree():
+            return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+        before = tree()
+        assert main(["run", "--config", paths["config"]]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {paths[key]}: an input file among the sweep's outputs in out\n")
+        assert tree() == before
+
+    def test_input_beside_the_outputs_is_kept(self, tmp_path, monkeypatch):
+        # only the files and trees that a sweep replaces are refused
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out" / "in").mkdir(parents=True)
+        (tmp_path / "out" / "in" / "trace.txt").write_text(TRACE_TEXT)
+        (tmp_path / "out" / "runs.txt").write_text(PROFILE_TEXT)
+        (tmp_path / "out" / "c.json").write_text(json.dumps({
+            "trace": "out/in/trace.txt", "profiles": "out/runs.txt", "categories": [2],
+            "seeds": [1], "out": "out"}))
+        assert main(["run", "--config", "out/c.json"]) == 0
+        assert (tmp_path / "out" / "in" / "trace.txt").read_text() == TRACE_TEXT
+        assert (tmp_path / "out" / "runs.txt").read_text() == PROFILE_TEXT
+        assert (tmp_path / "out" / "runs" / "n2_s1" / "per_message.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_message_count_past_the_limit_exits_2(self, tmp_path, capsys, command):
@@ -976,6 +1050,11 @@ class TestRunConfigHelpers:
         ({"trace": None}, "trace"),         # neither source
         ({"ttl": True}, "ttl"),
         ({"message_count": MAX_MESSAGES + 1}, "message_count"),
+        # a synthetic config reads no trace file, so these would be inert
+        ({"trace": None, "synthetic": {}, "profiles": "profiles.txt"}, "profiles"),
+        ({"trace": None, "synthetic": {}, "trace_format": "one_events"}, "trace_format"),
+        # after the router's own rules, so that a bad router key is still named
+        ({"trace": None, "synthetic": {}, "profiles": "profiles.txt", "ttl": True}, "ttl"),
     ])
     def test_bad_key_raises_where_built(self, change, named):
         """RunConfig checks itself like every settings record: by keywords,

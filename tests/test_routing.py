@@ -71,6 +71,12 @@ class TestMessage:
         with pytest.raises(ValueError):
             msg(group=(5, 8), final_destination=9)
 
+    def test_repr_lists_the_fields_in_slot_order(self):
+        # a failed assertion on records or buffer entries prints messages this way
+        m = msg(mid=3, source=4, category=2, created_at=1.5, group=(5,), final_destination=5)
+        assert repr(m) == "Message(3, 4, 2, 1.5, frozenset({5}), 5)"
+        assert repr(msg(group=())) == "Message(0, 1, 1, 0.0, frozenset(), None)"
+
 
 class TestBuffer:
     def test_copy_lapses_just_after_ttl(self):

@@ -237,6 +237,17 @@ def every_build(build, change: dict):
     (ScheduleConfig, {"explicit": ([5.0, 1, 1],)}, "explicit"),
     # a schedule draws at most MAX_MESSAGES messages: 10^8 ran out of memory
     (ScheduleConfig, {"count": MAX_MESSAGES + 1}, "message_count"),
+    # a setting that the record's other settings make inert is refused,
+    # after every field's own rule, so that a bad field is still the one named
+    (RouterConfig, {"kind": "epidemic", "strict": True}, "strict"),
+    (RouterConfig, {"mode": "exact", "k_clusters": 3}, "k_clusters"),
+    (ScheduleConfig, {"explicit": ((5.0, 1, 1),), "count": 3}, "message_count"),
+    (ScheduleConfig, {"explicit": ((5.0, 1, 1),), "interval": 10.0}, "message_interval"),
+    (RouterConfig, {"kind": "epidemic", "strict": True, "buffer_capacity": 0},
+     "buffer_capacity"),
+    (RouterConfig, {"k_clusters": 3, "ttl": -1.0}, "ttl"),
+    (ScheduleConfig, {"explicit": ((5.0, 1, 1),), "count": 3, "track_final": 1},
+     "track_final"),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
     """Each path that builds a record raises the same error, naming the
