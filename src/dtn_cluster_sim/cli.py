@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import sys
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, get_args
 
@@ -74,6 +75,12 @@ class RunConfig(NamedTuple):
             value = getattr(self, name)
             if not (value is None or isinstance(value, str) and value):   # "" names the cwd
                 raise InvalidParams(name, "must be a non-empty string or null")
+            try:   # a NUL, or a lone surrogate that no byte gave, reaches no file
+                if value is not None and b"\0" in os.fsencode(value):
+                    raise ValueError(value)
+            except ValueError:   # UnicodeEncodeError among them
+                detail = "holds a NUL or a character the OS cannot encode"
+                raise InvalidParams(name, detail) from None
         if self.trace_format not in TRACE_FORMATS:
             raise InvalidParams("trace_format", f"unknown format {self.trace_format!r}")
         if not isinstance(self.synthetic, (dict, type(None))):
@@ -244,12 +251,25 @@ def build_scenario(config: RunConfig, n_categories: int, seed: int,
     )
 
 
-def _output_dir(config: RunConfig, create: bool = True) -> Path:
-    """The configured output directory, created if missing when `create`;
-    a path that cannot be a directory is a config error naming it."""
+# what each command that writes puts in `out`: its trees, then its files
+_OUTPUTS = {"run": (("runs", "runs.partial"), ("config.json", "failures.csv", "summary.csv")),
+            "gen-trace": ((), ("trace.txt", "profiles.txt"))}
+
+
+def _output_dir(config: RunConfig, command: str, config_path, create: bool = True) -> Path:
+    """The configured output directory, created if missing when `create`.
+    A path that cannot be a directory, or an input file (the config at
+    `config_path`, the trace or the profiles) among what `command` writes
+    there, is a config error naming it."""
     if config.out is None:
         raise ConfigError("missing required config key: out")
     out = Path(config.out)
+    whose = "the sweep's" if command == "run" else f"{command}'s"
+    dirs, files = _OUTPUTS[command]
+    for path in filter(None, (config_path, config.trace, config.profiles)):
+        if any(Path(path).resolve().is_relative_to(os.path.realpath(out / name))
+               for name in dirs + files):
+            raise ConfigError(f"{path}: an input file among {whose} outputs in {out}")
     try:
         nearest = next(p for p in (out, *out.parents) if p.exists())
         if not nearest.is_dir():
@@ -261,22 +281,19 @@ def _output_dir(config: RunConfig, create: bool = True) -> Path:
     return out
 
 
-def _clear_earlier_sweep(out: Path, inputs) -> None:
-    """Remove an earlier sweep's files from `out`; an input file among
-    them, or one that cannot be removed, is a config error naming it."""
-    dirs, files = ("runs", "runs.partial"), ("config.json", "failures.csv", "summary.csv")
-    for path in filter(None, inputs):
-        if any(Path(path).resolve().is_relative_to(out.resolve() / name)
-               for name in dirs + files):
-            raise ConfigError(f"{path}: an input file among the sweep's outputs in {out}")
-    try:
-        for name in dirs:
-            if (out / name).exists():
-                shutil.rmtree(out / name)
-        for name in files:
-            (out / name).unlink(missing_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot clear an earlier sweep's output: {exc}") from exc
+def _clear_earlier_sweep(out: Path) -> None:
+    """Remove an earlier sweep's files from `out`; one that cannot be
+    removed, a symbolic link among them, is a config error naming it."""
+    dirs, files = _OUTPUTS["run"]
+    for name in dirs + files:
+        path = out / name
+        try:
+            if name in files:
+                path.unlink(missing_ok=True)
+            elif os.path.lexists(path):   # a dangling symbolic link too, which rmtree refuses
+                shutil.rmtree(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot clear an earlier sweep's output {path}: {exc}") from exc
 
 
 def _run_point(config: RunConfig, file_inputs, out: Path, run_id: str, cat: int,
@@ -303,18 +320,21 @@ def run_sweep(config: RunConfig, config_path=None) -> int:
     """Run every (n_categories, seed) pair and write the output tree;
     `config_path` names the file `config` was read from."""
     file_inputs = _load_file_inputs(config)
-    out = _output_dir(config)
-    _clear_earlier_sweep(out, (config_path, config.trace, config.profiles))
+    out = _output_dir(config, "run", config_path)
+    _clear_earlier_sweep(out)
     _bind("run", "build_report", "per_message_csv", "summary_row", "dump_clustering")
     from .metrics import summary_header
-    from .workers import _run_points
 
     rows = [summary_header()]
     failures: list[tuple[str, str]] = []
     points = [(f"n{cat}_s{seed}", cat, seed) for cat, seed in _points(config)]
-    for run_id, row, error in _run_points(
-            points, lambda *point: _run_point(config, file_inputs, out, *point),
-            out / "runs.partial"):
+    run_point = partial(_run_point, config, file_inputs, out)
+    if len(points) == 1:   # one point never forks, so it needs no worker pool
+        entries = [[points[0][0], *run_point(*points[0])]]
+    else:
+        from .workers import _run_points
+        entries = _run_points(points, run_point, out / "runs.partial")
+    for run_id, row, error in entries:
         if error is None:
             rows.append(row)
         else:
@@ -348,11 +368,12 @@ def cmd_gen_trace(config: RunConfig, config_path=None) -> int:
         raise ConfigError("missing required config key: synthetic")
     points = _points(config)
     if len(points) > 1:
-        _output_dir(config, create=False)   # a bad --out is reported as such first
+        # a bad --out, or an input among the outputs, is reported as such first
+        _output_dir(config, "gen-trace", config_path, create=False)
         raise ConfigError(f"gen-trace writes one (categories, seeds) point, the config "
                           f"has {len(points)}; pick one with --categories and --seed")
     scenario = build_scenario(config, *points[0], None)
-    out = _output_dir(config)
+    out = _output_dir(config, "gen-trace", config_path)
     from .trace_files import serialize_contact_trace, serialize_profiles
     for name, text in (("trace.txt", serialize_contact_trace(scenario.trace)),
                        ("profiles.txt", serialize_profiles(scenario.profiles))):

@@ -104,14 +104,21 @@ def _parse_headers(headers: dict[str, tuple[int, str]]) -> tuple[float | None, i
     return duration, node_count
 
 
+class _NodeIds(dict):
+    """Node-id texts of one file, each read through `int()` once."""
+    def __missing__(self, text: str) -> int:
+        return self.setdefault(text, int(text))
+
+
 def _tabular(lines, contacts: list) -> None:
+    ids = _NodeIds()
     for line_no, fields in lines:
         if len(fields) != 4:
             raise TraceError(line_no, "malformed line "
                                       f"(expected 4 fields, got {len(fields)})")
         try:
             t_start, t_end = float(fields[0]), float(fields[1])
-            a, b = int(fields[2]), int(fields[3])
+            a, b = ids[fields[2]], ids[fields[3]]
         except ValueError:
             raise TraceError(line_no, "malformed line (unparsable field)") from None
         _add_contact(contacts, line_no, t_start, t_end, a, b)
@@ -126,13 +133,14 @@ def _one_events(lines, contacts: list) -> float:
     timestamp seen in the file.
     """
     open_since: dict[tuple[int, int], float] = {}
+    ids = _NodeIds()
     last_time = 0.0
     for line_no, fields in lines:
         if len(fields) != 5 or fields[1].upper() != "CONN":
             raise TraceError(line_no, "malformed line (expected `time CONN a b up|down`)")
         try:
             time = float(fields[0])
-            a, b = int(fields[2]), int(fields[3])
+            a, b = ids[fields[2]], ids[fields[3]]
         except ValueError:
             raise TraceError(line_no, "malformed line (unparsable field)") from None
         state = fields[4].lower()

@@ -13,7 +13,7 @@ def _processes(n_points: int) -> int:
     """How many processes share a sweep's points: one per usable CPU, at
     most one per point, and 1 where fork is missing or unsafe (another
     thread could hold a lock the child would inherit)."""
-    if (n_points < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
     return min(n_points, len(os.sched_getaffinity(0)))

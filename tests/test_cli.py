@@ -334,14 +334,17 @@ class TestRunSweep:
         assert not (out / "runs").exists()
         assert not (out / "runs.partial" / "n3_s12").exists()
 
-    @pytest.mark.parametrize("stale", ["runs", "summary.csv"])
+    @pytest.mark.parametrize("stale", ["runs", "summary.csv", "runs.partial"])
     def test_earlier_output_that_cannot_be_cleared_exits_2(self, tmp_path, capsys,
                                                            stale):
-        # a file where the sweep needs a directory, or the reverse
+        # a file where the sweep needs a directory, or the reverse, or a
+        # symbolic link that leads nowhere where it needs a directory
         out = tmp_path / "out"
         out.mkdir()
         if stale == "runs":
             (out / stale).write_text("not a directory\n")
+        elif stale == "runs.partial":
+            (out / stale).symlink_to(stale)
         else:
             (out / stale).mkdir()
         code = main(["run", "--config", str(synthetic_config(tmp_path)),
@@ -737,6 +740,13 @@ class TestMainEntry:
          "invalid parameter: strict (applies to the cluster router only)"),
         ({"mode": "exact", "k_clusters": 3},
          "invalid parameter: k_clusters (applies to kmeans mode only)"),
+        # a path the OS cannot take: a NUL, or a lone surrogate that no byte gave
+        ({"out": "o\u0000x"}, "invalid parameter: out"),
+        ({"out": "o\ud800x"}, "invalid parameter: out"),
+        ({"trace": "trace.txt\u0000"}, "invalid parameter: trace"),
+        ({"trace": "t\ud800"}, "invalid parameter: trace"),
+        ({"profiles": "profiles.txt\u0000x"}, "invalid parameter: profiles"),
+        ({"profiles": "\udfffp"}, "invalid parameter: profiles"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
@@ -839,6 +849,42 @@ class TestMainEntry:
         assert (tmp_path / "out" / "in" / "trace.txt").read_text() == TRACE_TEXT
         assert (tmp_path / "out" / "runs.txt").read_text() == PROFILE_TEXT
         assert (tmp_path / "out" / "runs" / "n2_s1" / "per_message.csv").exists()
+
+    @pytest.mark.parametrize("path", ["o\u0000x", "o\ud800x"], ids=["nul", "surrogate"])
+    @pytest.mark.parametrize("command", ["run", "validate", "gen-trace"])
+    def test_out_the_os_cannot_take_exits_2(self, tmp_path, monkeypatch, capsys, command,
+                                            path):
+        # the record refuses it, so every command names the key, none reaches the OS
+        monkeypatch.chdir(tmp_path)
+        config = synthetic_config(tmp_path, categories=[2], seeds=[1], out=path)
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid parameter: out "
+            "(holds a NUL or a character the OS cannot encode)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("where", ["trace.txt", "profiles.txt", "sub/../trace.txt",
+                                       "link/trace.txt", "symlinked"])
+    def test_gen_trace_input_among_its_outputs_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                       where):
+        # gen-trace would write its trace or profiles over its own config, so
+        # that the same command would then fail: through `..`, a directory
+        # symlink to `gen`, or `gen/trace.txt` a symlink to the config
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gen" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to("gen")
+        config = {"symlinked": "c.json", "link/trace.txt": where}.get(where, f"gen/{where}")
+        if where == "symlinked":
+            (tmp_path / "gen" / "trace.txt").symlink_to("../c.json")
+        text = synthetic_config(tmp_path, categories=[2], seeds=[1], out="gen").read_text()
+        (tmp_path / "config.json").unlink()
+        Path(config).write_text(text)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["gen-trace", "--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {config}: an input file among gen-trace's outputs in gen\n")
+        assert Path(config).read_text() == text
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_message_count_past_the_limit_exits_2(self, tmp_path, capsys, command):
@@ -1055,6 +1101,9 @@ class TestRunConfigHelpers:
         ({"trace": None, "synthetic": {}, "trace_format": "one_events"}, "trace_format"),
         # after the router's own rules, so that a bad router key is still named
         ({"trace": None, "synthetic": {}, "profiles": "profiles.txt", "ttl": True}, "ttl"),
+        # a path the OS cannot take
+        ({"out": "o\u0000x"}, "out"),
+        ({"trace": "t\ud800"}, "trace"),
     ])
     def test_bad_key_raises_where_built(self, change, named):
         """RunConfig checks itself like every settings record: by keywords,
@@ -1173,23 +1222,25 @@ PATH_MODULES = {"dtn_cluster_sim.trace_files", "dtn_cluster_sim.synthetic",
 
 @pytest.mark.parametrize("command, inputs", [("validate", "synthetic"), ("validate", "file"),
                                              ("gen-trace", "synthetic"), ("run", "synthetic"),
-                                             ("run", "file")])
+                                             ("run", "file"), ("run", "two points")])
 def test_each_config_loads_only_its_input_path(tmp_path, command, inputs):
     """Given no numeral flag, a synthetic config compiles the generator and
     no file formats but for `gen-trace`'s serializers, a file config the
-    file formats and no generator, and only `run` the worker pool, with
-    every replay and report layer."""
-    config = (synthetic_config(tmp_path, categories=[2], seeds=[1]) if inputs == "synthetic"
-              else write_config(tmp_path))
+    file formats and no generator, only `run` every replay and report
+    layer, and only a `run` of two or more points the worker pool."""
+    config = (write_config(tmp_path) if inputs == "file" else synthetic_config(
+        tmp_path, categories=[2], seeds=[1, 2] if inputs == "two points" else [1]))
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     loaded = _loaded_after(f"from dtn_cluster_sim.cli import main\n"
                            f"if main({argv!r}): raise SystemExit(1)",
                            PATH_MODULES | SWEEP_MODULES)
-    expected = {f"dtn_cluster_sim.{'synthetic' if inputs == 'synthetic' else 'trace_files'}"}
+    expected = {f"dtn_cluster_sim.{'trace_files' if inputs == 'file' else 'synthetic'}"}
     if command == "gen-trace":
         expected.add("dtn_cluster_sim.trace_files")
     if command == "run":
-        expected |= SWEEP_MODULES | {"dtn_cluster_sim.workers"}
+        expected |= SWEEP_MODULES
+    if inputs == "two points":
+        expected.add("dtn_cluster_sim.workers")
     assert loaded == str(sorted(expected))
 
 
@@ -1389,6 +1440,8 @@ FUZZ_PROFILES = "0 1 0 1\n1 0 1 1\n2 1 1 0\n3 0 0 1\n"
 FUZZ_CHARS = "0123456789 .-_#:\n\txenaif\u0663\uff12"
 FUZZ_VALUES = (None, True, -1, 0, 1, 2, 3, 7, 2.5, 1e300, 10**6, float("nan"), "x",
                "one_events", "kmeans", "epidemic", [], [3], [1, 3], {})
+# what only the path fields draw besides: a NUL, and a lone surrogate that no byte gave
+FUZZ_PATHS = {key: FUZZ_VALUES + ("t\x00", "t\ud800") for key in ("trace", "profiles", "out")}
 
 
 def mutate_text(rng, text: str) -> str:
@@ -1428,7 +1481,7 @@ def fuzz_inputs(rng, i: int) -> tuple[str, str, str]:
             if rng.random() < 0.2:
                 config.pop(key, None)
             else:
-                config[key] = rng.choice(FUZZ_VALUES)
+                config[key] = rng.choice(FUZZ_PATHS.get(key, FUZZ_VALUES))
     return trace, profiles, json.dumps(config)
 
 

@@ -181,6 +181,39 @@ class TestParseOneEvents:
         assert err.value.line_no == text.count("\n")
 
 
+# contacts of nodes 2, 3 and 7 in each format, with node 7 written as
+# `{7}` on its later lines
+SPELLED_7 = {
+    "tabular": "0 4 7 3\n5 9 3 {7}\n6 8 {7} 2\n12 14 2 {7}\n",
+    "one_events": "0 CONN 7 3 up\n4 CONN 3 {7} down\n5 CONN {7} 2 up\n"
+                  "8 CONN 2 {7} down\n9 CONN 2 3 up\n",
+}
+
+
+class TestNodeIds:
+    """A parse reads each distinct node-id text through `int()` once; ids
+    and errors are as if it read every field."""
+
+    @pytest.mark.parametrize("spelling", ["07", "+7", "+007"])
+    @pytest.mark.parametrize("fmt", sorted(SPELLED_7))
+    def test_spellings_of_one_id_are_one_node(self, fmt, spelling):
+        plain = parse_contact_trace(SPELLED_7[fmt].replace("{7}", "7"), fmt=fmt)
+        assert plain.nodes == (2, 3, 7)
+        assert parse_contact_trace(SPELLED_7[fmt].replace("{7}", spelling), fmt=fmt) == plain
+
+    @pytest.mark.parametrize("bad, error", [("x", "unparsable field"),
+                                            ("7.0", "unparsable field"),
+                                            ("-7", "negative value"),
+                                            ("-3", "negative value")])
+    @pytest.mark.parametrize("fmt", sorted(SPELLED_7))
+    def test_bad_id_after_good_ones_names_its_line(self, fmt, bad, error):
+        # node 7 is read on line 1; its bad spelling first stands on line 3
+        text = SPELLED_7[fmt].replace("{7}", "7", 1).replace("{7}", bad, 1)
+        with pytest.raises(TraceError, match=error) as err:
+            parse_contact_trace(text, fmt=fmt)
+        assert err.value.line_no == 3
+
+
 class TestRoundTrip:
     def test_serialize_reparse_identity(self):
         text = "0 10 1 2\n5 12 2 3\n30 31 7 9\n"
