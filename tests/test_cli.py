@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import gc
@@ -1299,7 +1300,7 @@ BENCHMARK_LINES = [
 def _ci_lines() -> list[list[str]]:
     """The command lines that CI's workflow gives the installed script or
     `python -m dtn_cluster_sim.cli`."""
-    path = Path(_src_dir()).parent / ".github" / "workflows" / "tests.yml"
+    path = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
     found = re.findall(r"(?:dtn-cluster-sim|dtn_cluster_sim\.cli) ((?:run|validate|gen-trace)"
                        r" [^\n)\\]*)", path.read_text(encoding="utf-8"))
     return [shlex.split(line) for line in found]
@@ -1432,6 +1433,34 @@ def test_package_exports_load_on_first_use():
     assert set(dtn_cluster_sim.__all__) <= set(dir(dtn_cluster_sim))
 
 
+def _imports_cli(source: str) -> bool:
+    """Whether `source`, a module of the package, imports `cli` anywhere."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("dtn_cluster_sim" if node.level else "", node.module)))
+            names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if "dtn_cluster_sim.cli" in names:
+            return True
+    return False
+
+
+def test_no_module_imports_cli():
+    """No module of the package imports `cli`: under `python -m
+    dtn_cluster_sim.cli`, `cli` runs as `__main__`, so such an import
+    would compile and run it a second time, with classes of its own."""
+    for form in ("from .cli import ConfigError", "from . import cli", "import dtn_cluster_sim.cli",
+                 "from dtn_cluster_sim.cli import main", "def f():\n    from dtn_cluster_sim import cli"):
+        assert _imports_cli(form), form
+    assert not _imports_cli("from . import clustering\nfrom .trace_files import cli")
+    package = Path(dtn_cluster_sim.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if _imports_cli(path.read_text(encoding="utf-8"))] == []
+
+
 # the inputs that test_mutated_inputs_exit_cleanly mutates: a tabular trace
 # with both headers, a profile file and a file config over both
 FUZZ_TRACE = "1 4 0 1\n3 8 1 2\n6 9 0 2\n12 15 1 3\n# duration: 20\n# nodes: 4\n"
@@ -1468,7 +1497,7 @@ def fuzz_inputs(rng, i: int) -> tuple[str, str, str]:
     mutated, the config either by its values and keys or as text."""
     trace, profiles = FUZZ_TRACE, FUZZ_PROFILES
     config = {"trace": "trace.txt", "profiles": "profiles.txt", "categories": [2],
-              "seeds": [1], "message_count": 4, "ttl": 8.0, "buffer_capacity": 2}
+              "seeds": [1], "message_count": 4, "ttl": 8.0, "buffer_capacity": 2, "out": "out"}
     if i % 3 == 0:
         trace = mutate_text(rng, trace)
     elif i % 3 == 1:
@@ -1476,8 +1505,10 @@ def fuzz_inputs(rng, i: int) -> tuple[str, str, str]:
     elif i % 6 == 2:
         return trace, profiles, mutate_text(rng, json.dumps(config))
     else:
-        for _ in range(rng.randint(1, 2)):
-            key = rng.choice((*RunConfig._fields, "unknown"))
+        # every other such case sets a path field first, so that the path rules are reached
+        for n in range(rng.randint(1, 2)):
+            key = rng.choice(tuple(FUZZ_PATHS) if n == 0 and i % 12 == 11
+                             else (*RunConfig._fields, "unknown"))
             if rng.random() < 0.2:
                 config.pop(key, None)
             else:
@@ -1486,14 +1517,18 @@ def fuzz_inputs(rng, i: int) -> tuple[str, str, str]:
 
 
 def names_file_or_key(err: str, config: str) -> bool:
-    """Whether a config error names one of the fuzz's three input files, or
-    a key of the config schema or of the config file itself."""
-    if re.match(r"config error: (config config\.json |trace\.txt: |profiles\.txt: )", err):
+    """Whether a config error names the config file or the trace or profile
+    file it names, or a key of the config schema or of the config file."""
+    if err.startswith("config error: config config.json "):
+        return True
+    values = json.loads(config)
+    if any(isinstance(values.get(key), str) and err.startswith(f"config error: {values[key]}: ")
+           for key in ("trace", "profiles")):
         return True
     said = re.match(r"config error: (invalid parameter|unknown config key|missing required "
                     r"config key): (.+?)(?: \(|\n)", err)
     keys = {*RunConfig._fields, *(f"synthetic.{key}" for key in SyntheticParams._fields)}
-    return said is not None and said[2] in keys.union(json.loads(config))
+    return said is not None and said[2] in keys.union(values)
 
 
 def test_mutated_inputs_exit_cleanly(tmp_path, monkeypatch, capsys):
@@ -1501,7 +1536,7 @@ def test_mutated_inputs_exit_cleanly(tmp_path, monkeypatch, capsys):
     run through `validate` and then `run`. Every command ends in 0, 1 or 2
     with no traceback, and an exit 2 names a file or a config key."""
     rng = random.Random(2018)
-    statuses = Counter()
+    statuses, out_errors = Counter(), 0
     for i in range(200):
         trace, profiles, config = fuzz_inputs(rng, i)
         case = tmp_path / f"case{i}"
@@ -1511,11 +1546,13 @@ def test_mutated_inputs_exit_cleanly(tmp_path, monkeypatch, capsys):
             (case / name).write_text(text, encoding="utf-8")
         monkeypatch.chdir(case)
         for command in ("validate", "run"):
-            code = main([command, "--config", "config.json", "--out", "out"])
+            code = main([command, "--config", "config.json"])
             err = capsys.readouterr().err
             assert code in (0, 1, 2) and "Traceback" not in err, (i, command, err)
             assert code != 2 or names_file_or_key(err, config), (i, command, err)
             statuses[command, code] += 1
-    # the fuzz reaches every outcome but a failed point
+            out_errors += code == 2 and re.match(r"config error: [^:\n]+: out\b", err) is not None
+    # the fuzz reaches every outcome but a failed point, and a refused `out`
+    assert out_errors, statuses
     assert set(statuses) == {("validate", 0), ("validate", 1), ("validate", 2),
                              ("run", 0), ("run", 2)}, statuses
