@@ -266,9 +266,9 @@ def _output_dir(config: RunConfig, command: str, config_path, create: bool = Tru
     out = Path(config.out)
     whose = "the sweep's" if command == "run" else f"{command}'s"
     dirs, files = _OUTPUTS[command]
+    outputs = [os.path.realpath(out / name) for name in dirs + files]
     for path in filter(None, (config_path, config.trace, config.profiles)):
-        if any(Path(path).resolve().is_relative_to(os.path.realpath(out / name))
-               for name in dirs + files):
+        if any(map(Path(path).resolve().is_relative_to, outputs)):
             raise ConfigError(f"{path}: an input file among {whose} outputs in {out}")
     try:
         nearest = next(p for p in (out, *out.parents) if p.exists())

@@ -40,7 +40,8 @@ absent from the receipt log, and a buffer's `held` the ids in its log. A
 contact, at its start or when queued, is exchanged on only if one end
 holds an id the other needs, and an exchange walks a direction only when
 its carrier does; a buffer takes in ids only through a gain, which
-queues the contact again.
+queues the contact again. `need` grows only at creations, so the replay
+stops once none is left and every `need` is empty: no exchange can follow.
 
 With a TTL, buffers are purged lazily. `held` may still name lapsed
 copies, so a direction that passes the offer test purges its carrier and
@@ -180,9 +181,10 @@ def epidemic_decide(message: Message, peer: int) -> ForwardDecision:
 
 
 class EventCounts(NamedTuple):
-    """Run totals, built once when the run ends. `expired` counts the copies
-    that lapse while stored, by the trace's duration: created more than the
-    TTL before it, and not evicted first (module docstring)."""
+    """Run totals, built once when the run ends. `contacts_processed` is
+    the trace's contact count, contacts after the replay stops included.
+    `expired` counts the copies that lapse while stored, by the trace's
+    duration: created more than the TTL before it, not evicted first."""
 
     contacts_processed: int = 0
     forwards: int = 0
@@ -332,7 +334,7 @@ def run(scenario: Scenario) -> SimResult:
 
     def exchange(a: int, b: int, t: float) -> set[int]:
         """Both directions of one contact; returns the ends that gained."""
-        nonlocal expired, closes
+        nonlocal expired, closes, outstanding
         pair = (a, b)
         gainers = set()
         for carrier, peer in ((a, b), (b, a)):
@@ -353,6 +355,7 @@ def run(scenario: Scenario) -> SimResult:
                     closes += 1
                     return gainers
                 receive(entry.message, peer, t, entry.hops + 1)
+                outstanding -= 1
                 gainers.add(peer)
                 if pair in budget:
                     budget[pair] -= 1
@@ -387,8 +390,11 @@ def run(scenario: Scenario) -> SimResult:
                                                 and need[a].isdisjoint(buffers[b].held)):
                 gainers = exchange(a, b, t)
 
-    events = [(t_start, 2, (a, b), t_end) for t_start, t_end, a, b in scenario.trace.events]
-    events += [(m.created_at, 1, m.id, None) for m in messages]
+    # creations left, and offers not yet received: the sum of len(need[node])
+    pending, outstanding = len(messages), 0
+    events = [(m.created_at, 1, m.id, None) for m in messages]
+    if messages:   # with no message, no contact can forward anything
+        events += [(t_start, 2, (a, b), t_end) for t_start, t_end, a, b in scenario.trace.events]
     events.sort()
 
     for t, rank, info, t_end in events:
@@ -396,8 +402,13 @@ def run(scenario: Scenario) -> SimResult:
             msg = messages[info]
             for node in offered_to[msg.category]:
                 need[node].add(msg.id)
+            # the source's own offer, if it has one, is met by the creation
+            outstanding += len(offered_to[msg.category]) - (msg.id in need[msg.source])
+            pending -= 1
             receive(msg, msg.source, t, 0)
             sweep(t, None, (msg.source,))
+            if not (pending or outstanding):
+                break
         else:
             a, b = info
             incident[a][info] = incident[b][info] = t_end
@@ -413,6 +424,8 @@ def run(scenario: Scenario) -> SimResult:
                 gainers = exchange(a, b, t)
                 if gainers:
                     sweep(t, info, gainers)
+                    if not (pending or outstanding):
+                        break
 
     if ttl is not None:
         for buffer in buffers.values():

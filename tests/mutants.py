@@ -166,6 +166,21 @@ MUTANTS = (
            reason="a module imports cli: under `python -m dtn_cluster_sim.cli`, cli runs as "
                   "__main__, so the import compiles and runs it a second time (such an import "
                   "in workers raised bounded-sweep sweep_s 8.8%)"),
+    mutant("sim_engine.py",
+           "sweep(t, None, (msg.source,))\n            if not (pending or outstanding):",
+           "sweep(t, None, (msg.source,))\n            if not outstanding:",
+           "tests/test_sim_engine.py",
+           reason="a replay ends once every offer is received at a creation, though later "
+                  "creations are left"),
+    mutant("sim_engine.py",
+           "sweep(t, info, gainers)\n                    if not (pending or outstanding):",
+           "sweep(t, info, gainers)\n                    if not outstanding:",
+           "tests/test_sim_engine.py",
+           reason="a replay ends once every offer is received at a contact, though later "
+                  "creations are left"),
+    mutant("sim_engine.py", "- (msg.id in need[msg.source])", "- 1", "tests/test_sim_engine.py",
+           reason="a creation's offers counted one short when its source is outside the "
+                  "offered set, so the replay ends before the last of them is received"),
     # outcome-equivalent: no outcome test can kill these
     Mutant("sim_engine.py",
            (("if strict and interest_cluster_transfer(\n"
@@ -199,6 +214,12 @@ MUTANTS = (
                   "took a median 41.6 ms against 42.0 ms, while calls to "
                   "Buffer.in_exchange_order, each a walk that then forwards nothing, rose from "
                   "2,955 to 3,122 (from 173 to 342 on conference-file)"),
+    mutant("sim_engine.py", "                outstanding -= 1\n", "",
+           reason="a forward's offer never counted as received, so a replay never settles and "
+                  "walks every contact: flood-100's in-process replay took a median 4.67 ms "
+                  "against 2.54 ms (4.35 ms before the replay could settle; median of 80 on one "
+                  "CPU, 6 alternating rounds). Only the Buffer.held read count in "
+                  "test_contacts_after_settling_change_nothing fails on it"),
 )
 
 

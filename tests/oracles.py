@@ -345,7 +345,11 @@ def reference_replay(scenario) -> SimpleNamespace:
 
     Returns records, first receipts (in receipt order), forwards, drops,
     closes and expired copies: every copy that a purge drops, the last
-    purge being one of every buffer at the trace's duration.
+    purge being one of every buffer at the trace's duration. `settled`
+    names the event ("creation" or "contact") after which every message
+    has been created and has reached every node it is offered to (every
+    node under the epidemic and strict rules, its group otherwise), if a
+    contact start follows it; else, and with no message, it is None.
     """
     rc = scenario.router
     groups, _, _ = _resolve_groups(scenario)
@@ -414,8 +418,12 @@ def reference_replay(scenario) -> SimpleNamespace:
     events = [(t_end, 0, (a, b)) for _, t_end, a, b in scenario.trace.events]
     events += [(t_start, 2, (a, b)) for t_start, _, a, b in scenario.trace.events]
     events += [(msg.created_at, 1, msg.id) for msg in messages]
+    offered = [nodes if rc.kind == "epidemic" or rc.strict else msg.destination_group
+               for msg in messages]
+    settled, created = None, 0
+    events.sort()
     # at one instant: contacts end, then messages appear, then contacts start
-    for t, kind, what in sorted(events):
+    for i, (t, kind, what) in enumerate(events):
         if kind == 0:
             del transfers_left[what]
             continue
@@ -424,9 +432,14 @@ def reference_replay(scenario) -> SimpleNamespace:
             if rc.ttl is not None:
                 purge(msg.source, t)
             receive(msg, msg.source, t, 0)
+            created += 1
         else:
             transfers_left[what] = rc.max_transfers_per_contact
         settle(t)
+        if (settled is None and messages and created == len(messages)
+                and all(want <= receipts[m].keys() for m, want in enumerate(offered))
+                and any(later == 2 for _, later, _ in events[i + 1:])):
+            settled = ("creation", "contact")[kind == 2]
     if rc.ttl is not None:
         for node in nodes:
             purge(node, scenario.trace.duration)
@@ -441,4 +454,5 @@ def reference_replay(scenario) -> SimpleNamespace:
             forwards_total=len(receipts[msg.id]) - 1,
             final_destination=msg.final_destination,
             final_delivered_at=receipts[msg.id].get(msg.final_destination)))
-    return SimpleNamespace(records=tuple(records), first_receipts=receipts, **tally)
+    return SimpleNamespace(records=tuple(records), first_receipts=receipts, settled=settled,
+                           **tally)
