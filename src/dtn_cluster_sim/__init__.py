@@ -8,13 +8,13 @@ __version__ = "0.1.0"
 # every public name by its home module, which loads on first use (PEP 562)
 _HOMES = {
     "clustering": ("Clustering", "GroupResolution", "dump_clustering", "kmeans",
-                   "points_of", "resolve_group_exact", "resolve_group_kmeans"),
+                   "points_of", "resolve_group_kmeans"),
     "metrics": ("MetricsReport", "avg_cost", "avg_delay", "avg_hops", "build_report",
                 "delivery_ratio", "per_message_csv", "resource_used", "summary_header",
                 "summary_row"),
     "sim_engine": ("Buffer", "DeliveryRecord", "EventCounts", "ForwardDecision", "Message",
                    "SimResult", "build_schedule", "epidemic_decide",
-                   "interest_cluster_transfer", "run"),
+                   "interest_cluster_transfer", "resolve_group_exact", "run"),
     "synthetic": ("SyntheticParams", "generate_synthetic_trace"),
     "trace_files": ("build_trace", "parse_contact_trace", "parse_interest_profiles",
                     "serialize_contact_trace", "serialize_profiles"),

@@ -95,6 +95,8 @@ class RunConfig(NamedTuple):
         if self.trace is None and (self.profiles is not None or self.trace_format != "tabular"):
             raise InvalidParams("profiles" if self.profiles is not None else "trace_format",
                                 "applies to a trace file only")
+        if self.trace is not None and self.profiles is None and self.mode == "kmeans":
+            raise InvalidParams("mode", "kmeans needs a profiles file beside the trace")
 
     def router_config(self) -> RouterConfig:
         return RouterConfig(
@@ -322,7 +324,8 @@ def run_sweep(config: RunConfig, config_path=None) -> int:
     file_inputs = _load_file_inputs(config)
     out = _output_dir(config, "run", config_path)
     _clear_earlier_sweep(out)
-    _bind("run", "build_report", "per_message_csv", "summary_row", "dump_clustering")
+    _bind("run", "build_report", "per_message_csv", "summary_row",
+          *(["dump_clustering"] if config.mode == "kmeans" else []))   # clustering: k-means only
     from .metrics import summary_header
 
     rows = [summary_header()]

@@ -1,5 +1,6 @@
-"""Interest-group formation: the exact filter, and seeded k-means over the
-binary interest vectors, in plain Python, with README's tie-break rule.
+"""Interest-group formation by seeded k-means over the binary interest
+vectors, in plain Python, with README's tie-break rule; only a k-means run
+loads it, and its groups fall back to `sim_engine`'s exact filter.
 
 Floats would round a distance by the order of their sums, so an exact tie
 could break either way, by interpreter and platform. k-means compares
@@ -11,6 +12,7 @@ from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .sim_engine import _category_index, resolve_group_exact
 from .trace_model import InterestProfile
 
 InterestVector = tuple[int, ...]
@@ -158,22 +160,6 @@ def kmeans(points: Mapping[int, Sequence[int]], k: int, seed: int,
         sse_history=tuple(history),
         converged=converged,
     )
-
-
-def _category_index(category: int, n: int) -> int:
-    if not 1 <= category <= n:
-        raise ValueError(f"category {category} outside [1, {n}]")
-    return category - 1
-
-
-def resolve_group_exact(profiles: Iterable[InterestProfile],
-                        category: int) -> list[int]:
-    """Node ids whose interest bit for `category` (1-based) is set, ascending."""
-    profiles = list(profiles)
-    if not profiles:
-        return []
-    idx = _category_index(category, len(profiles[0].interests))
-    return sorted(p.node for p in profiles if p.interests[idx] == 1)
 
 
 class GroupResolution(NamedTuple):

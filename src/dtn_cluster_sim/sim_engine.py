@@ -63,11 +63,19 @@ import random
 from bisect import insort
 from enum import Enum
 from heapq import heappop, heappush
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .clustering import (Clustering, kmeans, points_of, resolve_group_exact,
-                         resolve_group_kmeans)
-from .trace_model import RouterConfig, Scenario
+from .trace_model import InterestProfile, RouterConfig, Scenario
+
+# k-means, loaded from `clustering` on first use; perfbench's tracer wraps these names here
+_KMEANS_NAMES = ("kmeans", "points_of", "resolve_group_kmeans")
+
+
+def __getattr__(name: str):
+    if name not in _KMEANS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import clustering
+    return getattr(clustering, name)
 
 
 class ForwardDecision(Enum):
@@ -213,7 +221,7 @@ class DeliveryRecord(NamedTuple):
 class SimResult(NamedTuple):
     records: tuple[DeliveryRecord, ...]
     counts: EventCounts
-    clustering: Clustering | None
+    clustering: tuple | None   # a clustering.Clustering in k-means mode
     groups_by_category: dict[int, tuple[int, ...]]
     group_fallbacks: dict[int, bool]
     first_receipts: dict[int, dict[int, float]]
@@ -253,6 +261,22 @@ def build_schedule(scenario: Scenario) -> list[tuple[float, int, int]]:
     return [(t, rng.choice(sources), rng.randint(1, scenario.n_categories)) for t in times]
 
 
+def _category_index(category: int, n: int) -> int:
+    if not 1 <= category <= n:
+        raise ValueError(f"category {category} outside [1, {n}]")
+    return category - 1
+
+
+def resolve_group_exact(profiles: Iterable[InterestProfile],
+                        category: int) -> list[int]:
+    """Node ids whose interest bit for `category` (1-based) is set, ascending."""
+    profiles = list(profiles)
+    if not profiles:
+        return []
+    idx = _category_index(category, len(profiles[0].interests))
+    return sorted(p.node for p in profiles if p.interests[idx] == 1)
+
+
 def _resolve_groups(scenario: Scenario):
     """Destination group per category as an ascending tuple of node ids,
     plus the clustering snapshot when the k-means mode is active."""
@@ -264,6 +288,8 @@ def _resolve_groups(scenario: Scenario):
     clustering = None
 
     if profiles and rc.mode == "kmeans":
+        for name in _KMEANS_NAMES:   # keep a name already set, as cli._bind does
+            globals().setdefault(name, __getattr__(name))
         points = points_of(profiles)
         distinct = len(set(points.values()))
         # clamp so sparse desk-scale profiles cannot make clustering

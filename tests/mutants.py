@@ -158,6 +158,25 @@ MUTANTS = (
            BAD_VALUE,
            reason="RunConfig takes a path with a NUL or a lone surrogate, which ends in a "
                   "traceback where the OS is handed it"),
+    mutant("cli.py", '*(["dump_clustering"] if config.mode == "kmeans" else [])',
+           '"dump_clustering"', INPUT_PATH,
+           reason="cli binds dump_clustering in every mode, so an exact-mode run compiles the "
+                  "k-means layer it never calls"),
+    mutant("sim_engine.py", '    clustering = None\n\n    if profiles and rc.mode == "kmeans":\n',
+           '    clustering = None\n    for name in _KMEANS_NAMES:\n'
+           '        globals().setdefault(name, __getattr__(name))\n'
+           '    if profiles and rc.mode == "kmeans":\n', INPUT_PATH,
+           reason="the replay binds the k-means names in every mode, so an exact-mode run "
+                  "compiles the k-means layer it never calls"),
+    mutant("sim_engine.py", "globals().setdefault(name, __getattr__(name))",
+           "globals()[name] = __getattr__(name)",
+           "tests/test_cli.py::test_run_calls_the_group_name_set_on_sim_engine",
+           reason="the k-means names bound over a name already set on sim_engine (perfbench's "
+                  "tracer sets its wrappers there before main)"),
+    mutant("cli.py", 'if self.trace is not None and self.profiles is None and self.mode == "kmeans":',
+           "if False:", BAD_VALUE,
+           reason="RunConfig takes kmeans mode on a trace file without profiles, which runs no "
+                  "k-means and leaves every group empty"),
     mutant("cli.py", "if len(points) == 1:", "if False:", INPUT_PATH,
            reason="the worker pool imported for a one-point sweep, which never forks"),
     mutant("workers.py", "from pathlib import Path\n",

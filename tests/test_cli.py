@@ -20,7 +20,7 @@ from typing import ForwardRef, get_args
 import pytest
 
 import dtn_cluster_sim
-from dtn_cluster_sim import cli, workers
+from dtn_cluster_sim import cli, sim_engine, workers
 from dtn_cluster_sim.cli import (ConfigError, RunConfig, build_scenario, main,
                                  parse_config, run_sweep)
 from dtn_cluster_sim.metrics import summary_header
@@ -748,6 +748,11 @@ class TestMainEntry:
         ({"trace": "t\ud800"}, "invalid parameter: trace"),
         ({"profiles": "profiles.txt\u0000x"}, "invalid parameter: profiles"),
         ({"profiles": "\udfffp"}, "invalid parameter: profiles"),
+        # k-means over no profiles: every group empty, and no k-means run
+        ({"profiles": None, "mode": "kmeans", "k_clusters": 5},
+         "invalid parameter: mode (kmeans needs a profiles file beside the trace)"),
+        ({"profiles": None, "mode": "kmeans", "command": "validate"},
+         "invalid parameter: mode (kmeans needs a profiles file beside the trace)"),
     ])
     def test_bad_value_or_file_exits_2(self, tmp_path, monkeypatch, capsys,
                                        change, named):
@@ -755,11 +760,12 @@ class TestMainEntry:
         for name, text in BAD_FILES.items():
             (tmp_path / name).write_text(text)
         change = dict(change)
+        command = change.pop("command", "run")
         seed_flag = ["--seed", change.pop("--seed")] if "--seed" in change else []
         path = write_config(tmp_path, **change)
         # --out would replace a bad `out`
         flags = seed_flag + ([] if "out" in change else ["--out", str(tmp_path / "out")])
-        code = main(["run", "--config", str(path), *flags])
+        code = main([command, "--config", str(path), *flags])
         err = capsys.readouterr().err
         assert code == 2
         assert named in err
@@ -1197,23 +1203,31 @@ def test_cli_import_leaves_dataclasses_logging_and_csv_out():
                          {"dataclasses", "inspect", "logging", "csv"}) == "[]"
 
 
-# the replay, k-means, buffer and report layers, and what only the replay imports
-SWEEP_MODULES = {"dtn_cluster_sim.sim_engine", "dtn_cluster_sim.clustering",
-                 "dtn_cluster_sim.metrics", "heapq"}
+# the replay, buffer and report layers, and what only the replay imports
+SWEEP_MODULES = {"dtn_cluster_sim.sim_engine", "dtn_cluster_sim.metrics", "heapq"}
+# the k-means layer, which only a k-means `run` loads
+KMEANS_MODULES = {"dtn_cluster_sim.clustering"}
 
 
 @pytest.mark.parametrize("command, inputs", [("validate", "synthetic"), ("validate", "file"),
+                                             ("validate", "file kmeans"),
                                              ("gen-trace", "synthetic"), ("run", "synthetic"),
-                                             ("run", "file")])
+                                             ("run", "file"), ("run", "file kmeans"),
+                                             ("run", "synthetic kmeans")])
 def test_only_run_loads_the_sweep_layers(tmp_path, command, inputs):
-    """`validate` and `gen-trace` compile none of the replay and report
-    layers; `run` loads every one of them."""
-    config = synthetic_config(tmp_path) if inputs == "synthetic" else write_config(tmp_path)
+    """`validate` and `gen-trace` compile none of the replay, k-means and
+    report layers; an exact-mode `run` loads the replay and report layers
+    and no k-means, a k-means `run` every one of them."""
+    kmeans = {"mode": "kmeans"} if inputs.endswith("kmeans") else {}
+    config = (synthetic_config(tmp_path, **kmeans) if inputs.startswith("synthetic")
+              else write_config(tmp_path, **kmeans))
     argv = [command, "--config", str(config), "--categories", "2", "--seed", "1",
             "--out", str(tmp_path / "out")]
     loaded = _loaded_after(f"from dtn_cluster_sim.cli import main\n"
-                           f"if main({argv!r}): raise SystemExit(1)", SWEEP_MODULES)
-    assert loaded == str(sorted(SWEEP_MODULES) if command == "run" else [])
+                           f"if main({argv!r}): raise SystemExit(1)",
+                           SWEEP_MODULES | KMEANS_MODULES)
+    expected = (SWEEP_MODULES | (KMEANS_MODULES if kmeans else set())) if command == "run" else []
+    assert loaded == str(sorted(expected))
 
 
 # the two input paths and the worker pool
@@ -1223,26 +1237,48 @@ PATH_MODULES = {"dtn_cluster_sim.trace_files", "dtn_cluster_sim.synthetic",
 
 @pytest.mark.parametrize("command, inputs", [("validate", "synthetic"), ("validate", "file"),
                                              ("gen-trace", "synthetic"), ("run", "synthetic"),
-                                             ("run", "file"), ("run", "two points")])
+                                             ("run", "file"), ("run", "two points"),
+                                             ("run", "file kmeans"),
+                                             ("run", "two points kmeans")])
 def test_each_config_loads_only_its_input_path(tmp_path, command, inputs):
     """Given no numeral flag, a synthetic config compiles the generator and
     no file formats but for `gen-trace`'s serializers, a file config the
     file formats and no generator, only `run` every replay and report
-    layer, and only a `run` of two or more points the worker pool."""
-    config = (write_config(tmp_path) if inputs == "file" else synthetic_config(
-        tmp_path, categories=[2], seeds=[1, 2] if inputs == "two points" else [1]))
+    layer, only a k-means `run` the k-means layer, and only a `run` of two
+    or more points the worker pool."""
+    kmeans = {"mode": "kmeans"} if inputs.endswith("kmeans") else {}
+    config = (write_config(tmp_path, **kmeans) if inputs.startswith("file")
+              else synthetic_config(tmp_path, categories=[2],
+                                    seeds=[1, 2] if inputs.startswith("two") else [1], **kmeans))
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     loaded = _loaded_after(f"from dtn_cluster_sim.cli import main\n"
                            f"if main({argv!r}): raise SystemExit(1)",
-                           PATH_MODULES | SWEEP_MODULES)
-    expected = {f"dtn_cluster_sim.{'trace_files' if inputs == 'file' else 'synthetic'}"}
+                           PATH_MODULES | SWEEP_MODULES | KMEANS_MODULES)
+    expected = {f"dtn_cluster_sim.{'trace_files' if inputs.startswith('file') else 'synthetic'}"}
     if command == "gen-trace":
         expected.add("dtn_cluster_sim.trace_files")
     if command == "run":
-        expected |= SWEEP_MODULES
-    if inputs == "two points":
+        expected |= SWEEP_MODULES | (KMEANS_MODULES if kmeans else set())
+    if inputs.startswith("two"):
         expected.add("dtn_cluster_sim.workers")
     assert loaded == str(sorted(expected))
+
+
+def test_kmeans_loads_before_the_fork(tmp_path):
+    """A k-means `run` of two points has loaded the k-means layer when the
+    sweep hands its points to the worker pool, so that the forked workers
+    inherit it rather than each compiling it."""
+    config = synthetic_config(tmp_path, categories=[2], seeds=[1, 2], mode="kmeans")
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    code = ("import sys\n"
+            "from dtn_cluster_sim import cli, workers\n"
+            "real, seen = workers._run_points, []\n"
+            "def spy(*args):\n"
+            "    seen.append('dtn_cluster_sim.clustering' in sys.modules)\n"
+            "    return real(*args)\n"
+            "workers._run_points = spy\n"
+            f"if cli.main({argv!r}) or seen != [True]: raise SystemExit(1)")
+    assert _loaded_after(code, KMEANS_MODULES) == str(sorted(KMEANS_MODULES))
 
 
 # what argparse loads: gettext, and locale at the first lookup of a text
@@ -1362,17 +1398,20 @@ def test_run_calls_the_name_set_on_the_cli_module(tmp_path):
     assert _loaded_after(code, {"dtn_cluster_sim.sim_engine"}) == "['dtn_cluster_sim.sim_engine']"
 
 
-def _traced_cli_names() -> list[str]:
-    """The names that perfbench's tracer wraps on `cli`, read from its
-    `TARGETS`."""
+def _tracer_targets() -> tuple:
+    """perfbench's tracer's `TARGETS`: the names it wraps, each with its
+    owner and layer."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = sys.modules[spec.name] = importlib.util.module_from_spec(spec)   # for @dataclass
     spec.loader.exec_module(tracer)
-    return [target.attr for target in tracer.TARGETS if target.owner == "cli"]
+    return tracer.TARGETS
 
 
-TRACED_CLI_NAMES = _traced_cli_names()
+TRACED_CLI_NAMES = [target.attr for target in _tracer_targets() if target.owner == "cli"]
+# the functions the tracer wraps on `sim_engine` in its k-means and group-resolution layers
+TRACED_GROUP_NAMES = [target.attr for target in _tracer_targets()
+                      if target.owner == "sim_engine" and target.layer.startswith("clustering.")]
 
 
 @pytest.mark.parametrize("name, inputs, module", [
@@ -1411,6 +1450,43 @@ def test_cli_binds_only_the_names_the_tracer_wraps(tmp_path):
                               env={**os.environ, "PYTHONPATH": _src_dir()}, check=True)
         bound.update(proc.stdout.split())
     assert bound == set(TRACED_CLI_NAMES) - {"parse_config"}
+
+
+@pytest.mark.parametrize("name", TRACED_GROUP_NAMES)
+def test_run_calls_the_group_name_set_on_sim_engine(tmp_path, name):
+    """Each group-resolution name that perfbench's tracer wraps on
+    `sim_engine`, set there before `main` as the tracer sets its wrapper,
+    is the one a one-point file `run` calls, in a fresh interpreter where
+    the k-means layer is not loaded yet: a k-means name by a k-means run,
+    the exact filter by an exact-mode run, which leaves k-means unloaded."""
+    kmeans = name in sim_engine._KMEANS_NAMES
+    config = write_config(tmp_path, mode="kmeans" if kmeans else "exact")
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    code = ("import sys\n"
+            "from dtn_cluster_sim import cli, sim_engine\n"
+            "assert 'dtn_cluster_sim.clustering' not in sys.modules\n"
+            f"real, calls = sim_engine.{name}, []\n"
+            f"sim_engine.{name} = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)\n"
+            f"if cli.main({argv!r}) or not calls: raise SystemExit(1)")
+    assert _loaded_after(code, KMEANS_MODULES) == str(sorted(KMEANS_MODULES if kmeans else []))
+
+
+def test_run_binds_on_sim_engine_only_the_kmeans_names(tmp_path):
+    """A k-means file `run` binds on `sim_engine` the three k-means names
+    and nothing else, and an exact-mode synthetic `run` binds nothing
+    there, each in a fresh interpreter."""
+    bound = []
+    for config in (write_config(tmp_path, "file.json", mode="kmeans"),
+                   synthetic_config(tmp_path, categories=[2], seeds=[1])):
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+        code = ("from dtn_cluster_sim import cli, sim_engine\n"
+                "imported = set(vars(sim_engine))\n"
+                f"if cli.main({argv!r}): raise SystemExit(1)\n"
+                "print(sorted(set(vars(sim_engine)) - imported))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": _src_dir()}, check=True)
+        bound.append(proc.stdout.strip())
+    assert bound == [str(sorted(sim_engine._KMEANS_NAMES)), "[]"]
 
 
 def test_package_exports_load_on_first_use():

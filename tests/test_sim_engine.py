@@ -809,7 +809,7 @@ def benchmark_scenarios(name: str) -> list[Scenario]:
         generated = build_scenario(config, *points[0], None)
         file_inputs = (parse_contact_trace(serialize_contact_trace(generated.trace)),
                        parse_interest_profiles(serialize_profiles(generated.profiles)))
-        config = config._replace(synthetic=None, trace="trace.txt")
+        config = config._replace(synthetic=None, trace="trace.txt", profiles="profiles.txt")
     return [build_scenario(config, n, seed, file_inputs) for n, seed in points]
 
 
