@@ -34,5 +34,13 @@ def __getattr__(name: str):
     return value
 
 
+def _bind(namespace: dict, *names: str) -> None:
+    """Bind public names into a module's `namespace` where the path that
+    calls them starts. perfbench's tracer wraps the names that a path calls
+    on `cli` and `sim_engine` before `main`, so a name already set is kept."""
+    for name in names:
+        namespace.setdefault(name, __getattr__(name))
+
+
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})

@@ -10,25 +10,10 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple, get_args
 
-from . import _HOME
+from . import __getattr__, _bind   # a package name loads on first use
 from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams, RouterConfig,
                           Scenario, ScheduleConfig, TraceError, _check_categories, _checked,
                           _is_int, _is_real, validate_scenario)
-
-
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[__package__], name)
-
-
-# perfbench's tracer wraps the names that a path calls on this module
-# before `main`, so each path binds its names where it starts and keeps one
-# already set. The sweep binds its names before `_run_points` forks, so
-# that the workers inherit the layers loaded.
-def _bind(*names: str) -> None:
-    for name in names:
-        globals().setdefault(name, __getattr__(name))
 
 
 class ConfigError(ValueError):
@@ -197,7 +182,7 @@ def _load_file_inputs(config: RunConfig):
     first point breaks is a config error naming the trace file."""
     if config.synthetic is not None:
         return None
-    _bind("parse_contact_trace", "parse_interest_profiles")
+    _bind(globals(), "parse_contact_trace", "parse_interest_profiles")
     path = config.trace
     try:
         trace_text = Path(path).read_text(encoding="utf-8")
@@ -236,7 +221,7 @@ def build_scenario(config: RunConfig, n_categories: int, seed: int,
                    file_inputs) -> Scenario:
     """Materialize one sweep point from `_load_file_inputs(config)`."""
     if config.synthetic is not None:
-        _bind("generate_synthetic_trace")
+        _bind(globals(), "generate_synthetic_trace")
         trace, profiles = generate_synthetic_trace(
             _synthetic_params(config, n_categories), seed)
     else:
@@ -324,7 +309,8 @@ def run_sweep(config: RunConfig, config_path=None) -> int:
     file_inputs = _load_file_inputs(config)
     out = _output_dir(config, "run", config_path)
     _clear_earlier_sweep(out)
-    _bind("run", "build_report", "per_message_csv", "summary_row",
+    # bound before `_run_points` forks, so that the workers inherit the layers loaded
+    _bind(globals(), "run", "build_report", "per_message_csv", "summary_row",
           *(["dump_clustering"] if config.mode == "kmeans" else []))   # clustering: k-means only
     from .metrics import summary_header
 

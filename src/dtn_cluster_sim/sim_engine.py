@@ -65,17 +65,8 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
 
+from . import __getattr__, _bind   # k-means loads from `clustering` on first use
 from .trace_model import InterestProfile, RouterConfig, Scenario
-
-# k-means, loaded from `clustering` on first use; perfbench's tracer wraps these names here
-_KMEANS_NAMES = ("kmeans", "points_of", "resolve_group_kmeans")
-
-
-def __getattr__(name: str):
-    if name not in _KMEANS_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import clustering
-    return getattr(clustering, name)
 
 
 class ForwardDecision(Enum):
@@ -287,9 +278,8 @@ def _resolve_groups(scenario: Scenario):
     fallbacks: dict[int, bool] = {}
     clustering = None
 
-    if profiles and rc.mode == "kmeans":
-        for name in _KMEANS_NAMES:   # keep a name already set, as cli._bind does
-            globals().setdefault(name, __getattr__(name))
+    if rc.mode == "kmeans":
+        _bind(globals(), "kmeans", "points_of", "resolve_group_kmeans")
         points = points_of(profiles)
         distinct = len(set(points.values()))
         # clamp so sparse desk-scale profiles cannot make clustering

@@ -173,10 +173,11 @@ class ScheduleConfig(NamedTuple):
 @_checked
 class Scenario(NamedTuple):
     """One replay's inputs, checked when built: from 1 to MAX_CATEGORIES
-    categories, one profile per node with one bit per category, and a
-    schedule that fits the scenario: explicit entries within the trace's
-    duration, its categories and its nodes, and for drawn messages a node
-    to create them at and an interval schedule that ends within the trace."""
+    categories, one profile per node with one bit per category (at least
+    one in kmeans mode), and a schedule that fits the scenario: explicit
+    entries within the trace's duration, its categories and its nodes, and
+    for drawn messages a node to create them at and an interval schedule
+    that ends within the trace."""
 
     trace: ContactTrace
     profiles: tuple[InterestProfile, ...]
@@ -200,6 +201,8 @@ class Scenario(NamedTuple):
             if len(p.interests) != n:
                 raise InvalidParams("profiles", f"node {p.node} has arity "
                                     f"{len(p.interests)}, scenario expects {n}")
+        if self.router.mode == "kmeans" and not self.profiles:
+            raise InvalidParams("profiles", "kmeans mode needs profiles to cluster")
         cfg, duration = self.schedule, self.trace.duration
         for t, source, category in cfg.explicit or ():
             if not (_is_real(t) and 0.0 <= t <= duration):

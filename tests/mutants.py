@@ -76,10 +76,10 @@ MUTANTS = (
            INPUT_PATH,
            reason="`parse_contact_trace` imported from trace_files at the top of cli: the outcome "
                   "is the same, but a synthetic config then loads the file formats"),
-    mutant("cli.py", "globals().setdefault(name, __getattr__(name))",
-           "globals()[name] = __getattr__(name)", CLI_TESTS,
-           reason="the lazy names bound over a name already set on cli (perfbench's tracer "
-                  "sets its wrappers there before main)"),
+    mutant("__init__.py", "namespace.setdefault(name, __getattr__(name))",
+           "namespace[name] = __getattr__(name)", CLI_TESTS,
+           reason="the lazy names bound over a name already set on cli or sim_engine "
+                  "(perfbench's tracer sets its wrappers there before main)"),
     mutant("trace_files.py", 'if text.isascii() and "_" not in text:', "if text.isascii():",
            BAD_VALUE,
            reason="_check_ascii's fast path tests only isascii(), so `1_0` reads as 10"),
@@ -162,21 +162,19 @@ MUTANTS = (
            '"dump_clustering"', INPUT_PATH,
            reason="cli binds dump_clustering in every mode, so an exact-mode run compiles the "
                   "k-means layer it never calls"),
-    mutant("sim_engine.py", '    clustering = None\n\n    if profiles and rc.mode == "kmeans":\n',
-           '    clustering = None\n    for name in _KMEANS_NAMES:\n'
-           '        globals().setdefault(name, __getattr__(name))\n'
-           '    if profiles and rc.mode == "kmeans":\n', INPUT_PATH,
+    mutant("sim_engine.py", '    if rc.mode == "kmeans":\n        _bind(globals(), ',
+           '    _bind(globals(), "kmeans", "points_of", "resolve_group_kmeans")\n'
+           '    if rc.mode == "kmeans":\n        _bind(globals(), ', INPUT_PATH,
            reason="the replay binds the k-means names in every mode, so an exact-mode run "
                   "compiles the k-means layer it never calls"),
-    mutant("sim_engine.py", "globals().setdefault(name, __getattr__(name))",
-           "globals()[name] = __getattr__(name)",
-           "tests/test_cli.py::test_run_calls_the_group_name_set_on_sim_engine",
-           reason="the k-means names bound over a name already set on sim_engine (perfbench's "
-                  "tracer sets its wrappers there before main)"),
     mutant("cli.py", 'if self.trace is not None and self.profiles is None and self.mode == "kmeans":',
            "if False:", BAD_VALUE,
            reason="RunConfig takes kmeans mode on a trace file without profiles, which runs no "
                   "k-means and leaves every group empty"),
+    mutant("trace_model.py", 'if self.router.mode == "kmeans" and not self.profiles:',
+           "if False:", "tests/test_sim_engine.py::test_settings_rule_raises_where_built",
+           reason="Scenario takes kmeans mode without profiles, which runs no k-means and "
+                  "leaves every group empty"),
     mutant("cli.py", "if len(points) == 1:", "if False:", INPUT_PATH,
            reason="the worker pool imported for a one-point sweep, which never forks"),
     mutant("workers.py", "from pathlib import Path\n",

@@ -1408,91 +1408,79 @@ def _tracer_targets() -> tuple:
     return tracer.TARGETS
 
 
-TRACED_CLI_NAMES = [target.attr for target in _tracer_targets() if target.owner == "cli"]
+TRACED = _tracer_targets()
+TRACED_CLI_NAMES = [target.attr for target in TRACED if target.owner == "cli"]
 # the functions the tracer wraps on `sim_engine` in its k-means and group-resolution layers
-TRACED_GROUP_NAMES = [target.attr for target in _tracer_targets()
+TRACED_GROUP_NAMES = [target.attr for target in TRACED
                       if target.owner == "sim_engine" and target.layer.startswith("clustering.")]
+TRACED_KMEANS_NAMES = {name for name in TRACED_GROUP_NAMES
+                       if dtn_cluster_sim._HOME[name] == "clustering"}
 
 
 @pytest.mark.parametrize("name, inputs, module", [
-    (name, "synthetic" if name == "generate_synthetic_trace" else "file",
-     dtn_cluster_sim._HOME.get(name, "cli")) for name in TRACED_CLI_NAMES])
+    *((name, "synthetic" if name == "generate_synthetic_trace" else "file",
+       dtn_cluster_sim._HOME.get(name, "cli")) for name in TRACED_CLI_NAMES),
+    *((f"sim_engine.{name}", "file" if name in TRACED_KMEANS_NAMES else "exact",
+       dtn_cluster_sim._HOME[name]) for name in TRACED_GROUP_NAMES)])
 def test_input_path_calls_the_name_set_on_the_cli_module(tmp_path, name, inputs, module):
-    """Each name that perfbench's tracer wraps on `cli`, set there before
-    `main` as the tracer sets its wrapper, is the one that a one-point
-    `run` calls, once, also in a fresh interpreter where the name's module
-    is not loaded yet. The file config is in k-means mode, so that
-    `dump_clustering` runs."""
-    config = (synthetic_config(tmp_path, categories=[2], seeds=[1]) if inputs == "synthetic"
-              else write_config(tmp_path, mode="kmeans"))
-    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
-    code = ("from dtn_cluster_sim import cli\n"
-            f"real, calls = cli.{name}, []\n"
-            f"cli.{name} = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)\n"
-            f"if cli.main({argv!r}) or calls != [1]: raise SystemExit(1)")
-    module = f"dtn_cluster_sim.{module}"
-    assert _loaded_after(code, {module}) == str([module])
-
-
-def test_cli_binds_only_the_names_the_tracer_wraps(tmp_path):
-    """A file `run` and a synthetic `run`, each in a fresh interpreter,
-    bind on `cli` no package name beyond its imports but those that
-    perfbench's tracer wraps there."""
-    bound = set()
-    for config in (write_config(tmp_path, "file.json", mode="kmeans"),
-                   synthetic_config(tmp_path, categories=[2], seeds=[1])):
-        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
-        code = ("from dtn_cluster_sim import cli\n"
-                "imported = set(vars(cli))\n"
-                f"if cli.main({argv!r}): raise SystemExit(1)\n"
-                "print(' '.join(set(vars(cli)) - imported))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": _src_dir()}, check=True)
-        bound.update(proc.stdout.split())
-    assert bound == set(TRACED_CLI_NAMES) - {"parse_config"}
-
-
-@pytest.mark.parametrize("name", TRACED_GROUP_NAMES)
-def test_run_calls_the_group_name_set_on_sim_engine(tmp_path, name):
-    """Each group-resolution name that perfbench's tracer wraps on
+    """Each name that perfbench's tracer wraps on `cli`, and as
+    `sim_engine.<name>` each group-resolution name it wraps on
     `sim_engine`, set there before `main` as the tracer sets its wrapper,
-    is the one a one-point file `run` calls, in a fresh interpreter where
-    the k-means layer is not loaded yet: a k-means name by a k-means run,
-    the exact filter by an exact-mode run, which leaves k-means unloaded."""
-    kmeans = name in sim_engine._KMEANS_NAMES
-    config = write_config(tmp_path, mode="kmeans" if kmeans else "exact")
+    is the one that a one-point `run` calls: once, or once per category for
+    a group resolver. The run is in a fresh interpreter where the name's
+    module is loaded only if it is the module the name is set on. The file
+    config is in k-means mode, so that `dump_clustering` and the k-means
+    names run, but for the exact filter; only k-means loads `clustering`."""
+    owner, _, attr = name.rpartition(".")
+    owner = owner or "cli"
+    config = (synthetic_config(tmp_path, categories=[2], seeds=[1]) if inputs == "synthetic"
+              else write_config(tmp_path, mode="kmeans" if inputs == "file" else "exact"))
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    count = 2 if attr.startswith("resolve_group") else 1   # the config's 2 categories
+    module = f"dtn_cluster_sim.{module}"
     code = ("import sys\n"
-            "from dtn_cluster_sim import cli, sim_engine\n"
-            "assert 'dtn_cluster_sim.clustering' not in sys.modules\n"
-            f"real, calls = sim_engine.{name}, []\n"
-            f"sim_engine.{name} = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)\n"
-            f"if cli.main({argv!r}) or not calls: raise SystemExit(1)")
-    assert _loaded_after(code, KMEANS_MODULES) == str(sorted(KMEANS_MODULES if kmeans else []))
+            f"from dtn_cluster_sim import cli, {owner}\n"
+            f"assert ({module!r} in sys.modules) == {module == f'dtn_cluster_sim.{owner}'}\n"
+            f"real, calls = {owner}.{attr}, []\n"
+            f"{owner}.{attr} = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)\n"
+            f"if cli.main({argv!r}) or calls != [1] * {count}: raise SystemExit(1)")
+    expected = {module} | (KMEANS_MODULES if inputs == "file" else set())
+    assert _loaded_after(code, {module} | KMEANS_MODULES) == str(sorted(expected))
 
 
-def test_run_binds_on_sim_engine_only_the_kmeans_names(tmp_path):
-    """A k-means file `run` binds on `sim_engine` the three k-means names
-    and nothing else, and an exact-mode synthetic `run` binds nothing
-    there, each in a fresh interpreter."""
+@pytest.mark.parametrize("module, file_kmeans, synthetic_exact", [
+    pytest.param("cli", set(TRACED_CLI_NAMES) - {"parse_config", "generate_synthetic_trace"},
+                 set(TRACED_CLI_NAMES) - {"parse_config", "parse_contact_trace",
+                                          "parse_interest_profiles", "dump_clustering"}, id="cli"),
+    pytest.param("sim_engine", TRACED_KMEANS_NAMES | {"points_of"}, set(), id="sim_engine")])
+def test_run_binds_only_the_names_the_tracer_wraps(tmp_path, module, file_kmeans,
+                                                   synthetic_exact):
+    """A k-means file `run` and an exact-mode synthetic `run`, each in a
+    fresh interpreter, bind on `module` no package name beyond its imports
+    but those given: on `cli` the names of the run's path that perfbench's
+    tracer wraps there (it defines `parse_config` itself), on `sim_engine`
+    the tracer's k-means names and the `points_of` they read, in k-means
+    mode only."""
     bound = []
     for config in (write_config(tmp_path, "file.json", mode="kmeans"),
                    synthetic_config(tmp_path, categories=[2], seeds=[1])):
         argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
-        code = ("from dtn_cluster_sim import cli, sim_engine\n"
-                "imported = set(vars(sim_engine))\n"
+        code = (f"from dtn_cluster_sim import cli, {module} as module\n"
+                "imported = set(vars(module))\n"
                 f"if cli.main({argv!r}): raise SystemExit(1)\n"
-                "print(sorted(set(vars(sim_engine)) - imported))")
+                "print(' '.join(set(vars(module)) - imported))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": _src_dir()}, check=True)
-        bound.append(proc.stdout.strip())
-    assert bound == [str(sorted(sim_engine._KMEANS_NAMES)), "[]"]
+        bound.append(set(proc.stdout.split()))
+    assert bound == [file_kmeans, synthetic_exact]
 
 
 def test_package_exports_load_on_first_use():
     """Importing the package loads no submodule; each public name is its
-    home module's object, an unknown name is an AttributeError, and
-    `import *` and `dir` see every public name."""
+    home module's object, an unknown name is an AttributeError on the
+    package, `cli` and `sim_engine`, reading `sim_engine.kmeans` is what
+    loads `clustering` and gives its `kmeans`, and `import *` and `dir` see
+    every public name."""
     package = Path(dtn_cluster_sim.__file__).parent
     submodules = {f"dtn_cluster_sim.{p.stem}" for p in package.glob("*.py")} - {
         "dtn_cluster_sim.__init__"}
@@ -1500,9 +1488,14 @@ def test_package_exports_load_on_first_use():
     for name in dtn_cluster_sim.__all__:
         value = getattr(dtn_cluster_sim, name)
         assert getattr(importlib.import_module(value.__module__), name) is value
-    for module in (dtn_cluster_sim, cli):
-        with pytest.raises(AttributeError):
+    for module in (dtn_cluster_sim, cli, sim_engine):
+        with pytest.raises(AttributeError, match="no_such_name"):
             module.no_such_name
+    code = ("import sys\n"
+            "from dtn_cluster_sim import sim_engine\n"
+            "assert 'dtn_cluster_sim.clustering' not in sys.modules\n"
+            "assert sim_engine.kmeans is sys.modules['dtn_cluster_sim.clustering'].kmeans")
+    assert _loaded_after(code, KMEANS_MODULES) == str(sorted(KMEANS_MODULES))
     namespace = {}
     exec("from dtn_cluster_sim import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(dtn_cluster_sim.__all__)

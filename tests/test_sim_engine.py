@@ -248,6 +248,10 @@ def every_build(build, change: dict):
     (RouterConfig, {"k_clusters": 3, "ttl": -1.0}, "ttl"),
     (ScheduleConfig, {"explicit": ((5.0, 1, 1),), "count": 3, "track_final": 1},
      "track_final"),
+    # k-means clusters the profiles, so a k-means scenario without any would
+    # leave every group empty
+    (two_node_scenario, {"profiles": (), "router": RouterConfig(mode="kmeans", k_clusters=5)},
+     "profiles"),
 ])
 def test_settings_rule_raises_where_built(build, change, named):
     """Each path that builds a record raises the same error, naming the
