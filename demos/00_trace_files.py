@@ -3,7 +3,8 @@ Contact traces on disk
 ======================
 
 Two supported formats: a plain tabular interval file and the event-pair
-style (`time CONN a b up|down`). Both normalize to the same model:
+style (`time CONN a b up|down`). The parser reads the format from the
+first data line, and both normalize to the same model:
 symmetric pairs, merged overlaps, events sorted. Scenario consistency
 between a trace and its interest profiles is a one-call check.
 """
@@ -27,7 +28,7 @@ event_pairs = """
 9.0 CONN 1 2 down
 7.5 CONN 2 3 up
 """
-trace2 = parse_contact_trace(event_pairs, fmt="one_events")
+trace2 = parse_contact_trace(event_pairs)
 print("\none_events ->", trace2.events)    # unclosed 2-3 link ends with the trace
 
 # canonical serialization round-trips exactly

@@ -11,9 +11,9 @@ from pathlib import Path
 from typing import NamedTuple, get_args
 
 from . import __getattr__, _bind   # a package name loads on first use
-from .trace_model import (TRACE_FORMATS, InterestProfile, InvalidParams, RouterConfig,
-                          Scenario, ScheduleConfig, TraceError, _check_categories, _checked,
-                          _is_int, _is_real, validate_scenario)
+from .trace_model import (InterestProfile, InvalidParams, RouterConfig, Scenario,
+                          ScheduleConfig, TraceError, _check_categories, _checked, _is_int,
+                          _is_real, validate_scenario)
 
 
 class ConfigError(ValueError):
@@ -30,7 +30,6 @@ class RunConfig(NamedTuple):
     categories: list[int]
     seeds: list[int] = [0]   # shared by every config that omits it; never mutated
     trace: str | None = None
-    trace_format: str = "tabular"
     profiles: str | None = None
     out: str | None = None
     router: str = RouterConfig().kind
@@ -66,8 +65,6 @@ class RunConfig(NamedTuple):
             except ValueError:   # UnicodeEncodeError among them
                 detail = "holds a NUL or a character the OS cannot encode"
                 raise InvalidParams(name, detail) from None
-        if self.trace_format not in TRACE_FORMATS:
-            raise InvalidParams("trace_format", f"unknown format {self.trace_format!r}")
         if not isinstance(self.synthetic, (dict, type(None))):
             raise InvalidParams("synthetic", "must be an object or null")
         if self.trace is not None and self.synthetic is not None:
@@ -77,9 +74,8 @@ class RunConfig(NamedTuple):
             raise InvalidParams("trace", "missing required config key: trace or synthetic")
         self.router_config()
         self.schedule_config()
-        if self.trace is None and (self.profiles is not None or self.trace_format != "tabular"):
-            raise InvalidParams("profiles" if self.profiles is not None else "trace_format",
-                                "applies to a trace file only")
+        if self.trace is None and self.profiles is not None:
+            raise InvalidParams("profiles", "applies to a trace file only")
         if self.trace is not None and self.profiles is None and self.mode == "kmeans":
             raise InvalidParams("mode", "kmeans needs a profiles file beside the trace")
 
@@ -186,7 +182,7 @@ def _load_file_inputs(config: RunConfig):
     path = config.trace
     try:
         trace_text = Path(path).read_text(encoding="utf-8")
-        trace = parse_contact_trace(trace_text, fmt=config.trace_format)
+        trace = parse_contact_trace(trace_text)
         profiles: list[InterestProfile] = []
         if config.profiles is not None:
             path = config.profiles

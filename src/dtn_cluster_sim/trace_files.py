@@ -6,8 +6,7 @@ hand it to `trace_model._assemble`."""
 import re
 from typing import Iterable
 
-from .trace_model import (TRACE_FORMATS, ContactTrace, InterestProfile, TraceError,
-                          _assemble)
+from .trace_model import ContactTrace, InterestProfile, TraceError, _assemble
 
 _INF = float("inf")
 # `# duration: <s>` / `# nodes = <count>`; any other `#` line is a comment
@@ -54,10 +53,10 @@ def build_trace(raw_events: Iterable[tuple[float, float, int, int]],
     return _assemble(contacts, duration, node_count)
 
 
-def _data_lines(text: str, headers: dict[str, tuple[int, str]]):
-    """Yield (line_no, fields) for each data line of `text`. The last
+def _data_lines(lines: list[str], headers: dict[str, tuple[int, str]]):
+    """Yield (line_no, fields) for each data line of `lines`. The last
     `duration` and `nodes` headers land in `headers` as (line_no, value)."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
@@ -159,26 +158,26 @@ def _one_events(lines, contacts: list) -> float:
     return last_time
 
 
-def parse_contact_trace(text: str, fmt: str = "tabular") -> ContactTrace:
-    """Parse a contact trace from `tabular` or `one_events` text.
+def parse_contact_trace(text: str) -> ContactTrace:
+    """Parse a contact trace in the format of its first data line.
 
-    tabular: one interval per line, `t_start t_end node_a node_b`.
-    one_events: `time CONN node_a node_b up|down` lines paired in file order.
+    one_events, when that line's second field is `CONN` in any case:
+    `time CONN node_a node_b up|down` lines paired in file order.
+    tabular otherwise: one interval per line, `t_start t_end node_a node_b`.
     Lines starting with `#` are comments, except `# duration: <s>` and
     `# nodes: <count>` headers (`=` may stand for `:`), which may enlarge
     the derived values. Every line but a comment is ASCII without `_`.
     """
-    if fmt not in TRACE_FORMATS:
-        raise ValueError(f"unknown trace format: {fmt!r}")
     _check_ascii(text)
+    lines = text.splitlines()
     headers: dict[str, tuple[int, str]] = {}
     contacts: list[tuple[float, float, int, int]] = []
-    lines = _data_lines(text, headers)
+    _, first = next(_data_lines(lines, {}), (0, ()))
     last_time = None
-    if fmt == "tabular":
-        _tabular(lines, contacts)
+    if len(first) > 1 and first[1].upper() == "CONN":
+        last_time = _one_events(_data_lines(lines, headers), contacts)
     else:
-        last_time = _one_events(lines, contacts)
+        _tabular(_data_lines(lines, headers), contacts)
     duration, node_count = _parse_headers(headers)
     return _assemble(contacts, last_time if duration is None else duration,
                      node_count)
@@ -203,7 +202,7 @@ def parse_interest_profiles(text: str) -> list[InterestProfile]:
     _check_ascii(text)
     profiles: dict[int, InterestProfile] = {}
     arity = None
-    for line_no, fields in _data_lines(text, {}):
+    for line_no, fields in _data_lines(text.splitlines(), {}):
         try:
             node = int(fields[0])
         except ValueError:

@@ -13,8 +13,6 @@ The parsers, `build_trace` and the generator share one assembly path,
 import sys
 from typing import Iterable, NamedTuple
 
-TRACE_FORMATS = ("tabular", "one_events")
-
 
 class TraceError(ValueError):
     """A trace or profile line that breaks a rule: `line N: <detail>`."""

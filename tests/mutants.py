@@ -83,6 +83,13 @@ MUTANTS = (
     mutant("trace_files.py", 'if text.isascii() and "_" not in text:', "if text.isascii():",
            BAD_VALUE,
            reason="_check_ascii's fast path tests only isascii(), so `1_0` reads as 10"),
+    mutant("trace_files.py", 'if len(first) > 1 and first[1].upper() == "CONN":', "if False:",
+           "tests/test_trace_model.py::TestParseOneEvents",
+           reason="every trace read as tabular, so a one_events line is a field-count error"),
+    mutant("trace_files.py", 'first[1].upper() == "CONN"', 'first[1] == "CONN"',
+           "tests/test_trace_model.py::TestDetectFormat",
+           reason="only an upper-case `CONN` marks a one_events trace, which `_one_events` "
+                  "reads in any case"),
     mutant("sim_engine.py", "        drops += len(buffer.insert", "        drops = len(buffer.insert",
            "tests/test_sim_engine.py",
            reason="a run's drops set instead of added to"),
@@ -143,9 +150,9 @@ MUTANTS = (
            "if self.explicit is not None and (self.count or self.interval is not None):",
            "if False:", "tests/test_sim_engine.py",
            reason="ScheduleConfig takes a `count` or an `interval` beside an explicit schedule"),
-    mutant("cli.py", "if self.trace is None and (self.profiles is not None or ", "if False and (",
+    mutant("cli.py", "if self.trace is None and self.profiles is not None:", "if False:",
            CLI_TESTS,
-           reason="RunConfig takes `profiles` or a `trace_format` without a trace file"),
+           reason="RunConfig takes `profiles` without a trace file"),
     mutant("cli.py", "for path in filter(None, (config_path, config.trace, config.profiles)):",
            "for path in ():", CLI_TESTS,
            reason="a sweep skips its input guard, so clearing its output removes or rewrites "

@@ -252,6 +252,55 @@ def test_criterion_6_qualitative_trends():
           f"delay down (rho={rho_delay:.2f}), cost and resource use non-decreasing")
 
 
+# the paper's headline: delivery ratio by destination-group size, in bins of
+# 4 (0-3, 4-7, ...), pooled over seeds 1-20 of one network; with every
+# message, and without those delivered at creation because their source is
+# a member
+HEADLINE_BINS = {
+    ("exact", True): [0.38, 0.71, 0.83, 0.85, 0.94],
+    ("kmeans", True): [0.38, 0.66, 0.80, 0.90, 0.92, 1.00],
+    ("exact", False): [0.29, 0.65, 0.78, 0.78, 0.90],
+    ("kmeans", False): [0.32, 0.60, 0.74, 0.84, 0.83, 1.00],
+}
+
+
+def delivery_by_group_size(mode: str) -> dict[bool, list[float]]:
+    """Delivery ratio per group-size bin, rounded to 2 decimals, with and
+    without the messages whose first receiver is their source."""
+    counts = {True: {}, False: {}}   # with those messages -> bin -> [created, delivered]
+    params = SyntheticParams(node_count=40, duration=2000.0, contact_rate=2e-4,
+                             n_categories=10, interest_prob=0.25)
+    for seed in range(1, 21):
+        trace, profiles = generate_synthetic_trace(params, seed)
+        sc = Scenario(trace=trace, profiles=tuple(profiles), n_categories=10,
+                      router=RouterConfig(kind="cluster", mode=mode),
+                      schedule=ScheduleConfig(count=50), seed=seed)
+        for rec in run(sc).records:
+            at_source = rec.first_receiver == rec.source
+            for with_source in (True,) if at_source else (True, False):
+                tally = counts[with_source].setdefault(rec.group_size // 4, [0, 0])
+                tally[0] += 1
+                tally[1] += rec.group_delivered_at is not None
+    return {key: [round(delivered / created, 2) for _, (created, delivered)
+                  in sorted(bins.items())] for key, bins in counts.items()}
+
+
+def test_criterion_10_delivery_rises_with_group_size():
+    steps = {}
+    for mode in ("exact", "kmeans"):
+        for with_source, ratios in delivery_by_group_size(mode).items():
+            assert ratios == HEADLINE_BINS[mode, with_source], (mode, with_source)
+            steps[mode, with_source] = [(b > a) - (b < a) for a, b in zip(ratios, ratios[1:])]
+    # with every message both modes rise at every bin; without the messages
+    # delivered at their source the relation is weaker: exact ties once and
+    # k-means dips once
+    assert set(steps["exact", True]) == set(steps["kmeans", True]) == {1}
+    assert sorted(steps["exact", False]) == [0, 1, 1, 1]
+    assert sorted(steps["kmeans", False]) == [-1, 1, 1, 1, 1]
+    ok(10, "delivery ratio rises with group size in exact and k-means mode; "
+           "without source deliveries exact ties once and k-means dips once")
+
+
 # ---------------------------------------------------------------------------
 # scripted scenarios
 

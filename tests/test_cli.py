@@ -32,6 +32,9 @@ from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, MAX_MESSAGES, InterestP
 
 TRACE_TEXT = "1 4 0 1\n3 8 1 2\n6 9 0 2\n# duration: 20\n"
 PROFILE_TEXT = "0 1 0 1\n1 0 1 1\n2 1 1 0\n"
+# TRACE_TEXT's contacts as The ONE's connectivity events
+ONE_EVENTS_TEXT = ("1 CONN 0 1 up\n3 CONN 1 2 up\n4 CONN 0 1 down\n6 CONN 0 2 up\n"
+                   "8 CONN 1 2 down\n9 CONN 2 0 down\n# duration: 20\n")
 
 
 def write_config(tmp_path: Path, name="config.json", **extra) -> Path:
@@ -102,10 +105,8 @@ BAD_FILES = {
 def bad_line(kind: str, name: str, error: str):
     """A case of test_bad_value_or_file_exits_2: the `kind` input (trace,
     one_events trace or profiles) is BAD_FILES[name], and the CLI must name
-    the file and `error`."""
+    the file and `error`. A trace file's first line gives its format."""
     change = {"profiles": name} if kind == "profiles" else {"trace": name}
-    if kind == "one_events":
-        change["trace_format"] = "one_events"
     return pytest.param(change, f"{name}: {error}", id=name.removesuffix(".txt"))
 
 
@@ -232,6 +233,25 @@ class TestRunSweep:
         assert files_a == files_b
         for rel in files_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_one_events_trace_file_needs_no_format_key(self, tmp_path, capsys):
+        """validate and run read a one_events file by its first line, as
+        the tabular file of the same contacts."""
+        assert parse_contact_trace(ONE_EVENTS_TEXT) == parse_contact_trace(TRACE_TEXT)
+        (tmp_path / "events.txt").write_text(ONE_EVENTS_TEXT)
+        events = write_config(tmp_path, name="events.json", trace=str(tmp_path / "events.txt"))
+        assert main(["validate", "--config", str(events)]) == 0
+        assert capsys.readouterr().out == "scenario consistent\n"
+        tabular = write_config(tmp_path, name="tabular.json")
+        trees = []
+        for path, out in ((tabular, tmp_path / "a"), (events, tmp_path / "b")):
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            echo = json.loads(files.pop(Path("config.json")))
+            assert "trace_format" not in echo
+            assert echo.pop("trace") == parse_config(path).trace
+            trees.append((files, echo))
+        assert trees[0] == trees[1]
 
     def test_echoed_config_reproduces_summary(self, tmp_path):
         path = synthetic_config(tmp_path)
@@ -646,7 +666,7 @@ class TestMainEntry:
         ({"trace": "nan_start.txt"}, "nan_start.txt"),
         ({"trace": "inf_end.txt"}, "inf_end.txt"),
         ({"trace": "nan_duration.txt"}, "nan_duration.txt"),
-        ({"trace": "nan_down.txt", "trace_format": "one_events"}, "nan_down.txt"),
+        ({"trace": "nan_down.txt"}, "nan_down.txt"),
         ({"max_transfers_per_contact": 0}, "max_transfers_per_contact"),
         ({"max_transfers_per_contact": -3}, "max_transfers_per_contact"),
         ({"profiles": "no_data.txt"}, "no_data.txt"),
@@ -704,7 +724,8 @@ class TestMainEntry:
         ({"seeds": [1.5]}, "invalid parameter: seeds"),
         ({"trace": None, "profiles": None, "synthetic": [8]},
          "invalid parameter: synthetic"),
-        ({"trace_format": "csv"}, "invalid parameter: trace_format"),
+        # a trace file's format is its first line's, so no key names it
+        ({"trace_format": "one_events"}, "unknown config key: trace_format"),
         # int() and float() would read these numbers silently
         bad_line("trace", "underscore.txt",
                  "line 2: malformed line (`_` or a non-ASCII character)"),
@@ -728,15 +749,15 @@ class TestMainEntry:
         ({"seeds": [2**63]}, "invalid parameter: seeds"),
         ({"seeds": [-2**63 - 1]}, "invalid parameter: seeds"),
         # a setting that the others make inert is refused, not echoed as if it
-        # ran: profiles or a trace format without a trace file, strictness
-        # under the epidemic router, a cluster count in exact mode
+        # ran: profiles without a trace file, strictness under the epidemic
+        # router, a cluster count in exact mode; and a key no source reads
         ({"trace": None, "synthetic": {"node_count": 8, "duration": 300.0,
                                        "contact_rate": 0.002, "interest_prob": 0.5}},
          "invalid parameter: profiles (applies to a trace file only)"),
         ({"trace": None, "profiles": None, "trace_format": "one_events",
           "synthetic": {"node_count": 8, "duration": 300.0, "contact_rate": 0.002,
                         "interest_prob": 0.5}},
-         "invalid parameter: trace_format (applies to a trace file only)"),
+         "unknown config key: trace_format"),
         ({"router": "epidemic", "strict": True},
          "invalid parameter: strict (applies to the cluster router only)"),
         ({"mode": "exact", "k_clusters": 3},
@@ -797,19 +818,22 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("change, named", [
-        ({"profiles": "profiles.txt"}, "profiles (applies to a trace file only)"),
-        ({"trace_format": "one_events"}, "trace_format (applies to a trace file only)"),
-        ({"router": "epidemic", "strict": True}, "strict (applies to the cluster router only)"),
-        ({"k_clusters": 3}, "k_clusters (applies to kmeans mode only)"),
+    @pytest.mark.parametrize("change, error", [
+        ({"profiles": "profiles.txt"},
+         "invalid parameter: profiles (applies to a trace file only)"),
+        # read by no source: a trace file's first line gives its format
+        ({"trace_format": "one_events"}, "unknown config key: trace_format"),
+        ({"router": "epidemic", "strict": True},
+         "invalid parameter: strict (applies to the cluster router only)"),
+        ({"k_clusters": 3}, "invalid parameter: k_clusters (applies to kmeans mode only)"),
     ], ids=["profiles", "trace_format", "strict", "k_clusters"])
     @pytest.mark.parametrize("command", ["run", "validate", "gen-trace"])
-    def test_inert_key_exits_2(self, tmp_path, capsys, command, change, named):
+    def test_inert_key_exits_2(self, tmp_path, capsys, command, change, error):
         # the synthetic config's rows of test_bad_value_or_file_exits_2, per command
         path = synthetic_config(tmp_path, categories=[2], seeds=[1], **change)
         before = sorted(tmp_path.rglob("*"))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"config error: invalid parameter: {named}\n"
+        assert capsys.readouterr().err == f"config error: {error}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("key, where", [
@@ -1098,14 +1122,15 @@ class TestRunConfigHelpers:
         ({"seeds": []}, "seeds"),
         ({"seeds": [True]}, "seeds"),
         ({"trace": None, "synthetic": [8]}, "synthetic"),
-        ({"trace_format": "csv"}, "trace_format"),
+        ({"seeds": [2**63]}, "seeds"),     # a run id names a directory
         ({"synthetic": {}}, "synthetic"),   # and a trace: both sources
         ({"trace": None}, "trace"),         # neither source
         ({"ttl": True}, "ttl"),
         ({"message_count": MAX_MESSAGES + 1}, "message_count"),
-        # a synthetic config reads no trace file, so these would be inert
+        # a synthetic config reads no profiles file, and k-means on a trace
+        # file has no vectors without one
         ({"trace": None, "synthetic": {}, "profiles": "profiles.txt"}, "profiles"),
-        ({"trace": None, "synthetic": {}, "trace_format": "one_events"}, "trace_format"),
+        ({"mode": "kmeans"}, "mode"),
         # after the router's own rules, so that a bad router key is still named
         ({"trace": None, "synthetic": {}, "profiles": "profiles.txt", "ttl": True}, "ttl"),
         # a path the OS cannot take

@@ -1,13 +1,17 @@
 """Output trees are byte-identical across Python versions and hash seeds.
 
-The package claims `requires-python >= 3.10`, and k-means sums floats in
-numpy's order with explicit folds because the builtin `sum()` of floats
-changed (it is compensated from 3.12 on). So one small mixed sweep runs
-through `python -m dtn_cluster_sim.cli run` under the current interpreter
-with `PYTHONHASHSEED` 0 and 1, so that no output depends on the order of a
-set or dict of strings, and under every `python3.10` ... `python3.13` on
-PATH that starts and reports 3.10 or newer; an interpreter that does not
-start is left out.
+The package claims `requires-python >= 3.10`, and its outputs rest on
+library behaviour that a version could change: the seeded draws of
+`random.Random` (`uniform`, `choice`, `randint` and `sample` besides
+`random`), and the builtin `sum()` of floats that `metrics` averages with,
+which is compensated from 3.12 on. k-means's distance ties are not among
+them: it compares distances as exact integers (`clustering._assign`), so a
+tie is a tie under every version. So one small mixed sweep runs through `python -m
+dtn_cluster_sim.cli run` under the current interpreter with
+`PYTHONHASHSEED` 0 and 1, so that no output depends on the order of a set
+or dict of strings, and under every `python3.10` ... `python3.13` on PATH
+that starts and reports 3.10 or newer; an interpreter that does not start
+is left out.
 """
 
 import json

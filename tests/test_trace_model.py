@@ -84,10 +84,6 @@ class TestParseTabular:
             parse_contact_trace("0 10 3 3\n")
         assert err.value.line_no == 1
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            parse_contact_trace("", fmt="pcap")
-
     @pytest.mark.parametrize("line", ["nan 10 1 2", "0 inf 1 2", "0 nan 1 2",
                                       "inf inf 1 2", "0 1e400 1 2"])
     def test_non_finite_time_rejected(self, line):
@@ -127,8 +123,7 @@ class TestParseTabular:
 
 class TestParseOneEvents:
     def test_pairing_up_down(self):
-        trace = parse_contact_trace("3.0 CONN 1 2 up\n9.0 CONN 1 2 down\n",
-                                    fmt="one_events")
+        trace = parse_contact_trace("3.0 CONN 1 2 up\n9.0 CONN 1 2 down\n")
         assert trace.events == ((3.0, 9.0, 1, 2),)
         assert trace.duration == 9.0
 
@@ -137,32 +132,30 @@ class TestParseOneEvents:
                 "2.0 CONN 2 3 up\n"
                 "4.0 CONN 1 2 down\n"
                 "6.0 CONN 2 3 down\n")
-        trace = parse_contact_trace(text, fmt="one_events")
+        trace = parse_contact_trace(text)
         assert trace.events == ((1.0, 4.0, 1, 2),
                                 (2.0, 6.0, 2, 3))
 
     def test_unclosed_up_ends_at_trace_duration(self):
         text = "1.0 CONN 1 2 up\n8.0 CONN 3 4 up\n9.0 CONN 3 4 down\n"
-        trace = parse_contact_trace(text, fmt="one_events")
+        trace = parse_contact_trace(text)
         assert (1.0, 9.0, 1, 2) in trace.events
 
     def test_stray_down_ignored(self):
-        trace = parse_contact_trace("5.0 CONN 1 2 down\n7.0 CONN 1 2 up\n9.0 CONN 1 2 down\n",
-                                    fmt="one_events")
+        trace = parse_contact_trace("5.0 CONN 1 2 down\n7.0 CONN 1 2 up\n9.0 CONN 1 2 down\n")
         assert trace.events == ((7.0, 9.0, 1, 2),)
 
     def test_down_before_up_time_is_inverted(self):
         with pytest.raises(TraceError, match="t_start >= t_end"):
-            parse_contact_trace("5.0 CONN 1 2 up\n5.0 CONN 1 2 down\n",
-                                fmt="one_events")
+            parse_contact_trace("5.0 CONN 1 2 up\n5.0 CONN 1 2 down\n")
 
     def test_malformed_line(self):
-        with pytest.raises(TraceError, match="CONN"):
-            parse_contact_trace("5.0 DISCO 1 2 up\n", fmt="one_events")
+        with pytest.raises(TraceError, match="line 2: .*CONN"):
+            parse_contact_trace("1.0 CONN 1 2 up\n5.0 DISCO 1 2 up\n")
 
     def test_duration_is_last_timestamp(self):
         text = "1.0 CONN 1 2 up\n4.0 CONN 1 2 down\n9.0 CONN 1 2 up\n"
-        trace = parse_contact_trace(text, fmt="one_events")
+        trace = parse_contact_trace(text)
         # the trailing up at the last timestamp closes into an empty
         # interval and is dropped, but the duration still covers it
         assert trace.duration == 9.0
@@ -170,15 +163,48 @@ class TestParseOneEvents:
 
     def test_unknown_state(self):
         with pytest.raises(TraceError, match="unknown state 'sideways'"):
-            parse_contact_trace("5.0 CONN 1 2 sideways\n", fmt="one_events")
+            parse_contact_trace("5.0 CONN 1 2 sideways\n")
 
     @pytest.mark.parametrize("text", ["nan CONN 1 2 down\n",
                                       "1.0 CONN 1 2 up\ninf CONN 1 2 down\n",
                                       "1.0 CONN 1 2 up\nnan CONN 3 4 up\n"])
     def test_non_finite_time_rejected(self, text):
         with pytest.raises(TraceError, match="non-finite") as err:
-            parse_contact_trace(text, fmt="one_events")
+            parse_contact_trace(text)
         assert err.value.line_no == text.count("\n")
+
+
+class TestDetectFormat:
+    """The first data line decides the format: one_events when its second
+    field is `CONN` in any case, tabular otherwise."""
+
+    def test_comments_and_headers_come_before_the_first_data_line(self):
+        text = "# from The ONE\n# duration: 20\n\n1 conn 1 2 UP\n4 Conn 2 1 down\n"
+        trace = parse_contact_trace(text)
+        assert trace.events == ((1.0, 4.0, 1, 2),)
+        assert trace.duration == 20.0
+
+    @pytest.mark.parametrize("text, error", [
+        ("1 CONN 1 2 up\n0 5 1 2\n",
+         "line 2: malformed line (expected `time CONN a b up|down`)"),
+        ("# c\n1 CONN 1 2 up\n2 CONN 1 2\n",
+         "line 3: malformed line (expected `time CONN a b up|down`)"),
+        ("0 5 1 2\n1 CONN 1 2 up\n", "line 2: malformed line (expected 4 fields, got 5)"),
+        ("5 CONN 1 2\n", "line 1: malformed line (expected `time CONN a b up|down`)"),
+        ("5\n", "line 1: malformed line (expected 4 fields, got 1)"),
+    ], ids=["tabular_after_conn", "short_conn_after_conn", "conn_after_tabular",
+            "short_conn_first", "one_field_first"])
+    def test_a_line_of_the_other_format_is_malformed(self, text, error):
+        with pytest.raises(TraceError) as err:
+            parse_contact_trace(text)
+        assert str(err.value) == error
+
+    @pytest.mark.parametrize("text, duration, nodes", [
+        ("", None, None), ("# only a comment\n\n", None, None),
+        ("# duration: 7\n# nodes: 3\n", 7.0, 3)], ids=["empty", "comment", "headers"])
+    def test_no_data_line_gives_the_empty_trace(self, text, duration, nodes):
+        """What both formats give a text with no data line."""
+        assert parse_contact_trace(text) == build_trace([], duration, nodes)
 
 
 # contacts of nodes 2, 3 and 7 in each format, with node 7 written as
@@ -195,22 +221,22 @@ class TestNodeIds:
     and errors are as if it read every field."""
 
     @pytest.mark.parametrize("spelling", ["07", "+7", "+007"])
-    @pytest.mark.parametrize("fmt", sorted(SPELLED_7))
-    def test_spellings_of_one_id_are_one_node(self, fmt, spelling):
-        plain = parse_contact_trace(SPELLED_7[fmt].replace("{7}", "7"), fmt=fmt)
+    @pytest.mark.parametrize("kind", sorted(SPELLED_7))
+    def test_spellings_of_one_id_are_one_node(self, kind, spelling):
+        plain = parse_contact_trace(SPELLED_7[kind].replace("{7}", "7"))
         assert plain.nodes == (2, 3, 7)
-        assert parse_contact_trace(SPELLED_7[fmt].replace("{7}", spelling), fmt=fmt) == plain
+        assert parse_contact_trace(SPELLED_7[kind].replace("{7}", spelling)) == plain
 
     @pytest.mark.parametrize("bad, error", [("x", "unparsable field"),
                                             ("7.0", "unparsable field"),
                                             ("-7", "negative value"),
                                             ("-3", "negative value")])
-    @pytest.mark.parametrize("fmt", sorted(SPELLED_7))
-    def test_bad_id_after_good_ones_names_its_line(self, fmt, bad, error):
+    @pytest.mark.parametrize("kind", sorted(SPELLED_7))
+    def test_bad_id_after_good_ones_names_its_line(self, kind, bad, error):
         # node 7 is read on line 1; its bad spelling first stands on line 3
-        text = SPELLED_7[fmt].replace("{7}", "7", 1).replace("{7}", bad, 1)
+        text = SPELLED_7[kind].replace("{7}", "7", 1).replace("{7}", bad, 1)
         with pytest.raises(TraceError, match=error) as err:
-            parse_contact_trace(text, fmt=fmt)
+            parse_contact_trace(text)
         assert err.value.line_no == 3
 
 
@@ -528,7 +554,7 @@ def test_assembly_matches_reference_assemble():
         duration, nodes = expected.duration + rng.randint(0, 5), expected.node_count + 1
         assert build_trace(raw, duration, nodes) == reference_assemble(raw, duration, nodes)
         assert parse_contact_trace(serialize_contact_trace(expected)) == expected
-        assert parse_contact_trace(_one_events_text(expected, rng), "one_events") == expected
+        assert parse_contact_trace(_one_events_text(expected, rng)) == expected
 
         by_pair: dict = {}
         for s, e, a, b in raw:
