@@ -40,6 +40,5 @@ profiles = parse_interest_profiles("1 1 0\n2 0 1\n9 1 1\n")
 print("profiles:")
 print(serialize_profiles(profiles))
 
-report = validate_scenario(trace, profiles)
-for line in report.lines():
+for line in validate_scenario(trace, profiles):
     print(line)                            # node 3 has no profile, node 9 no contacts

@@ -19,7 +19,7 @@ _HOMES = {
     "trace_files": ("build_trace", "parse_contact_trace", "parse_interest_profiles",
                     "serialize_contact_trace", "serialize_profiles"),
     "trace_model": ("ContactTrace", "InterestProfile", "RouterConfig", "Scenario",
-                    "ScenarioReport", "ScheduleConfig", "validate_scenario"),
+                    "ScheduleConfig", "validate_scenario"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -342,10 +342,9 @@ def run_sweep(config: RunConfig, config_path=None) -> int:
 
 def cmd_validate(config: RunConfig, config_path=None) -> int:
     scenario = build_scenario(config, *_points(config)[0], _load_file_inputs(config))
-    report = validate_scenario(scenario.trace, scenario.profiles)
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
+    gaps = validate_scenario(scenario.trace, scenario.profiles)
+    print("\n".join(gaps or ["scenario consistent"]))
+    return 1 if gaps else 0
 
 
 def cmd_gen_trace(config: RunConfig, config_path=None) -> int:

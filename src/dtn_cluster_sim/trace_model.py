@@ -217,29 +217,6 @@ class Scenario(NamedTuple):
                                     f"{cfg.count * cfg.interval}, past {duration}")
 
 
-class ScenarioReport(NamedTuple):
-    """Consistency report: node ids present on one side of the scenario only."""
-
-    missing_profile: tuple[int, ...]
-    unused_profile: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing_profile and not self.unused_profile
-
-    def lines(self) -> list[str]:
-        out = []
-        if self.missing_profile:
-            out.append("nodes in trace without a profile: "
-                       + " ".join(str(n) for n in self.missing_profile))
-        if self.unused_profile:
-            out.append("profiles for nodes absent from trace: "
-                       + " ".join(str(n) for n in self.unused_profile))
-        if not out:
-            out.append("scenario consistent")
-        return out
-
-
 def _assemble(contacts: list[tuple[float, float, int, int]],
               duration: float | None, node_count: int | None) -> ContactTrace:
     """The trace of checked contacts, normalized as the module
@@ -284,11 +261,11 @@ def _assemble(contacts: list[tuple[float, float, int, int]],
 
 
 def validate_scenario(trace: ContactTrace,
-                      profiles: Iterable[InterestProfile]) -> ScenarioReport:
-    """Report node ids in the trace without a profile and vice versa."""
+                      profiles: Iterable[InterestProfile]) -> list[str]:
+    """One line per gap: trace nodes without a profile, then profiles of
+    nodes absent from the trace, ids ascending; empty if there is none."""
     trace_nodes = set(trace.nodes)
     profile_nodes = {p.node for p in profiles}
-    return ScenarioReport(
-        missing_profile=tuple(sorted(trace_nodes - profile_nodes)),
-        unused_profile=tuple(sorted(profile_nodes - trace_nodes)),
-    )
+    gaps = (("nodes in trace without a profile", trace_nodes - profile_nodes),
+            ("profiles for nodes absent from trace", profile_nodes - trace_nodes))
+    return [f"{label}: " + " ".join(map(str, sorted(ids))) for label, ids in gaps if ids]

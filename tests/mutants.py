@@ -205,6 +205,16 @@ MUTANTS = (
     mutant("sim_engine.py", "- (msg.id in need[msg.source])", "- 1", "tests/test_sim_engine.py",
            reason="a creation's offers counted one short when its source is outside the "
                   "offered set, so the replay ends before the last of them is received"),
+    mutant("cli.py", "return 1 if gaps else 0", "return 0",
+           "tests/test_cli.py::TestMainEntry::test_validate_flags_gaps",
+           reason="validate exits 0 on a scenario with gaps"),
+    Mutant("trace_model.py",
+           (('"nodes in trace without a profile", trace_nodes',
+             '"profiles for nodes absent from trace", trace_nodes'),
+            ('"profiles for nodes absent from trace", profile_nodes',
+             '"nodes in trace without a profile", profile_nodes')),
+           ("tests/test_trace_model.py::TestValidateScenario",),
+           reason="the two gap labels swapped, so each names the other side's ids"),
     # outcome-equivalent: no outcome test can kill these
     Mutant("sim_engine.py",
            (("if strict and interest_cluster_transfer(\n"

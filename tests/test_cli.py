@@ -568,7 +568,7 @@ class TestMainEntry:
     def test_validate_consistent(self, tmp_path, capsys):
         path = synthetic_config(tmp_path)
         assert main(["validate", "--config", str(path)]) == 0
-        assert "consistent" in capsys.readouterr().out
+        assert capsys.readouterr().out == "scenario consistent\n"
 
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
     def test_commands_run_without_the_collector(self, tmp_path, monkeypatch, capsys,

@@ -8,6 +8,8 @@ import dtn_cluster_sim
 from dtn_cluster_sim.cli import RunConfig
 from dtn_cluster_sim.metrics import PER_MESSAGE_COLUMNS, summary_header
 from dtn_cluster_sim.synthetic import SyntheticParams
+from dtn_cluster_sim.trace_files import parse_contact_trace
+from dtn_cluster_sim.trace_model import InterestProfile, validate_scenario
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -35,3 +37,11 @@ def test_layout_lists_every_module():
     listed = re.findall(r"^\| `dtn_cluster_sim\.(\w+)` \|", section("## Layout"), re.M)
     package = Path(dtn_cluster_sim.__file__).parent
     assert sorted(listed) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+
+
+def test_validate_lines_are_the_written_ones():
+    documented = re.search(r"```text\n(.*?)```", section("## CLI"), re.S)[1].splitlines()
+    trace = parse_contact_trace("0 1 1 2\n0 1 3 4\n")
+    profiles = [InterestProfile(n, (1,)) for n in (1, 2, 8, 9)]
+    written = validate_scenario(trace, profiles)
+    assert [re.sub(r": [\d ]+$", ": <ids>", line) for line in written] == documented

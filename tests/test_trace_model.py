@@ -396,24 +396,25 @@ class TestValidateScenario:
     def test_consistent(self):
         trace = parse_contact_trace("0 10 1 2\n")
         profiles = [InterestProfile(1, (1,)), InterestProfile(2, (0,))]
-        report = validate_scenario(trace, profiles)
-        assert report.ok
-        assert report.lines() == ["scenario consistent"]
+        assert validate_scenario(trace, profiles) == []
 
     def test_missing_profile(self):
         trace = parse_contact_trace("0 10 1 2\n5 8 2 3\n")
         profiles = [InterestProfile(1, (1,)), InterestProfile(2, (0,))]
-        report = validate_scenario(trace, profiles)
-        assert report.missing_profile == (3,)
-        assert report.unused_profile == ()
+        assert validate_scenario(trace, profiles) == ["nodes in trace without a profile: 3"]
 
     def test_unused_profile(self):
         trace = parse_contact_trace("0 10 1 2\n")
         profiles = [InterestProfile(1, (1,)), InterestProfile(2, (0,)),
                     InterestProfile(9, (1,))]
-        report = validate_scenario(trace, profiles)
-        assert report.unused_profile == (9,)
-        assert not report.ok
+        assert validate_scenario(trace, profiles) == ["profiles for nodes absent from trace: 9"]
+
+    def test_both_gaps_in_order_with_ids_ascending(self):
+        trace = parse_contact_trace("0 10 12 2\n5 8 2 3\n6 7 1 2\n")
+        profiles = [InterestProfile(n, (1,)) for n in (40, 1, 9, 2)]
+        assert validate_scenario(trace, profiles) == [
+            "nodes in trace without a profile: 3 12",
+            "profiles for nodes absent from trace: 9 40"]
 
 
 class TestBuildTrace:
