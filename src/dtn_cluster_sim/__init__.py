@@ -16,7 +16,7 @@ _HOMES = {
                    "SimResult", "build_schedule", "epidemic_decide",
                    "interest_cluster_transfer", "resolve_group_exact", "run"),
     "synthetic": ("SyntheticParams", "generate_synthetic_trace"),
-    "trace_files": ("build_trace", "parse_contact_trace", "parse_interest_profiles",
+    "trace_files": ("parse_contact_trace", "parse_interest_profiles",
                     "serialize_contact_trace", "serialize_profiles"),
     "trace_model": ("ContactTrace", "InterestProfile", "RouterConfig", "Scenario",
                     "ScheduleConfig", "validate_scenario"),

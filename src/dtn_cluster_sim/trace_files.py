@@ -1,7 +1,7 @@
 """The file input path: the two on-disk trace formats, the profile format,
-their serializers, and the contact rules. Both parsers and `build_trace`
-check each contact where its line number (or position) is known, then
-hand it to `trace_model._assemble`."""
+their serializers, and the contact rules. Both parsers check each
+contact where its line number is known, then hand it to
+`trace_model._assemble`."""
 
 import re
 from typing import Iterable
@@ -27,30 +27,13 @@ def _check_meeting(line_no: int, t: float, a: int, b: int) -> None:
 def _add_contact(contacts: list, line_no: int, t_start: float, t_end: float,
                  a: int, b: int) -> None:
     """Check the contact [t_start, t_end) of a and b and append it to
-    `contacts` with a < b. Both parsers and `build_trace` add theirs here."""
+    `contacts` with a < b. Both parsers add theirs here."""
     if not (0.0 <= t_start < t_end < _INF and a != b and a >= 0 and b >= 0):
         _check_meeting(line_no, t_start, a, b)  # names the rule broken
         if not t_end < _INF:
             raise TraceError(line_no, "malformed line (non-finite time)")
         raise TraceError(line_no, "contact interval has t_start >= t_end")
     contacts.append((t_start, t_end, a, b) if a < b else (t_start, t_end, b, a))
-
-
-def build_trace(raw_events: Iterable[tuple[float, float, int, int]],
-                duration: float | None = None,
-                node_count: int | None = None) -> ContactTrace:
-    """Assemble a normalized ContactTrace from (t_start, t_end, a, b) tuples
-    made outside the program, checking each.
-
-    A tuple breaking the parsers' rules raises their TraceError (a
-    ValueError), numbered by its 1-based position. duration defaults to
-    the latest t_end and node_count to the number of distinct ids; both
-    may only be overridden upward.
-    """
-    contacts: list[tuple[float, float, int, int]] = []
-    for position, (t_start, t_end, a, b) in enumerate(raw_events, start=1):
-        _add_contact(contacts, position, t_start, t_end, a, b)
-    return _assemble(contacts, duration, node_count)
 
 
 def _data_lines(lines: list[str], headers: dict[str, tuple[int, str]]):

@@ -2,8 +2,7 @@
 replay (`RouterConfig`, `ScheduleConfig` and the `Scenario` that holds
 them), with the rules those records share.
 
-The parsers, `build_trace` and the generator share one assembly path,
-`_assemble`:
+The parsers and the generator share one assembly path, `_assemble`:
   * contacts are symmetric, endpoints stored with a < b;
   * one sort of all contacts orders each pair's intervals, and overlapping
     or touching intervals of the same pair are merged;

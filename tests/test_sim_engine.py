@@ -17,9 +17,8 @@ from dtn_cluster_sim.metrics import build_report, per_message_csv
 from dtn_cluster_sim.sim_engine import (Buffer, ForwardDecision, Message, build_schedule,
                                         run)
 from dtn_cluster_sim.synthetic import SyntheticParams, generate_synthetic_trace
-from dtn_cluster_sim.trace_files import (build_trace, parse_contact_trace,
-                                         parse_interest_profiles, serialize_contact_trace,
-                                         serialize_profiles)
+from dtn_cluster_sim.trace_files import (parse_contact_trace, parse_interest_profiles,
+                                         serialize_contact_trace, serialize_profiles)
 from dtn_cluster_sim.trace_model import (MAX_CATEGORIES, MAX_MESSAGES, InterestProfile,
                                          InvalidParams, RouterConfig, Scenario, ScheduleConfig)
 
@@ -905,9 +904,10 @@ def whole_second_scenario(i: int) -> Scenario:
     rounded to whole seconds and a whole-second message interval, so that
     contact ends, creations and contact starts often share an instant."""
     sc = seeded_scenario(320 + i)
-    rounded = [(float(round(s)), float(round(e)), a, b) for s, e, a, b in sc.trace.events]
-    trace = build_trace([c for c in rounded if c[0] < c[1]], duration=sc.trace.duration,
-                        node_count=sc.trace.node_count)
+    lines = [f"# duration: {sc.trace.duration!r}", f"# nodes: {sc.trace.node_count}"]
+    lines += [f"{round(s)} {round(e)} {a} {b}" for s, e, a, b in sc.trace.events
+              if round(s) < round(e)]
+    trace = parse_contact_trace("\n".join(lines) + "\n")
     interval = random.Random(20_000 + i).choice((1.0, 2.0, 3.0, 5.0, 7.0))
     return sc._replace(trace=trace, schedule=sc.schedule._replace(interval=interval))
 

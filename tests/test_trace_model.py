@@ -4,11 +4,10 @@ from hashlib import sha256
 import pytest
 
 from dtn_cluster_sim.synthetic import SyntheticParams, generate_synthetic_trace
-from dtn_cluster_sim.trace_files import (build_trace, parse_contact_trace,
-                                         parse_interest_profiles, serialize_contact_trace,
-                                         serialize_profiles)
-from dtn_cluster_sim.trace_model import (InvalidParams, InterestProfile, TraceError,
-                                         validate_scenario)
+from dtn_cluster_sim.trace_files import (parse_contact_trace, parse_interest_profiles,
+                                         serialize_contact_trace, serialize_profiles)
+from dtn_cluster_sim.trace_model import (ContactTrace, InvalidParams, InterestProfile,
+                                         TraceError, validate_scenario)
 from oracles import reference_assemble
 
 
@@ -43,6 +42,10 @@ class TestParseTabular:
     def test_duration_header_below_last_end_rejected(self):
         with pytest.raises(InvalidParams):
             parse_contact_trace("# duration: 5\n0 10 1 2\n")
+
+    def test_nodes_header_below_distinct_ids_rejected(self):
+        with pytest.raises(InvalidParams, match="node_count"):
+            parse_contact_trace("# nodes: 1\n0 10 1 2\n")
 
     def test_unsorted_input_resorted(self):
         trace = parse_contact_trace("5 12 2 3\n0 10 1 2\n")
@@ -83,6 +86,11 @@ class TestParseTabular:
         with pytest.raises(TraceError, match="with itself") as err:
             parse_contact_trace("0 10 3 3\n")
         assert err.value.line_no == 1
+
+    def test_negative_time(self):
+        with pytest.raises(TraceError, match="negative value") as err:
+            parse_contact_trace("0 5 1 2\n-1 5 1 2\n")
+        assert err.value.line_no == 2
 
     @pytest.mark.parametrize("line", ["nan 10 1 2", "0 inf 1 2", "0 nan 1 2",
                                       "inf inf 1 2", "0 1e400 1 2"])
@@ -200,11 +208,12 @@ class TestDetectFormat:
         assert str(err.value) == error
 
     @pytest.mark.parametrize("text, duration, nodes", [
-        ("", None, None), ("# only a comment\n\n", None, None),
+        ("", 0.0, 0), ("# only a comment\n\n", 0.0, 0),
         ("# duration: 7\n# nodes: 3\n", 7.0, 3)], ids=["empty", "comment", "headers"])
     def test_no_data_line_gives_the_empty_trace(self, text, duration, nodes):
         """What both formats give a text with no data line."""
-        assert parse_contact_trace(text) == build_trace([], duration, nodes)
+        assert parse_contact_trace(text) == ContactTrace(events=(), duration=duration,
+                                                         node_count=nodes, nodes=())
 
 
 # contacts of nodes 2, 3 and 7 in each format, with node 7 written as
@@ -380,16 +389,16 @@ class TestSynthetic:
         assert list(trace.events) == sorted(trace.events)
         assert len(profiles) == 10
         assert all(len(p.interests) == 2 for p in profiles)
-        # the generator skips build_trace's check of each contact: every
-        # trace it makes passes that check and comes out of it unchanged
+        # the generator skips the parsers' check of each contact: every
+        # contact it makes passes that check, and the trace comes out of
+        # a parse of its text unchanged
         flood_100 = SyntheticParams(node_count=100, duration=2000.0, contact_rate=5.1e-4,
                                     n_categories=5, interest_prob=0.3)
         cases = [(self.PARAMS, seed) for seed in range(20)]
         cases += [(self.PINNED_PARAMS._replace(shared_interest_bias=3.0), 5), (flood_100, 1)]
         for params, seed in cases:
             trace, _ = generate_synthetic_trace(params, seed)
-            assert build_trace(trace.events, duration=trace.duration,
-                               node_count=trace.node_count) == trace
+            assert parse_contact_trace(serialize_contact_trace(trace)) == trace
 
 
 class TestValidateScenario:
@@ -415,34 +424,6 @@ class TestValidateScenario:
         assert validate_scenario(trace, profiles) == [
             "nodes in trace without a profile: 3 12",
             "profiles for nodes absent from trace: 9 40"]
-
-
-class TestBuildTrace:
-    def test_rejects_shrunk_node_count(self):
-        with pytest.raises(InvalidParams):
-            build_trace([(0.0, 1.0, 1, 2)], node_count=1)
-
-    def test_event_validation(self):
-        with pytest.raises(ValueError):
-            build_trace([(0.0, 1.0, 1, 2), (5.0, 5.0, 1, 2)])
-        with pytest.raises(ValueError):
-            build_trace([(0.0, 5.0, 2, 2)])
-        with pytest.raises(ValueError):
-            build_trace([(-1.0, 5.0, 1, 2)])
-
-    @pytest.mark.parametrize("raw", [(float("nan"), 5.0, 1, 2), (0.0, float("nan"), 1, 2),
-                                     (0.0, float("inf"), 1, 2), (0.0, 5.0, -1, 2)])
-    def test_rejects_non_finite_or_negative(self, raw):
-        with pytest.raises(ValueError):
-            build_trace([raw])
-
-    def test_merge_is_idempotent(self):
-        rng = random.Random(0)
-        raw = [(t, t + rng.uniform(0.5, 5.0), rng.randint(0, 4), rng.randint(5, 9))
-               for t in [rng.uniform(0, 50) for _ in range(40)]]
-        once = build_trace(raw)
-        twice = build_trace(once.events)
-        assert once.events == twice.events
 
 
 def _random_raw_contacts(rng: random.Random) -> list[tuple[float, float, int, int]]:
@@ -473,18 +454,18 @@ def _random_raw_contacts(rng: random.Random) -> list[tuple[float, float, int, in
 
 
 def test_build_and_parse_match_reference_normalization():
-    """build_trace and the tabular parser against the reference merge and
-    keyed sort in tests/oracles.py, on seeded raw contact lists."""
+    """The tabular parser against the reference merge and keyed sort in
+    tests/oracles.py, on seeded raw contact lists."""
     shapes = dict.fromkeys(("reversed", "duplicate", "touching", "nested", "single"), 0)
     rng = random.Random(2024)
     for _ in range(300):
         raw = _random_raw_contacts(rng)
         expected = reference_assemble(raw)
         text = "".join(f"{s!r} {e!r} {a} {b}\n" for s, e, a, b in raw)
-        for trace in (build_trace(raw), parse_contact_trace(text)):
-            assert all(type(e) is tuple for e in trace.events)
-            assert trace == expected
-            assert trace.nodes == tuple(sorted({n for ev in trace.events for n in ev[2:]}))
+        trace = parse_contact_trace(text)
+        assert all(type(e) is tuple for e in trace.events)
+        assert trace == expected
+        assert trace.nodes == tuple(sorted({n for ev in trace.events for n in ev[2:]}))
 
         by_pair: dict = {}
         for s, e, a, b in raw:
@@ -540,10 +521,10 @@ def _one_events_text(trace, rng: random.Random) -> str:
 
 
 def test_assembly_matches_reference_assemble():
-    """build_trace against the per-pair sort-and-merge of tests/oracles.py
-    on seeded raw lists with whole-second times: one pair's duplicates,
-    overlaps and touching intervals, starts shared across pairs, both
-    endpoint orders and int times, which must come out as given. Both
+    """The tabular parser against the per-pair sort-and-merge of
+    tests/oracles.py on seeded raw lists with whole-second times: one
+    pair's duplicates, overlaps and touching intervals, starts shared
+    across pairs, both endpoint orders and times written as ints. Both
     parsers read the reference's serialized text back to it."""
     shapes = dict.fromkeys(("duplicate", "overlap", "touching", "shared start",
                             "reversed", "int times"), 0)
@@ -551,9 +532,11 @@ def test_assembly_matches_reference_assemble():
     for _ in range(300):
         raw = _tied_raw_contacts(rng)
         expected = reference_assemble(raw)
-        assert repr(build_trace(raw)) == repr(expected)
+        text = "".join(f"{s!r} {e!r} {a} {b}\n" for s, e, a, b in raw)
+        assert parse_contact_trace(text) == expected
         duration, nodes = expected.duration + rng.randint(0, 5), expected.node_count + 1
-        assert build_trace(raw, duration, nodes) == reference_assemble(raw, duration, nodes)
+        assert (parse_contact_trace(f"# duration: {duration!r}\n# nodes: {nodes}\n" + text)
+                == reference_assemble(raw, duration, nodes))
         assert parse_contact_trace(serialize_contact_trace(expected)) == expected
         assert parse_contact_trace(_one_events_text(expected, rng)) == expected
 
